@@ -120,9 +120,6 @@ class Dataset:
         except ValueError:
             raise DataError(f"unknown DMU {dmu!r}") from None
 
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
-
 
 def validate(d: Dataset) -> list[Violation]:
     """Check every Dataset invariant; an empty list means the data is valid."""

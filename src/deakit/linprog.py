@@ -61,6 +61,7 @@ class Status(enum.Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+    NUMERICAL_BREAKDOWN = "numerical_breakdown"
 
 
 @dataclass(frozen=True)
@@ -98,11 +99,16 @@ class StandardFormLP:
 
 @dataclass(frozen=True)
 class LPSolution:
+    """A solve's outcome.  `duals` are the simplex multipliers y of the
+    final basis (reduced costs c - A^T y); None unless OPTIMAL with one
+    basic column per row."""
+
     status: Status
     objective: float
     primal: np.ndarray
     basis: tuple[int, ...]
     iterations: int
+    duals: Optional[np.ndarray] = None
 
 
 def _iter_cap() -> int:
@@ -143,16 +149,46 @@ def _resolve_kernel(kernel) -> Callable:
     raise SolverError(f"unknown kernel {kernel!r}")
 
 
-def solve(lp: StandardFormLP, *, iter_cap: Optional[int] = None,
+def _start_tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray, basis,
+                   b_scale: float):
+    """Phase-2 tableau on the columns `basis`, or None when they are not an
+    invertible basis or their basic solution is infeasible."""
+    m, n = A.shape
+    basis = np.array(basis, dtype=np.int64)
+    listed = basis.tolist()
+    if (m == 0 or basis.shape != (m,) or len(set(listed)) != m
+            or min(listed) < 0 or max(listed) >= n):
+        return None
+    try:
+        body = np.linalg.solve(A[:, basis], np.column_stack((A, b)))
+    except np.linalg.LinAlgError:
+        return None
+    if (not np.isfinite(body).all()
+            or body[:, -1].min() < -FEAS_TOL * b_scale):
+        return None
+    T = np.empty((m + 1, n + 1))
+    T[:m] = body
+    T[:m, basis] = np.eye(m)
+    np.maximum(body[:, -1], 0.0, out=T[:m, -1])
+    cb = c[basis]
+    T[m, :n] = c - cb @ T[:m, :n]
+    T[m, -1] = -(cb @ T[:m, -1])
+    return T, basis
+
+
+def solve(lp: StandardFormLP, *, basis=None, iter_cap: Optional[int] = None,
           kernel=None, log: Optional[IO[str]] = None) -> LPSolution:
     """Two-phase dense simplex.
 
     Phase 1 minimizes the sum of one artificial variable per row; phase 2
-    restores the original costs.  Dantzig pivoting with a Bland's-rule
-    fallback after `BLAND_AFTER` consecutive degenerate pivots guarantees
-    termination.  Deterministic for identical input.  `kernel` accepts a
-    name ("python"/"cython") or a callable; `log` dumps one line per pivot
-    (and forces the Python kernel).
+    restores the original costs.  A start `basis` (one column index per
+    row) skips phase 1 when those columns are invertible and their basic
+    solution B^-1 b is feasible to within FEAS_TOL; otherwise phase 1 runs
+    as without it.  Dantzig pivoting with a Bland's-rule fallback after
+    `BLAND_AFTER` consecutive degenerate pivots guarantees termination.
+    Deterministic for identical input.  `kernel` accepts a name
+    ("python"/"cython") or a callable; `log` dumps one line per pivot (and
+    forces the Python kernel).
     """
     cap = iter_cap if iter_cap is not None else _iter_cap()
     if log is not None:
@@ -167,54 +203,63 @@ def solve(lp: StandardFormLP, *, iter_cap: Optional[int] = None,
             return kern(T, basis, it, cap, PIVOT_TOL, OPT_TOL, BLAND_AFTER)
 
     m, n = lp.n_constraints, lp.n_vars
-    A = lp.A.copy()
-    b = lp.b.copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
+    A, b = lp.A, lp.b
+    sign = None
+    if m and b.min() < 0:
+        sign = np.where(b < 0, -1.0, 1.0)
+        A = A * sign[:, None]
+        b = b * sign
     b_scale = 1.0 + (float(np.max(b)) if m else 0.0)
 
-    # Phase 1: artificial basis, cost = sum of artificials.
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
-    basis = np.arange(n, n + m, dtype=np.int64)
+    start = (_start_tableau(lp.c, A, b, basis, b_scale)
+             if basis is not None else None)
+    if start is not None:
+        T2, basis = start
+        it = 0
+        rows_kept = m
+    else:
+        # Phase 1: artificial basis, cost = sum of artificials.
+        T = np.zeros((m + 1, n + m + 1))
+        T[:m, :n] = A
+        T[:m, n:n + m] = np.eye(m)
+        T[:m, -1] = b
+        T[m, :n] = -A.sum(axis=0)
+        T[m, -1] = -b.sum()
+        basis = np.arange(n, n + m, dtype=np.int64)
 
-    code, it = run(T, basis, 0, 1)
-    if code == _simplex_py.ITERATION_LIMIT:
-        return _failed(Status.ITERATION_LIMIT, n, it)
-    if code == _simplex_py.UNBOUNDED:
-        # phase-1 objective is bounded below by zero; only numerical
-        # breakdown can land here
-        return _failed(Status.ITERATION_LIMIT, n, it)
-    if -T[m, -1] > FEAS_TOL * b_scale:
-        return _failed(Status.INFEASIBLE, n, it)
+        code, it = run(T, basis, 0, 1)
+        if code == _simplex_py.ITERATION_LIMIT:
+            return _failed(Status.ITERATION_LIMIT, n, it)
+        if code == _simplex_py.UNBOUNDED:
+            # phase-1 objective is bounded below by zero; only numerical
+            # breakdown can land here
+            return _failed(Status.NUMERICAL_BREAKDOWN, n, it)
+        if -T[m, -1] > FEAS_TOL * b_scale:
+            return _failed(Status.INFEASIBLE, n, it)
 
-    # Drive leftover artificials out of the basis; a row that offers no
-    # pivot in the original columns is redundant and gets dropped.
-    drop = []
-    for i in range(m):
-        if basis[i] >= n:
-            cols = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
-            if cols.size:
-                _pivot(T, i, int(cols[0]))
-                basis[i] = int(cols[0])
-            else:
-                drop.append(i)
-    keep = [i for i in range(m) if i not in drop]
-    rows_kept = len(keep)
+        # Drive leftover artificials out of the basis; a row that offers no
+        # pivot in the original columns is redundant and gets dropped.
+        drop = []
+        for i in range(m):
+            if basis[i] >= n:
+                cols = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
+                if cols.size:
+                    _pivot(T, i, int(cols[0]))
+                    basis[i] = int(cols[0])
+                else:
+                    drop.append(i)
+        keep = [i for i in range(m) if i not in drop]
+        rows_kept = len(keep)
 
-    # Phase 2 tableau: original columns only, costs re-priced on the basis.
-    T2 = np.empty((rows_kept + 1, n + 1))
-    T2[:rows_kept, :n] = T[keep, :n]
-    T2[:rows_kept, -1] = T[keep, -1]
-    basis = basis[keep]
-    cb = lp.c[basis]
-    T2[rows_kept, :n] = lp.c - cb @ T2[:rows_kept, :n]
-    T2[rows_kept, -1] = -(cb @ T2[:rows_kept, -1])
+        # Phase 2 tableau: original columns only, costs re-priced on the
+        # basis.
+        T2 = np.empty((rows_kept + 1, n + 1))
+        T2[:rows_kept, :n] = T[keep, :n]
+        T2[:rows_kept, -1] = T[keep, -1]
+        basis = basis[keep]
+        cb = lp.c[basis]
+        T2[rows_kept, :n] = lp.c - cb @ T2[:rows_kept, :n]
+        T2[rows_kept, -1] = -(cb @ T2[:rows_kept, -1])
 
     code, it = run(T2, basis, it, 2)
     if code == _simplex_py.UNBOUNDED:
@@ -224,18 +269,24 @@ def solve(lp: StandardFormLP, *, iter_cap: Optional[int] = None,
 
     primal = np.zeros(n)
     x_basic = T2[:rows_kept, -1]
+    duals = None
     if rows_kept == m:
         try:
+            B_inv = np.linalg.inv(A[:, basis])
+        except np.linalg.LinAlgError:
+            B_inv = None
+        if B_inv is not None:
             # Re-solve on the original data to shed accumulated pivot drift.
-            refined = np.linalg.solve(A[:, basis], b)
+            refined = B_inv @ b
             if np.all(refined >= -PIVOT_TOL * b_scale):
                 x_basic = refined
-        except np.linalg.LinAlgError:
-            pass
+            duals = lp.c[basis] @ B_inv
+            if sign is not None:
+                duals *= sign
     primal[basis] = x_basic
     objective = float(lp.c @ primal)
     return LPSolution(Status.OPTIMAL, objective, primal,
-                      tuple(int(v) for v in basis), it)
+                      tuple(basis.tolist()), it, duals)
 
 
 def verify_optimality(lp: StandardFormLP, sol: LPSolution) -> bool:

@@ -186,45 +186,113 @@ def build_instance(d: Dataset, dmu: str, spec: ModelSpec, *,
     )
 
 
-def _intensity_rows(inst: ModelInstance, n_vars: int, lam_off: int,
-                    t_col: Optional[int] = None):
-    """Equality rows for L <= e lambda <= U with surplus/slack columns.
+# lambda-columns that join a panel's candidate set per failed pricing round
+FRAME_BATCH = 4
 
-    Returns (rows, rhs, extra_cols) where the extra surplus/slack columns
-    are assumed to sit at the end of the variable vector.  With a scale
-    column `t_col` the bounds read L*t <= e Lambda <= U*t.
+
+class _Template:
+    """One model's LP for every DMU of a panel, built once per panel.
+
+    Columns: the lead variable (CCR's phi, the SBM's Charnes-Cooper t), one
+    lambda per DMU, then one slack per data row and one per intensity-bound
+    row (the tail).  Rows: [SBM normalization], inputs, desirable outputs,
+    [undesirable outputs], then L <= e lambda <= U (CRS: no row for L = 0
+    or U = inf).  Each data row is stored in units of its panel mean:
+    scores do not depend on units, and the solver's absolute tolerances
+    then act on numbers of order one.  Per DMU only the lead column, b,
+    the normalization row and the objective change.
     """
-    rows = []
-    rhs = []
-    extra = 0
-    if inst.L > 0.0:
-        extra += 1
-    if math.isfinite(inst.U):
-        extra += 1
-    width = n_vars + extra
-    slot = n_vars
-    if inst.L > 0.0:
-        row = np.zeros(width)
-        row[lam_off:lam_off + inst.n] = 1.0
-        row[slot] = -1.0
-        if t_col is None:
-            rhs.append(inst.L)
+
+    def __init__(self, inst: ModelInstance, kind: ModelKind):
+        self.sbm = kind is ModelKind.SBM_UNDESIRABLE
+        self.n, self.m, self.s1 = inst.n, inst.m, inst.s1
+        self.s2 = inst.s2 if self.sbm else 0
+        self.L, self.U = inst.L, inst.U
+        self.raw = np.vstack((inst.X, inst.Yg, inst.Yb) if self.sbm
+                             else (inst.X, inst.Yg))
+        self.unit = self.raw.mean(axis=1)
+        self.Z = self.raw / self.unit[:, None]
+        k, n = self.Z.shape
+        signs = [1.0] * self.m + [-1.0] * self.s1 + [1.0] * self.s2
+        bound = []
+        if self.L > 0.0:
+            signs.append(-1.0)
+            bound.append(self.L)
+        if math.isfinite(self.U):
+            signs.append(1.0)
+            bound.append(self.U)
+        self.bound = np.array(bound)
+        top = 1 if self.sbm else 0
+        rows = top + len(signs)
+        self.tail = np.arange(1 + n, 1 + n + len(signs))
+        self.width = 1 + n + len(signs)
+        A = np.zeros((rows, self.width))
+        A[top:top + k, 1:1 + n] = self.Z
+        A[top + k:, 1:1 + n] = 1.0
+        A[np.arange(top, rows), self.tail] = signs
+        self.b = np.zeros(rows)
+        if self.sbm:
+            A[0, 0] = 1.0
+            A[1 + k:, 0] = -self.bound
+            self.b[0] = 1.0
         else:
-            row[t_col] = -inst.L
-            rhs.append(0.0)
-        rows.append(row)
-        slot += 1
-    if math.isfinite(inst.U):
-        row = np.zeros(width)
-        row[lam_off:lam_off + inst.n] = 1.0
-        row[slot] = 1.0
-        if t_col is None:
-            rhs.append(inst.U)
+            self.b[k:] = self.bound
+        self.A = A
+        A.flags.writeable = False
+        self._own_tail = np.delete(self.tail, [0] if self.sbm else [0, self.m])
+        self.lam_block = A[:, 1:1 + n]
+
+    def columns(self, lam: np.ndarray, lead: bool = True) -> np.ndarray:
+        """Sorted template indices of an LP on the lambda-columns `lam`."""
+        head = [0] if lead else []
+        return np.concatenate((head, 1 + lam, self.tail)).astype(np.int64)
+
+    def own_basis(self, k: int) -> np.ndarray:
+        """DMU k's own point, phi = 1 or t = 1 with lambda = e_k.
+
+        The basis is the lead, lambda_k and every tail column but the first
+        input slack and, for CCR, the first desirable-output slack.  It is
+        nonsingular for positive data and feasible when L <= 1 <= U.
+        """
+        return np.concatenate(([0, 1 + k], self._own_tail))
+
+    def lp(self, k: int, cols: np.ndarray,
+           phi: Optional[float] = None) -> StandardFormLP:
+        """DMU k's LP on the template columns `cols` (see `columns`).
+
+        For CCR, stage 1 when `phi` is None; otherwise stage 2, with phi
+        fixed and the total slack in raw units maximized.
+        """
+        z = self.Z[:, k]
+        m, s1 = self.m, self.s1
+        A = self.A[:, cols]
+        b = self.b.copy()
+        c = np.zeros(cols.size)
+        tail = cols.size - self.tail.size
+        if self.sbm:
+            A[1:1 + z.size, 0] = -z
+            A[0, tail + m:tail + z.size] = 1.0 / ((z.size - m) * z[m:])
+            c[0] = 1.0
+            c[tail:tail + m] = -1.0 / (m * z[:m])
         else:
-            row[t_col] = -inst.U
-            rhs.append(0.0)
-        rows.append(row)
-    return rows, rhs, extra
+            b[:m] = z[:m]
+            if phi is None:
+                A[m:m + s1, 0] = -z[m:]
+                c[0] = -1.0
+            else:
+                b[m:m + s1] = phi * z[m:]
+                c[tail:tail + m + s1] = -self.unit
+        return StandardFormLP(c, A, b)
+
+    def recovery(self) -> "SbmRecovery":
+        return SbmRecovery(n=self.n, m=self.m, s1=self.s1, s2=self.s2,
+                           units=tuple(self.unit))
+
+    def widen(self, sol: linprog.LPSolution, cols: np.ndarray) -> np.ndarray:
+        """An LP's primal solution at full template width."""
+        x = np.zeros(self.width)
+        x[cols] = sol.primal
+        return x
 
 
 def _clip_tiny(v: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -233,11 +301,99 @@ def _clip_tiny(v: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return out + 0.0  # normalizes -0.0 to +0.0
 
 
-def _solve(lp: StandardFormLP, context: str) -> linprog.LPSolution:
-    sol = linprog.solve(lp)
+def _framed_solve(tpl: _Template, k: int, frame: np.ndarray,
+                  start: np.ndarray, context: str,
+                  phi: Optional[float] = None):
+    """Solve DMU k's LP on the lambda-columns of `frame` and k.
+
+    `frame` is the panel's candidate set, a boolean mask over the DMUs that
+    this call extends in place.  A restricted optimum is accepted only when
+    every lambda-column of the panel prices out (reduced cost >= -OPT_TOL
+    under its basis), which makes it optimal for the LP on all columns
+    (Ali 1993; Dula 2011).  Otherwise the most negative columns join the
+    frame and the LP is solved again from the last basis.  `start` is a
+    start basis in template indices.  A restricted LP that does not end
+    OPTIMAL is solved on all columns.  Returns (lp, solution, columns).
+    """
+    lead = phi is None
+    basis = start
+    while True:
+        member = frame.copy()
+        member[k] = True
+        cols = tpl.columns(np.flatnonzero(member), lead)
+        lp = tpl.lp(k, cols, phi)
+        sol = linprog.solve(lp, basis=np.searchsorted(cols, basis))
+        if sol.duals is None:
+            break
+        reduced = -(sol.duals @ tpl.lam_block)
+        reduced[member] = 0.0
+        entering = np.flatnonzero(reduced < -linprog.OPT_TOL)
+        if entering.size == 0:
+            return lp, sol, cols
+        frame[entering[np.argsort(reduced[entering])[:FRAME_BATCH]]] = True
+        basis = cols[list(sol.basis)]
+    cols = tpl.columns(np.arange(tpl.n), lead)
+    lp = tpl.lp(k, cols, phi)
+    sol = linprog.solve(lp, basis=np.searchsorted(cols, start))
     if sol.status is not Status.OPTIMAL:
         raise SolverError(f"{context}: LP ended {sol.status.name}")
-    return sol
+    return lp, sol, cols
+
+
+def _stage2_start(tpl: _Template, lp: StandardFormLP,
+                  sol: linprog.LPSolution, cols: np.ndarray) -> np.ndarray:
+    """The stage-1 optimal basis with phi swapped for one slack column.
+
+    Let p be phi's position in that basis.  Row i's slack column is a unit
+    vector, so entry i of row p of B^-1 is that column's coefficient on
+    phi: the slack can replace phi when the entry is nonzero, and the
+    largest entry keeps the basis best conditioned.  With phi fixed at its
+    optimum, stage 1's solution without phi solves the new basis, so the
+    basis is feasible.
+    """
+    basis = np.array(sol.basis)
+    full = cols[basis]
+    e = (full == 0).astype(float)
+    try:
+        r = np.abs(np.linalg.solve(lp.A[:, basis].T, e))
+    except np.linalg.LinAlgError:
+        return full[full != 0]
+    basic = np.zeros(tpl.width, dtype=bool)
+    basic[full] = True
+    r[basic[tpl.tail]] = 0.0
+    return np.append(full[full != 0], tpl.tail[int(np.argmax(r))])
+
+
+def _ccr(tpl: _Template, k: int, frame: np.ndarray,
+         dmu: str) -> EfficiencyResult:
+    lp1, sol1, cols1 = _framed_solve(tpl, k, frame, tpl.own_basis(k),
+                                     f"CCR stage 1 for DMU {dmu!r}")
+    phi = -sol1.objective
+    if abs(phi - 1.0) <= 1e-9:
+        phi = 1.0
+    if phi <= 0.0 or (tpl.L <= 1.0 <= tpl.U and phi < 1.0):
+        # lambda = e_k, phi = 1 is feasible when L <= 1 <= U
+        raise SolverError(f"CCR stage 1 for DMU {dmu!r}: phi = {phi!r} is "
+                          "not a valid expansion")
+
+    _, sol2, cols2 = _framed_solve(tpl, k, frame,
+                                   _stage2_start(tpl, lp1, sol1, cols1),
+                                   f"CCR stage 2 for DMU {dmu!r}", phi=phi)
+    x = tpl.widen(sol2, cols2)
+    m, s1 = tpl.m, tpl.s1
+    lam = _clip_tiny(x[1:1 + tpl.n])
+    s_in = _clip_tiny(x[tpl.tail[:m]]) * tpl.unit[:m]
+    s_good = _clip_tiny(x[tpl.tail[m:m + s1]]) * tpl.unit[m:]
+    x0, y0g = tpl.raw[:m, k], tpl.raw[m:, k]
+    score = 1.0 / phi
+    if abs(score - 1.0) <= 1e-9:
+        score = 1.0
+    return EfficiencyResult(
+        dmu=dmu, kind=ModelKind.CCR_OUTPUT, score=score, phi=phi,
+        lam=lam, slack_in=s_in, slack_good=s_good, slack_bad=np.empty(0),
+        projection=Projection(inputs=x0 - s_in, goods=phi * y0g + s_good,
+                              bads=np.empty(0)),
+    )
 
 
 def evaluate_ccr_output(d: Dataset, dmu: str, spec: ModelSpec) -> EfficiencyResult:
@@ -251,148 +407,69 @@ def evaluate_ccr_output(d: Dataset, dmu: str, spec: ModelSpec) -> EfficiencyResu
     if spec.kind is not ModelKind.CCR_OUTPUT:
         raise ModelError(f"evaluate_ccr_output got spec kind {spec.kind}")
     inst = build_instance(d, dmu, spec)
-    n, m, s1 = inst.n, inst.m, inst.s1
-    x0, y0g = inst.x0, inst.y0g
-
-    # stage 1 variables: [phi, lambda, s_in, s_good] (+ bound columns)
-    base = 1 + n + m + s1
-    lam_off = 1
-    rows = []
-    rhs = []
-    for i in range(m):
-        row = np.zeros(base)
-        row[lam_off:lam_off + n] = inst.X[i]
-        row[lam_off + n + i] = 1.0
-        rows.append(row)
-        rhs.append(x0[i])
-    for r in range(s1):
-        row = np.zeros(base)
-        row[0] = -y0g[r]
-        row[lam_off:lam_off + n] = inst.Yg[r]
-        row[lam_off + n + m + r] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    brows, brhs, extra = _intensity_rows(inst, base, lam_off)
-    A = np.zeros((len(rows) + len(brows), base + extra))
-    for i, row in enumerate(rows):
-        A[i, :base] = row
-    for i, row in enumerate(brows):
-        A[len(rows) + i] = row
-    b = np.array(rhs + brhs)
-    c = np.zeros(base + extra)
-    c[0] = -1.0
-    sol1 = _solve(StandardFormLP(c, A, b), f"CCR stage 1 for DMU {dmu!r}")
-    phi = -sol1.objective
-    if abs(phi - 1.0) <= 1e-9:
-        phi = 1.0
-
-    # stage 2: phi fixed, maximize total slack
-    A2 = A[:, 1:].copy()
-    b2 = b.copy()
-    b2[m:m + s1] = phi * y0g
-    c2 = np.zeros(A2.shape[1])
-    c2[n:n + m + s1] = -1.0
-    sol2 = _solve(StandardFormLP(c2, A2, b2), f"CCR stage 2 for DMU {dmu!r}")
-
-    lam = _clip_tiny(sol2.primal[:n])
-    s_in = _clip_tiny(sol2.primal[n:n + m])
-    s_good = _clip_tiny(sol2.primal[n + m:n + m + s1])
-    score = 1.0 / phi
-    if abs(score - 1.0) <= 1e-9:
-        score = 1.0
-    return EfficiencyResult(
-        dmu=dmu, kind=ModelKind.CCR_OUTPUT, score=score, phi=phi,
-        lam=lam, slack_in=s_in, slack_good=s_good, slack_bad=np.empty(0),
-        projection=Projection(inputs=x0 - s_in, goods=phi * y0g + s_good,
-                              bads=np.empty(0)),
-    )
+    return _ccr(_Template(inst, spec.kind), inst.index,
+                np.zeros(inst.n, dtype=bool), dmu)
 
 
 @dataclass(frozen=True)
 class SbmRecovery:
-    """Maps Charnes-Cooper variables (t, Lambda, S) back to (lambda, s)."""
+    """Maps Charnes-Cooper variables (t, Lambda, S) back to (lambda, s).
+
+    `units` holds the unit of each slack (inputs, desirable, undesirable
+    outputs) when the LP's data rows are scaled; empty means unscaled.
+    """
 
     n: int
     m: int
     s1: int
     s2: int
+    units: tuple[float, ...] = ()
 
     def recover(self, primal: np.ndarray):
         t = float(primal[0])
         if t <= 1e-7:
             raise ModelError("degenerate Charnes-Cooper scale "
                              f"(t = {t:.3e})")
-        off = 1
-        lam = primal[off:off + self.n] / t
-        off += self.n
-        s_in = primal[off:off + self.m] / t
-        off += self.m
-        s_good = primal[off:off + self.s1] / t
-        off += self.s1
-        s_bad = primal[off:off + self.s2] / t
-        return t, _clip_tiny(lam), _clip_tiny(s_in), _clip_tiny(s_good), \
-            _clip_tiny(s_bad)
+        lam = primal[1:1 + self.n] / t
+        off = 1 + self.n
+        s = _clip_tiny(primal[off:off + self.m + self.s1 + self.s2] / t)
+        if self.units:
+            s = s * np.asarray(self.units)
+        s_in, s_good, s_bad = np.split(s, [self.m, self.m + self.s1])
+        return t, _clip_tiny(lam), s_in, s_good, s_bad
 
 
 def linearize_sbm(inst: ModelInstance) -> tuple[StandardFormLP, SbmRecovery]:
     """Charnes-Cooper linearization of the SBM ratio.
 
-    Variables are (t, Lambda, S_in, S_good, S_bad) with Lambda = t*lambda
-    and S = t*s.  The normalization row pins the denominator to 1; the
+    Variables are (t, Lambda, S_in, S_good, S_bad) and the intensity-bound
+    slacks, with Lambda = t*lambda and S = t*s in units of each indicator's
+    panel mean.  The normalization row pins the denominator to 1; the
     objective then equals the original ratio.
     """
-    n, m, s1, s2 = inst.n, inst.m, inst.s1, inst.s2
-    s = s1 + s2
-    x0, y0g, y0b = inst.x0, inst.y0g, inst.y0b
-    base = 1 + n + m + s1 + s2
-    lam_off = 1
-    in_off = lam_off + n
-    g_off = in_off + m
-    b_off = g_off + s1
+    tpl = _Template(inst, ModelKind.SBM_UNDESIRABLE)
+    return (tpl.lp(inst.index, tpl.columns(np.arange(inst.n))),
+            tpl.recovery())
 
-    rows = []
-    rhs = []
-    norm = np.zeros(base)
-    norm[0] = 1.0
-    for r in range(s1):
-        norm[g_off + r] = 1.0 / (s * y0g[r])
-    for r in range(s2):
-        norm[b_off + r] = 1.0 / (s * y0b[r])
-    rows.append(norm)
-    rhs.append(1.0)
-    for i in range(m):
-        row = np.zeros(base)
-        row[0] = x0[i]
-        row[lam_off:lam_off + n] = -inst.X[i]
-        row[in_off + i] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for r in range(s1):
-        row = np.zeros(base)
-        row[0] = y0g[r]
-        row[lam_off:lam_off + n] = -inst.Yg[r]
-        row[g_off + r] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for r in range(s2):
-        row = np.zeros(base)
-        row[0] = y0b[r]
-        row[lam_off:lam_off + n] = -inst.Yb[r]
-        row[b_off + r] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    brows, brhs, extra = _intensity_rows(inst, base, lam_off, t_col=0)
-    A = np.zeros((len(rows) + len(brows), base + extra))
-    for i, row in enumerate(rows):
-        A[i, :base] = row
-    for i, row in enumerate(brows):
-        A[len(rows) + i] = row
-    b = np.array(rhs + brhs)
-    c = np.zeros(base + extra)
-    c[0] = 1.0
-    for i in range(m):
-        c[in_off + i] = -1.0 / (m * x0[i])
-    return StandardFormLP(c, A, b), SbmRecovery(n=n, m=m, s1=s1, s2=s2)
+
+def _sbm(tpl: _Template, k: int, frame: np.ndarray,
+         dmu: str) -> EfficiencyResult:
+    _, sol, cols = _framed_solve(tpl, k, frame, tpl.own_basis(k),
+                                 f"SBM solve for DMU {dmu!r}")
+    t, lam, s_in, s_good, s_bad = tpl.recovery().recover(
+        tpl.widen(sol, cols))
+    m, s1 = tpl.m, tpl.s1
+    score = sol.objective
+    if abs(score - 1.0) <= 1e-9:
+        score = 1.0
+    x0, y0g, y0b = (tpl.raw[:m, k], tpl.raw[m:m + s1, k],
+                    tpl.raw[m + s1:, k])
+    return EfficiencyResult(
+        dmu=dmu, kind=ModelKind.SBM_UNDESIRABLE, score=score, phi=1.0,
+        lam=lam, slack_in=s_in, slack_good=s_good, slack_bad=s_bad,
+        projection=Projection(inputs=x0 - s_in, goods=y0g + s_good,
+                              bads=y0b - s_bad),
+    )
 
 
 def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
@@ -404,19 +481,8 @@ def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
     if spec.kind is not ModelKind.SBM_UNDESIRABLE:
         raise ModelError(f"evaluate_sbm_undesirable got spec kind {spec.kind}")
     inst = build_instance(d, dmu, spec, allow_plain_sbm=allow_plain_sbm)
-    lp, recovery = linearize_sbm(inst)
-    sol = _solve(lp, f"SBM solve for DMU {dmu!r}")
-    t, lam, s_in, s_good, s_bad = recovery.recover(sol.primal)
-    score = sol.objective
-    if abs(score - 1.0) <= 1e-9:
-        score = 1.0
-    return EfficiencyResult(
-        dmu=dmu, kind=ModelKind.SBM_UNDESIRABLE, score=score, phi=1.0,
-        lam=lam, slack_in=s_in, slack_good=s_good, slack_bad=s_bad,
-        projection=Projection(inputs=inst.x0 - s_in,
-                              goods=inst.y0g + s_good,
-                              bads=inst.y0b - s_bad),
-    )
+    return _sbm(_Template(inst, spec.kind), inst.index,
+                np.zeros(inst.n, dtype=bool), dmu)
 
 
 def improvement_targets(r: EfficiencyResult, inst: ModelInstance) -> RateReport:
@@ -451,16 +517,19 @@ def improvement_targets(r: EfficiencyResult, inst: ModelInstance) -> RateReport:
 
 def evaluate_all(d: Dataset, spec: ModelSpec, *,
                  allow_plain_sbm: bool = False) -> list[EfficiencyResult]:
-    """Evaluate every DMU, validating the dataset once; dataset order."""
+    """Evaluate every DMU, validating the dataset once; dataset order.
+
+    All DMUs share one LP template and one candidate set of lambda-columns.
+    """
     problems = validate(d)
     if problems:
         detail = "; ".join(str(p) for p in problems)
         raise DataError(f"invalid dataset: {detail}")
-    out = []
-    for dmu in d.dmu_names:
-        if spec.kind is ModelKind.CCR_OUTPUT:
-            out.append(evaluate_ccr_output(d, dmu, spec))
-        else:
-            out.append(evaluate_sbm_undesirable(
-                d, dmu, spec, allow_plain_sbm=allow_plain_sbm))
-    return out
+    if not d.dmu_names:
+        return []
+    inst = build_instance(d, d.dmu_names[0], spec,
+                          allow_plain_sbm=allow_plain_sbm)
+    tpl = _Template(inst, spec.kind)
+    frame = np.zeros(inst.n, dtype=bool)
+    evaluate = _ccr if spec.kind is ModelKind.CCR_OUTPUT else _sbm
+    return [evaluate(tpl, k, frame, dmu) for k, dmu in enumerate(d.dmu_names)]

@@ -3,7 +3,9 @@
 Nothing here calls the package's simplex or model solvers: LPs are solved
 by exhaustive basic-solution enumeration, the SBM ratio by direct grid
 search over the intensity vector, and 1-input/1-output CCR by the output
-ratio formula.
+ratio formula.  The HiGHS references solve both models, written from
+their definitions, with `scipy.optimize.linprog`; scipy is imported only
+when they are called.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 
+import reference_2011
 from deakit import Dataset, Indicator, Role, StandardFormLP
 
 FEAS_EPS = 1e-9
@@ -313,3 +316,88 @@ def random_bounded_lp(seed: int, max_vars: int = 8,
     b = A @ x_heart
     c = rng.uniform(-1.0, 1.0, size=n)
     return StandardFormLP(c, A, b)
+
+
+# Table 1 indicators in the column order of `table1_panel`
+PANEL_COLUMNS = ("personnel", "fishing_vessels", "berths", "hotel_rooms",
+                 "gross_ocean_product", "waste_water")
+_ROLES = {"in": Role.INPUT, "out+": Role.DESIRABLE, "out-": Role.UNDESIRABLE}
+
+
+def table1_panel(n: int, seed: int, raw: bool = False) -> Dataset:
+    """n DMUs whose columns are lognormals with Table 1's mean and sd.
+
+    Each column, drawn in `PANEL_COLUMNS` order, is clipped to Table 1's
+    min and max.  Unless `raw`, it is then divided by its Table 1 mean,
+    which leaves every DEA score unchanged.
+    """
+    stats = {row[0]: row for row in reference_2011.TABLE1}
+    rng = np.random.default_rng(seed)
+    cols = []
+    for name in PANEL_COLUMNS:
+        _name, _role, hi, lo, mean, sd = stats[name]
+        sigma2 = np.log1p((sd / mean) ** 2)
+        col = np.clip(rng.lognormal(np.log(mean) - sigma2 / 2,
+                                    np.sqrt(sigma2), n), lo, hi)
+        cols.append(col if raw else col / mean)
+    indicators = tuple(Indicator(name, _ROLES[stats[name][1]])
+                       for name in PANEL_COLUMNS)
+    return Dataset(tuple(f"d{i:04d}" for i in range(n)), indicators,
+                   np.column_stack(cols))
+
+
+def _highs_min(c, **constraints) -> float:
+    from scipy.optimize import linprog
+    # Presolve only adds time on these small dense LPs, but without it
+    # HiGHS can stop with an unknown status on data spanning many decades.
+    for presolve in (False, True):
+        res = linprog(c, method="highs", options={"presolve": presolve},
+                      **constraints)
+        if res.status == 0:
+            return float(res.fun)
+    raise AssertionError(f"HiGHS reference: {res.message}")
+
+
+def highs_ccr(X, Yg, idx: int, vrs: bool) -> float:
+    """EE = 1/phi*, phi* = max phi s.t. X lam <= x0, Yg lam >= phi y0g."""
+    m, n = X.shape
+    c = np.zeros(1 + n)
+    c[0] = -1.0
+    A_ub = np.block([[np.zeros((m, 1)), X], [Yg[:, idx:idx + 1], -Yg]])
+    b_ub = np.concatenate([X[:, idx], np.zeros(Yg.shape[0])])
+    eq = {}
+    if vrs:
+        eq = dict(A_eq=np.concatenate([[0.0], np.ones(n)])[None, :],
+                  b_eq=[1.0])
+    return 1.0 / -_highs_min(c, A_ub=A_ub, b_ub=b_ub, **eq)
+
+
+def highs_sbm(X, Yg, Yb, idx: int, vrs: bool) -> float:
+    """rho* of the SBM with undesirable outputs, as a Charnes-Cooper LP.
+
+    Variables (t, Lam, S_in, S_good, S_bad):  min t - mean(S_in / x0)
+    s.t. t + (sum(S_good / y0g) + sum(S_bad / y0b)) / (s1 + s2) = 1,
+    X Lam + S_in = t x0, Yg Lam - S_good = t y0g, Yb Lam + S_bad = t y0b
+    (VRS: e Lam = t).
+    """
+    (m, n), s1, s2 = X.shape, Yg.shape[0], Yb.shape[0]
+    x0, y0g, y0b = X[:, idx], Yg[:, idx], Yb[:, idx]
+    norm = np.concatenate([[1.0], np.zeros(n + m), 1.0 / ((s1 + s2) * y0g),
+                           1.0 / ((s1 + s2) * y0b)])
+    blocks = np.block([
+        [-x0[:, None], X, np.eye(m), np.zeros((m, s1 + s2))],
+        [-y0g[:, None], Yg, np.zeros((s1, m)), -np.eye(s1),
+         np.zeros((s1, s2))],
+        [-y0b[:, None], Yb, np.zeros((s2, m + s1)), np.eye(s2)],
+    ])
+    rows = [norm[None, :], blocks]
+    if vrs:
+        rows.append(np.concatenate([[-1.0], np.ones(n),
+                                    np.zeros(m + s1 + s2)])[None, :])
+    A_eq = np.vstack(rows)
+    b_eq = np.zeros(A_eq.shape[0])
+    b_eq[0] = 1.0
+    c = np.zeros(A_eq.shape[1])
+    c[0] = 1.0
+    c[1 + n:1 + n + m] = -1.0 / (m * x0)
+    return _highs_min(c, A_eq=A_eq, b_eq=b_eq)

@@ -21,18 +21,19 @@ import numpy as np
 import pytest
 
 import reference_2011 as ref
-from deakit import (Dataset, EfficiencyResult, ModelKind, ModelSpec,
-                    Projection, Role, StatsRow, build_instance,
-                    compare_models, descriptive_stats, efficiency_bands,
-                    evaluate_all, evaluate_ccr_output,
+from deakit import (Dataset, EfficiencyResult, LPSolution, ModelKind,
+                    ModelSpec, Projection, ReturnsToScale, Role, StatsRow,
+                    build_instance, compare_models, descriptive_stats,
+                    efficiency_bands, evaluate_all, evaluate_ccr_output,
                     evaluate_sbm_undesirable, improvement_targets, load_csv,
                     rank_scores, render_csv, synthesize_matching)
-from deakit import linprog
+from deakit import linprog, models
 from deakit.analysis import ComparisonRecord
 from deakit.cli import console_main
 from deakit.linprog import Status, verify_optimality
 from deakit.models import RateReport
-from oracles import ccr_phi_enum, random_dataset, sbm_grid_oracle
+from oracles import ccr_phi_enum, random_dataset, sbm_grid_oracle, \
+    table1_panel
 
 CCR = ModelSpec(ModelKind.CCR_OUTPUT)
 SBM = ModelSpec(ModelKind.SBM_UNDESIRABLE)
@@ -298,6 +299,31 @@ def test_c6_invariant_suites(monkeypatch):
         evaluate_all(d, CCR)
         evaluate_all(d, SBM)
     assert certified["n"] >= 8 * 4 * 3  # two CCR stages + one SBM per DMU
+    monkeypatch.undo()
+
+    # every accepted optimum on a panel's candidate columns, padded to the
+    # full width, is certified on the LP over all of the panel's columns
+    real_framed = models._framed_solve
+    padded = {"n": 0}
+
+    def framed(tpl, k, frame, start, context, phi=None):
+        lp, sol, cols = real_framed(tpl, k, frame, start, context, phi)
+        full = tpl.columns(np.arange(tpl.n), lead=phi is None)
+        basis = np.searchsorted(full, cols[list(sol.basis)])
+        wide = LPSolution(Status.OPTIMAL, sol.objective,
+                          tpl.widen(sol, cols)[full],
+                          tuple(basis.tolist()), sol.iterations)
+        assert verify_optimality(tpl.lp(k, full, phi), wide), context
+        padded["n"] += 1
+        return lp, sol, cols
+
+    monkeypatch.setattr(models, "_framed_solve", framed)
+    for d in (random_dataset(510, n=12, m=2), table1_panel(150, seed=3),
+              table1_panel(30, seed=5, raw=True)):
+        for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
+            evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT, rts))
+            evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts))
+    assert padded["n"] == 2 * 3 * (12 + 150 + 30)
 
 
 def test_c7_synthesis_round_trip(tmp_path):

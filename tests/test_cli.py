@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import deakit.models as models
 from deakit import load_csv
 from deakit.cli import console_main, parse_args
 
@@ -202,3 +204,31 @@ def test_parse_args_defaults(pair_csv):
     assert cfg.t1 == 0.999 and cfg.t2 == 0.20
     cfg2 = parse_args(["corr", "--input", pair_csv, "--method", "spearman"])
     assert cfg2.method == "spearman"
+
+
+def test_rank_wide_range_panel_scores_or_reports_error(tmp_path, capsys):
+    # columns spanning 9 decades once crashed `rank` with a traceback
+    values = 10 ** np.random.default_rng(89).uniform(-3, 6, (30, 6))
+    lines = ["dmu,in:x0,in:x1,in:x2,in:x3,out+:yg,out-:yb"]
+    lines += [f"d{i}," + ",".join(repr(float(v)) for v in row)
+              for i, row in enumerate(values)]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "rank", "--input", str(path),
+                             "--model", "ccr", "--rts", "vrs")
+    assert code in (0, 1)
+    if code:
+        assert err.startswith("error:")
+    else:
+        assert "d12" in out
+
+
+def test_rank_solver_failure_prints_error(capsys, pair_csv, monkeypatch):
+    stage1 = SimpleNamespace(objective=-0.0)  # phi = 0
+    monkeypatch.setattr(models, "_framed_solve",
+                        lambda *args, **kwargs: (None, stage1, None))
+    code, out, err = run_cli(capsys, "rank", "--input", pair_csv,
+                             "--model", "ccr")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: CCR stage 1 for DMU 'A'")

@@ -1,11 +1,13 @@
 import dataclasses
 import io
+import itertools
 
 import numpy as np
 import pytest
 
 from deakit import LPSolution, SolverError, StandardFormLP, Status, solve, \
     verify_optimality
+from deakit.linprog import OPT_TOL
 from oracles import lp_enum_min, random_bounded_lp
 
 
@@ -93,6 +95,46 @@ def test_every_optimal_passes_certificate(seed):
     sol = solve(lp)
     assert sol.status is Status.OPTIMAL
     assert verify_optimality(lp, sol)
+    reduced = lp.c - lp.A.T @ sol.duals
+    assert reduced.min() >= -OPT_TOL
+    np.testing.assert_allclose(reduced[list(sol.basis)], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_any_start_basis_reaches_the_optimum(seed):
+    # feasible, infeasible and singular starts alike
+    lp = random_bounded_lp(seed)
+    best, _ = lp_enum_min(lp)
+    for basis in itertools.combinations(range(lp.n_vars), lp.n_constraints):
+        sol = solve(lp, basis=basis)
+        assert sol.status is Status.OPTIMAL
+        assert sol.objective == pytest.approx(best, abs=1e-7)
+        assert verify_optimality(lp, sol)
+
+
+@pytest.mark.parametrize("basis,phase1", [
+    ((0, 1), False),   # x = y = 1: the optimum itself
+    ((1, 2), False),   # y = 1.5, s1 = 0.5: feasible
+    ((1, 3), True),    # y = 2, s2 = -1: infeasible
+    ((0, 0), True),    # not a basis
+    ((0, 1, 2), True),  # one column too many
+])
+def test_start_basis_skips_phase1_only_when_usable(basis, phase1):
+    stream = io.StringIO()
+    sol = solve(example_lp(), basis=basis, log=stream)
+    assert sol.status is Status.OPTIMAL
+    assert sol.objective == pytest.approx(-2.0, abs=1e-12)
+    assert ("[phase1]" in stream.getvalue()) is phase1
+    if basis == (0, 1):
+        assert sol.iterations == 0
+
+
+def test_phase1_breakdown_has_its_own_status():
+    # Every entry is below PIVOT_TOL, so no row can leave the basis, yet
+    # their sum prices the column below -OPT_TOL in phase 1.
+    lp = StandardFormLP(np.zeros(1), np.full((200, 1), 0.9e-9),
+                        np.zeros(200))
+    assert solve(lp).status is Status.NUMERICAL_BREAKDOWN
 
 
 def test_certificate_rejects_perturbed_primal():

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deakit.linprog as linprog
+import deakit.models as models
 from deakit import (DataError, Dataset, Indicator, ModelError, ModelKind,
                     ModelSpec, ReturnsToScale, Role, SolverError,
                     build_instance, evaluate_all, evaluate_ccr_output,
                     evaluate_sbm_undesirable, improvement_targets,
                     linearize_sbm, load_csv, solve)
 from deakit.models import SbmRecovery
-from oracles import random_dataset, sbm_rho
+from oracles import (ccr_phi_enum, random_dataset, sbm_enum_oracle, sbm_rho,
+                     table1_panel)
 
 CANONICAL = load_csv(b"dmu,in:x,out+:yg,out-:yb\nA,1,2,1\nB,1,1,2\n")
 CCR = ModelSpec(ModelKind.CCR_OUTPUT)
@@ -110,6 +113,12 @@ def test_linearized_lp_objective_and_t():
     assert sol.objective == pytest.approx(4 / 11, abs=1e-9)
     t = sol.primal[0]
     assert t > 1e-7
+    # the LP's slacks are in mean units; recovery maps them back
+    _, lam, s_in, s_good, s_bad = rec.recover(sol.primal)
+    np.testing.assert_allclose(lam, [0.5, 0.0], atol=1e-9)
+    np.testing.assert_allclose(s_in, [0.5], atol=1e-9)
+    np.testing.assert_allclose(s_good, [0.0], atol=1e-9)
+    np.testing.assert_allclose(s_bad, [1.5], atol=1e-9)
 
 
 def test_sbm_canonical_pair():
@@ -194,6 +203,65 @@ def test_infeasible_bounds_name_dmu():
                      ReturnsToScale.custom(2.0, 3.0))
     with pytest.raises(SolverError, match="'A'"):
         evaluate_sbm_undesirable(CANONICAL, "A", spec)
+
+
+@pytest.mark.parametrize("lower,upper", [(1.5, 3.0), (0.2, 0.6),
+                                         (0.5, 2.0)])
+def test_custom_bounds_match_enumeration(lower, upper):
+    # L > 1 or U < 1 makes the DMU's own point infeasible: no start basis,
+    # and some DMUs have no feasible point at all
+    d = random_dataset(77, n=3, m=1, s1=1, s2=1)
+    X, Yg, Yb = (d.values[:, [j]].T for j in range(3))
+    rts = ReturnsToScale.custom(lower, upper)
+    ccr = ModelSpec(ModelKind.CCR_OUTPUT, rts)
+    sbm = ModelSpec(ModelKind.SBM_UNDESIRABLE, rts)
+    solved = 0
+    for k, dmu in enumerate(d.dmu_names):
+        cases = ((lambda: ccr_phi_enum(X, Yg, k, lower, upper),
+                  lambda: evaluate_ccr_output(d, dmu, ccr).phi),
+                 (lambda: sbm_enum_oracle(X, Yg, Yb, k, lower, upper)[0],
+                  lambda: evaluate_sbm_undesirable(d, dmu, sbm).score))
+        for oracle, got in cases:
+            try:
+                want = oracle()
+            except AssertionError:  # the oracle found no feasible basis
+                with pytest.raises(SolverError, match="INFEASIBLE"):
+                    got()
+                continue
+            assert got() == pytest.approx(want, abs=1e-9)
+            solved += 1
+    assert solved >= 2
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.5])
+def test_stage1_phi_below_one_is_a_solver_error(monkeypatch, phi):
+    # lambda = e_o, phi = 1 is feasible under CRS and VRS, so a smaller
+    # stage-1 optimum can only be numerical failure
+    stage1 = SimpleNamespace(objective=-phi)
+    monkeypatch.setattr(models, "_framed_solve",
+                        lambda *args, **kwargs: (None, stage1, None))
+    for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
+        with pytest.raises(SolverError, match="'B'.*phi"):
+            evaluate_ccr_output(CANONICAL, "B",
+                                ModelSpec(ModelKind.CCR_OUTPUT, rts))
+
+
+@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()])
+def test_shared_frame_matches_single_dmu_solves(rts):
+    # evaluate_all grows one candidate set for the panel; each per-DMU
+    # call starts its own
+    d = table1_panel(60, seed=5)
+    for kind, single in ((ModelKind.CCR_OUTPUT, evaluate_ccr_output),
+                         (ModelKind.SBM_UNDESIRABLE,
+                          evaluate_sbm_undesirable)):
+        spec = ModelSpec(kind, rts)
+        for r in evaluate_all(d, spec):
+            alone = single(d, r.dmu, spec)
+            assert r.score == pytest.approx(alone.score, abs=1e-9)
+            for a, b in ((r.slack_in, alone.slack_in),
+                         (r.slack_good, alone.slack_good),
+                         (r.slack_bad, alone.slack_bad)):
+                np.testing.assert_allclose(a, b, atol=1e-7)
 
 
 def test_degenerate_scale_guard():
