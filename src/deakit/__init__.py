@@ -2,25 +2,24 @@
 
 Output-oriented CCR and SBM-with-undesirable-outputs models over small
 datasets of decision-making units, with dataset I/O, descriptive stats,
-synthesis, correlations, rankings, and report rendering.  The simplex
-solver runs on a compiled kernel when available (see `simplex_backend`).
+synthesis, correlations, rankings, and report rendering.  Every model is
+solved on the package's own two-phase simplex (`solve`).
 """
 
 from .analysis import (ComparisonRecord, CorrelationMatrix, compare_models,
                        correlation_matrix, efficiency_bands, rank_scores)
-from .dataset import (CsvSchema, Dataset, DiscriminationAdvice, Indicator,
-                      Role, StatsRow, Violation, check_discrimination,
-                      descriptive_stats, load_csv, load_stats_spec,
+from .dataset import (CsvSchema, Dataset, Indicator, Role, StatsRow,
+                      Violation, descriptive_stats, load_csv, load_stats_spec,
                       render_csv, synthesize_matching, validate)
 from .errors import DataError, DeaError, ModelError, SolverError, \
     SynthesisError
-from .linprog import (LPSolution, StandardFormLP, Status, simplex_backend,
-                      solve, verify_optimality)
+from .linprog import (LPSolution, StandardFormLP, Status, solve,
+                      verify_optimality)
 from .models import (EfficiencyResult, ModelInstance, ModelKind, ModelSpec,
-                     Projection, RateReport, ReturnsToScale, SbmRecovery,
-                     build_instance, evaluate_all, evaluate_ccr_output,
-                     evaluate_sbm_undesirable, improvement_targets,
-                     linearize_sbm)
+                     Projection, RateReport, ReturnsToScale, RoleSlice,
+                     SbmRecovery, build_instance, evaluate_all,
+                     evaluate_ccr_output, evaluate_sbm_undesirable,
+                     improvement_targets, linearize_sbm)
 from .render import Column, Table, render_table
 
 __version__ = "0.1.0"
@@ -28,15 +27,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonRecord", "CorrelationMatrix", "compare_models",
     "correlation_matrix", "efficiency_bands", "rank_scores",
-    "CsvSchema", "Dataset", "DiscriminationAdvice", "Indicator", "Role",
-    "StatsRow", "Violation", "check_discrimination", "descriptive_stats",
-    "load_csv", "load_stats_spec", "render_csv", "synthesize_matching",
-    "validate",
+    "CsvSchema", "Dataset", "Indicator", "Role", "StatsRow", "Violation",
+    "descriptive_stats", "load_csv", "load_stats_spec", "render_csv",
+    "synthesize_matching", "validate",
     "DataError", "DeaError", "ModelError", "SolverError", "SynthesisError",
-    "LPSolution", "StandardFormLP", "Status", "simplex_backend", "solve",
-    "verify_optimality",
+    "LPSolution", "StandardFormLP", "Status", "solve", "verify_optimality",
     "EfficiencyResult", "ModelInstance", "ModelKind", "ModelSpec",
-    "Projection", "RateReport", "ReturnsToScale", "SbmRecovery",
+    "Projection", "RateReport", "ReturnsToScale", "RoleSlice", "SbmRecovery",
     "build_instance", "evaluate_all", "evaluate_ccr_output",
     "evaluate_sbm_undesirable", "improvement_targets", "linearize_sbm",
     "Column", "Table", "render_table",

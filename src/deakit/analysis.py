@@ -9,8 +9,8 @@ import numpy as np
 
 from .dataset import Dataset, Role
 from .errors import DataError
-from .models import (EfficiencyResult, ModelKind, ModelSpec, RateReport,
-                     build_instance, improvement_targets)
+from .models import (EfficiencyResult, RateReport, RoleSlice,
+                     improvement_targets)
 
 RANK_TOL = 5e-3
 
@@ -163,19 +163,18 @@ def compare_models(ee: Sequence[EfficiencyResult],
     ee_ranks = rank_scores([r.score for r in ee])
     epi_ranks = rank_scores([r.score for r in epi])
     meta_cols = d.role_columns(Role.META)
-    spec = ModelSpec(ModelKind.CCR_OUTPUT)
+    roles = RoleSlice(d)
 
     records = []
     for i, dmu in enumerate(names):
-        inst = build_instance(d, dmu, spec)
         records.append(ComparisonRecord(
             dmu=dmu,
             ee=ee[i].score,
             epi=epi[i].score,
             ee_rank=ee_ranks[i],
             epi_rank=epi_ranks[i],
-            ccr_rates=improvement_targets(ee[i], inst),
-            sbm_rates=improvement_targets(epi[i], inst),
+            ccr_rates=improvement_targets(ee[i], roles),
+            sbm_rates=improvement_targets(epi[i], roles),
             meta={d.indicators[j].name: float(d.values[i, j])
                   for j in meta_cols},
         ))

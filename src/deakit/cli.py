@@ -2,8 +2,7 @@
 
 Commands: stats, corr, rank, evaluate, synth, report.  Results go to
 stdout; diagnostics to stderr.  Exit codes: 0 success, 1 data/model
-errors, 2 usage errors.  The environment variables DEA_ITER_CAP (simplex
-iteration cap) and DEA_BACKEND (python|cython|auto) tune the solver.
+errors, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from .analysis import compare_models, correlation_matrix, efficiency_bands, \
 from .dataset import CsvSchema, Dataset, Role, descriptive_stats, load_csv, \
     load_stats_spec, render_csv, synthesize_matching
 from .errors import DeaError
-from .models import (ModelKind, ModelSpec, ReturnsToScale, build_instance,
+from .models import (ModelKind, ModelSpec, ReturnsToScale, RoleSlice,
                      evaluate_all, improvement_targets)
 from .render import Column, Table, render_table
 
@@ -178,12 +177,12 @@ def _cmd_evaluate(cfg: RunConfig) -> str:
     d = _load(cfg)
     spec = _model_spec(cfg)
     results = evaluate_all(d, spec)
-    rate_spec = ModelSpec(ModelKind.CCR_OUTPUT, spec.returns_to_scale)
+    roles = RoleSlice(d)
     with_bads = spec.kind is ModelKind.SBM_UNDESIRABLE
     rows = []
     for r in results:
         _note(cfg, f"evaluated {r.dmu}: score {r.score:.6f}")
-        rates = improvement_targets(r, build_instance(d, r.dmu, rate_spec))
+        rates = improvement_targets(r, roles)
         rows.append((r.dmu, r.score, *_rate_cells(d, rates, with_bads)))
     table = Table(
         columns=(Column("dmu", "text"), Column("score", "score"),

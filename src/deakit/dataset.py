@@ -282,25 +282,6 @@ def descriptive_stats(d: Dataset) -> list[StatsRow]:
     return out
 
 
-@dataclass(frozen=True)
-class DiscriminationAdvice:
-    """DMU count vs. indicator count rule-of-thumb check."""
-
-    ratio: float
-    ok: bool
-    threshold: float
-
-
-def check_discrimination(d: Dataset, threshold: float = 1.5) -> DiscriminationAdvice:
-    """Advisory ratio of DMUs to non-meta indicators (rule of thumb: ~2x)."""
-    n_ind = len(d.model_columns())
-    if n_ind == 0:
-        raise DataError("no model indicators")
-    ratio = d.n_dmus / n_ind
-    return DiscriminationAdvice(ratio=ratio, ok=ratio >= threshold,
-                                threshold=threshold)
-
-
 def _feasible_sd_bounds(lo: float, hi: float, mu: float, n: int) -> tuple[float, float]:
     interior_mean = (n * mu - lo - hi) / (n - 2) if n > 2 else mu
     base = (lo - mu) ** 2 + (hi - mu) ** 2

@@ -1,59 +1,27 @@
 """Minimization LPs in equality standard form and a two-phase simplex solver.
 
 All variables are nonnegative and every constraint is an equality; callers
-add slack/surplus columns themselves.  The pivoting loop lives in a kernel
-selected at import time: the compiled `_simplex_core` when available, else
-the pure-Python `_simplex_py` mirror.  Set ``DEA_BACKEND=python`` or
-``DEA_BACKEND=cython`` to force one; ``DEA_ITER_CAP`` overrides the pivot
-cap.
+add slack/surplus columns themselves.  The solver pivots a dense tableau
+with numpy: Dantzig pricing, a Bland's-rule fallback after `BLAND_AFTER`
+consecutive degenerate pivots, and ratio-test ties broken on the smaller
+basis index.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
-from typing import IO, Callable, Optional
+from typing import IO, Optional
 
 import numpy as np
 
-from . import _simplex_py
 from .errors import SolverError
-
-try:
-    from . import _simplex_core
-except ImportError:
-    _simplex_core = None
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 ITER_CAP = 10_000
 BLAND_AFTER = 50
-
-
-def _select_kernel() -> tuple[Callable, str]:
-    choice = os.environ.get("DEA_BACKEND", "auto").strip().lower()
-    if choice in ("auto", ""):
-        if _simplex_core is not None:
-            return _simplex_core.run_simplex, "cython"
-        return _simplex_py.run_simplex, "python"
-    if choice in ("python", "py"):
-        return _simplex_py.run_simplex, "python"
-    if choice in ("cython", "compiled", "c"):
-        if _simplex_core is None:
-            raise SolverError("DEA_BACKEND=cython requested but the compiled "
-                              "kernel is not available")
-        return _simplex_core.run_simplex, "cython"
-    raise SolverError(f"unknown DEA_BACKEND value: {choice!r}")
-
-
-_KERNEL, _KERNEL_NAME = _select_kernel()
-
-
-def simplex_backend() -> str:
-    """Name of the pivot kernel selected at import ('cython' or 'python')."""
-    return _KERNEL_NAME
 
 
 class Status(enum.Enum):
@@ -111,19 +79,6 @@ class LPSolution:
     duals: Optional[np.ndarray] = None
 
 
-def _iter_cap() -> int:
-    raw = os.environ.get("DEA_ITER_CAP")
-    if raw is None:
-        return ITER_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise SolverError(f"DEA_ITER_CAP must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise SolverError("DEA_ITER_CAP must be positive")
-    return cap
-
-
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     prow = T[row]
     prow /= T[row, col]
@@ -137,16 +92,56 @@ def _failed(status: Status, n_vars: int, iterations: int) -> LPSolution:
                       iterations)
 
 
-def _resolve_kernel(kernel) -> Callable:
-    if callable(kernel):
-        return kernel
-    if kernel in ("python", "py"):
-        return _simplex_py.run_simplex
-    if kernel in ("cython", "compiled", "c"):
-        if _simplex_core is None:
-            raise SolverError("compiled kernel requested but not available")
-        return _simplex_core.run_simplex
-    raise SolverError(f"unknown kernel {kernel!r}")
+def _run(T: np.ndarray, basis: np.ndarray, iteration: int, iter_cap: int,
+         log: Optional[IO[str]], phase: int) -> tuple[Status, int]:
+    """Primal simplex pivots on a tableau until an exit condition.
+
+    `T` is (rows+1) x (cols+1): constraint rows, then the reduced-cost row;
+    the last column is the right-hand side.  Both `T` and `basis` are
+    updated in place.  Returns the status (OPTIMAL, UNBOUNDED or
+    ITERATION_LIMIT) and the total iteration count.
+    """
+    n_rows = T.shape[0] - 1
+    n_cols = T.shape[1] - 1
+    red = T[n_rows]
+    degenerate_run = 0
+    while True:
+        if degenerate_run >= BLAND_AFTER:
+            col = -1
+            for j in range(n_cols):
+                if red[j] < -OPT_TOL:
+                    col = j
+                    break
+        else:
+            col = int(np.argmin(red[:n_cols]))
+            if red[col] >= -OPT_TOL:
+                col = -1
+        if col < 0:
+            return Status.OPTIMAL, iteration
+        if iteration >= iter_cap:
+            return Status.ITERATION_LIMIT, iteration
+
+        # Ratio test; ties broken on the smaller basis index (Bland-safe).
+        row = -1
+        best = 0.0
+        for i in range(n_rows):
+            a = T[i, col]
+            if a > PIVOT_TOL:
+                ratio = T[i, n_cols] / a
+                if row < 0 or ratio < best or (ratio == best
+                                               and basis[i] < basis[row]):
+                    row = i
+                    best = ratio
+        if row < 0:
+            return Status.UNBOUNDED, iteration
+        if log is not None:
+            log.write(f"[phase{phase}] it={iteration} enter=x{col} "
+                      f"leave=x{basis[row]} ratio={best:.6g}\n")
+        degenerate_run = degenerate_run + 1 if best <= PIVOT_TOL else 0
+
+        _pivot(T, row, col)
+        basis[row] = col
+        iteration += 1
 
 
 def _start_tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray, basis,
@@ -177,7 +172,7 @@ def _start_tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray, basis,
 
 
 def solve(lp: StandardFormLP, *, basis=None, iter_cap: Optional[int] = None,
-          kernel=None, log: Optional[IO[str]] = None) -> LPSolution:
+          log: Optional[IO[str]] = None) -> LPSolution:
     """Two-phase dense simplex.
 
     Phase 1 minimizes the sum of one artificial variable per row; phase 2
@@ -186,22 +181,11 @@ def solve(lp: StandardFormLP, *, basis=None, iter_cap: Optional[int] = None,
     solution B^-1 b is feasible to within FEAS_TOL; otherwise phase 1 runs
     as without it.  Dantzig pivoting with a Bland's-rule fallback after
     `BLAND_AFTER` consecutive degenerate pivots guarantees termination.
-    Deterministic for identical input.  `kernel` accepts a name
-    ("python"/"cython") or a callable; `log` dumps one line per pivot (and
-    forces the Python kernel).
+    Deterministic for identical input.  `iter_cap` bounds the pivots of
+    both phases together (default `ITER_CAP`); `log` gets one line per
+    pivot.
     """
-    cap = iter_cap if iter_cap is not None else _iter_cap()
-    if log is not None:
-        def run(T, basis, it, phase):
-            return _simplex_py.run_simplex(T, basis, it, cap, PIVOT_TOL,
-                                           OPT_TOL, BLAND_AFTER, log=log,
-                                           phase=phase)
-    else:
-        kern = _resolve_kernel(kernel) if kernel is not None else _KERNEL
-
-        def run(T, basis, it, phase):
-            return kern(T, basis, it, cap, PIVOT_TOL, OPT_TOL, BLAND_AFTER)
-
+    cap = ITER_CAP if iter_cap is None else iter_cap
     m, n = lp.n_constraints, lp.n_vars
     A, b = lp.A, lp.b
     sign = None
@@ -227,10 +211,10 @@ def solve(lp: StandardFormLP, *, basis=None, iter_cap: Optional[int] = None,
         T[m, -1] = -b.sum()
         basis = np.arange(n, n + m, dtype=np.int64)
 
-        code, it = run(T, basis, 0, 1)
-        if code == _simplex_py.ITERATION_LIMIT:
-            return _failed(Status.ITERATION_LIMIT, n, it)
-        if code == _simplex_py.UNBOUNDED:
+        status, it = _run(T, basis, 0, cap, log, 1)
+        if status is Status.ITERATION_LIMIT:
+            return _failed(status, n, it)
+        if status is Status.UNBOUNDED:
             # phase-1 objective is bounded below by zero; only numerical
             # breakdown can land here
             return _failed(Status.NUMERICAL_BREAKDOWN, n, it)
@@ -261,11 +245,9 @@ def solve(lp: StandardFormLP, *, basis=None, iter_cap: Optional[int] = None,
         T2[rows_kept, :n] = lp.c - cb @ T2[:rows_kept, :n]
         T2[rows_kept, -1] = -(cb @ T2[:rows_kept, -1])
 
-    code, it = run(T2, basis, it, 2)
-    if code == _simplex_py.UNBOUNDED:
-        return _failed(Status.UNBOUNDED, n, it)
-    if code == _simplex_py.ITERATION_LIMIT:
-        return _failed(Status.ITERATION_LIMIT, n, it)
+    status, it = _run(T2, basis, it, cap, log, 2)
+    if status is not Status.OPTIMAL:
+        return _failed(status, n, it)
 
     primal = np.zeros(n)
     x_basic = T2[:rows_kept, -1]

@@ -150,6 +150,19 @@ class RateReport:
     good_increase_pct: dict[str, float]
 
 
+class RoleSlice:
+    """A panel's model indicators by role, sliced once per panel: their
+    names, and raw values with one row per DMU in dataset order."""
+
+    def __init__(self, d: Dataset):
+        cols = [d.role_columns(role) for role in
+                (Role.INPUT, Role.DESIRABLE, Role.UNDESIRABLE)]
+        self.input_names, self.good_names, self.bad_names = (
+            tuple(d.indicators[j].name for j in c) for c in cols)
+        self.X, self.Yg, self.Yb = (d.values[:, c] for c in cols)
+        self.rows = {dmu: k for k, dmu in enumerate(d.dmu_names)}
+
+
 def build_instance(d: Dataset, dmu: str, spec: ModelSpec, *,
                    allow_plain_sbm: bool = False) -> ModelInstance:
     """Slice the dataset into the matrices of one DMU's evaluation.
@@ -158,14 +171,12 @@ def build_instance(d: Dataset, dmu: str, spec: ModelSpec, *,
     one undesirable column; `allow_plain_sbm` waives that (plain SBM).
     """
     idx = d.dmu_index(dmu)
-    in_cols = d.role_columns(Role.INPUT)
-    good_cols = d.role_columns(Role.DESIRABLE)
-    bad_cols = d.role_columns(Role.UNDESIRABLE)
-    if not in_cols:
+    roles = RoleSlice(d)
+    if not roles.input_names:
         raise ModelError("no input columns in dataset")
-    if not good_cols:
+    if not roles.good_names:
         raise ModelError("no desirable-output columns in dataset")
-    if (spec.kind is ModelKind.SBM_UNDESIRABLE and not bad_cols
+    if (spec.kind is ModelKind.SBM_UNDESIRABLE and not roles.bad_names
             and not allow_plain_sbm):
         raise ModelError("no undesirable-output columns; pass "
                          "allow_plain_sbm=True to run plain SBM")
@@ -174,13 +185,12 @@ def build_instance(d: Dataset, dmu: str, spec: ModelSpec, *,
         dmu=dmu,
         index=idx,
         dmu_names=d.dmu_names,
-        input_names=tuple(d.indicators[j].name for j in in_cols),
-        good_names=tuple(d.indicators[j].name for j in good_cols),
-        bad_names=tuple(d.indicators[j].name for j in bad_cols),
-        X=d.values[:, in_cols].T,
-        Yg=d.values[:, good_cols].T,
-        Yb=(d.values[:, bad_cols].T if bad_cols
-            else np.empty((0, d.n_dmus))),
+        input_names=roles.input_names,
+        good_names=roles.good_names,
+        bad_names=roles.bad_names,
+        X=roles.X.T,
+        Yg=roles.Yg.T,
+        Yb=roles.Yb.T,
         L=rts.lower,
         U=rts.upper,
     )
@@ -485,13 +495,18 @@ def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
                 np.zeros(inst.n, dtype=bool), dmu)
 
 
-def improvement_targets(r: EfficiencyResult, inst: ModelInstance) -> RateReport:
+def improvement_targets(r: EfficiencyResult, roles: RoleSlice) -> RateReport:
     """Percent improvement rates implied by a result's slacks.
 
-    Inputs and undesirable outputs report reduction rates 100*s/value; the
-    desirable outputs report 100*((phi-1) + s/value), folding the radial
-    expansion in.  Rates below 1e-7 snap to exactly 0.
+    `roles` is the slice of the panel `r` was scored on.  Inputs and
+    undesirable outputs report reduction rates 100*s/value; the desirable
+    outputs report 100*((phi-1) + s/value), folding the radial expansion
+    in.  Rates below 1e-7 snap to exactly 0.
     """
+    try:
+        k = roles.rows[r.dmu]
+    except KeyError:
+        raise DataError(f"unknown DMU {r.dmu!r}") from None
 
     def pct(vals: dict[str, float]) -> dict[str, float]:
         out = {}
@@ -505,13 +520,13 @@ def improvement_targets(r: EfficiencyResult, inst: ModelInstance) -> RateReport:
         dmu=r.dmu,
         input_reduction_pct=pct({
             name: 100.0 * s / x for name, s, x
-            in zip(inst.input_names, r.slack_in, inst.x0)}),
+            in zip(roles.input_names, r.slack_in, roles.X[k])}),
         bad_reduction_pct=pct({
             name: 100.0 * s / y for name, s, y
-            in zip(inst.bad_names, r.slack_bad, inst.y0b)}),
+            in zip(roles.bad_names, r.slack_bad, roles.Yb[k])}),
         good_increase_pct=pct({
             name: radial + 100.0 * s / y for name, s, y
-            in zip(inst.good_names, r.slack_good, inst.y0g)}),
+            in zip(roles.good_names, r.slack_good, roles.Yg[k])}),
     )
 
 

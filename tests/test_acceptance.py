@@ -22,8 +22,8 @@ import pytest
 
 import reference_2011 as ref
 from deakit import (Dataset, EfficiencyResult, LPSolution, ModelKind,
-                    ModelSpec, Projection, ReturnsToScale, Role, StatsRow,
-                    build_instance, compare_models, descriptive_stats,
+                    ModelSpec, Projection, ReturnsToScale, Role, RoleSlice,
+                    StatsRow, compare_models, descriptive_stats,
                     efficiency_bands, evaluate_all, evaluate_ccr_output,
                     evaluate_sbm_undesirable, improvement_targets, load_csv,
                     rank_scores, render_csv, synthesize_matching)
@@ -230,37 +230,37 @@ def test_c6_invariant_suites(monkeypatch):
     base = random_dataset(42, n=6, m=2)
     base_scores = {}
     observations = []
+    roles = RoleSlice(base)
     for dmu in base.dmu_names:
-        inst = build_instance(base, dmu, CCR)
         for tag, ev, spec in (("ccr", evaluate_ccr_output, CCR),
                               ("sbm", evaluate_sbm_undesirable, SBM)):
             r = ev(base, dmu, spec)
             base_scores[tag, dmu] = r.score
-            observations.append((tag, r, inst))
+            observations.append((tag, r, roles))
 
     rng = np.random.default_rng(7)
     drift = 0.0
     for _ in range(100):
         f = 10.0 ** rng.uniform(-1.0, 1.0, size=len(base.indicators))
         ds = Dataset(base.dmu_names, base.indicators, base.values * f)
+        roles = RoleSlice(ds)
         for dmu in ds.dmu_names:
-            inst = build_instance(ds, dmu, CCR)
             for tag, ev, spec in (("ccr", evaluate_ccr_output, CCR),
                                   ("sbm", evaluate_sbm_undesirable, SBM)):
                 r = ev(ds, dmu, spec)
                 drift = max(drift, abs(r.score - base_scores[tag, dmu]))
-                observations.append((tag, r, inst))
+                observations.append((tag, r, roles))
     assert drift <= 1e-7, f"score drift {drift:.2e} under column scaling"
 
     # efficiency characterization over every instance evaluated above
-    for tag, r, inst in observations:
+    for tag, r, roles in observations:
         slack = max(float(np.max(np.abs(a), initial=0.0))
                     for a in (r.slack_in, r.slack_good, r.slack_bad))
         if tag == "sbm":
             assert (r.score >= 1.0 - 1e-9) == (slack <= 1e-7), (
                 f"sbm {r.dmu}: score {r.score!r} vs max slack {slack:.2e}")
         else:
-            rates = improvement_targets(r, inst)
+            rates = improvement_targets(r, roles)
             worst = max((v for d_ in (rates.input_reduction_pct,
                                       rates.bad_reduction_pct,
                                       rates.good_increase_pct)

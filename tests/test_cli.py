@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import deakit
 import deakit.models as models
 from deakit import load_csv
 from deakit.cli import console_main, parse_args
@@ -13,6 +18,10 @@ from deakit.cli import console_main, parse_args
 PAIR = (b"dmu,in:x,out+:yg,out-:yb,meta:gdp\n"
         b"A,1,2,1,5.0\n"
         b"B,1,1,2,3.0\n")
+
+# five DMUs: B's CCR stage 1 takes more than one pivot
+FIVE = (b"dmu,in:x1,in:x2,out+:yg,out-:yb\n"
+        b"A,2,3,4,1\nB,3,1,2,2\nC,4,4,5,3\nD,1,5,3,2\nE,5,2,6,4\n")
 
 SPEC = (b"name,role,min,max,mean,sd\n"
         b"x,in,1,9,4,2.5\n"
@@ -232,3 +241,36 @@ def test_rank_solver_failure_prints_error(capsys, pair_csv, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error: CCR stage 1 for DMU 'A'")
+
+
+def test_report_ignores_former_solver_knobs(tmp_path):
+    # earlier versions read DEA_BACKEND and DEA_ITER_CAP at import and per
+    # solve; the package reads no environment variable, so they change
+    # nothing
+    path = tmp_path / "five.csv"
+    path.write_bytes(FIVE)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("DEA_BACKEND", "DEA_ITER_CAP")}
+    # the child must import the same deakit as this process, whether it
+    # was found through PYTHONPATH or an install
+    pkg_root = str(Path(deakit.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    knobs = dict(env, DEA_BACKEND="nope", DEA_ITER_CAP="1")
+
+    found = subprocess.run(
+        [sys.executable, "-c", "import deakit; print(deakit.__file__)"],
+        capture_output=True, text=True, env=knobs)
+    assert found.returncode == 0, found.stderr
+    assert (Path(found.stdout.strip()).resolve()
+            == Path(deakit.__file__).resolve())
+
+    outs = []
+    for e in (env, knobs):
+        run = subprocess.run(
+            [sys.executable, "-m", "deakit", "report", "--input", str(path),
+             "--format", "json"], capture_output=True, env=e)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])[1]["EE"] == pytest.approx(2 / 3, abs=1e-12)

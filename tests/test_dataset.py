@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deakit import (CsvSchema, DataError, Dataset, Indicator, Role, StatsRow,
-                    SynthesisError, check_discrimination, descriptive_stats,
-                    load_csv, load_stats_spec, render_csv,
-                    synthesize_matching, validate)
+                    SynthesisError, descriptive_stats, load_csv,
+                    load_stats_spec, render_csv, synthesize_matching,
+                    validate)
 
 GOOD_CSV = (b"dmu,in:x,out+:yg,out-:yb,meta:gdp\n"
             b"A,1,2,1,5.0\n"
@@ -119,14 +119,6 @@ def test_descriptive_stats_needs_two_dmus():
     d = load_csv(b"dmu,in:x,out+:y\nA,1,2\n")
     with pytest.raises(DataError, match="sd undefined"):
         descriptive_stats(d)
-
-
-def test_check_discrimination():
-    d = load_csv(GOOD_CSV)  # 2 DMUs, 3 model indicators
-    adv = check_discrimination(d)
-    assert adv.ratio == pytest.approx(2 / 3)
-    assert not adv.ok
-    assert check_discrimination(d, threshold=0.5).ok
 
 
 def _spec_rows():

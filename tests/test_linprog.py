@@ -56,13 +56,6 @@ def test_iteration_limit_status():
     assert sol.status is Status.ITERATION_LIMIT
 
 
-def test_iter_cap_env_override(monkeypatch):
-    monkeypatch.setenv("DEA_ITER_CAP", "1")
-    assert solve(example_lp()).status is Status.ITERATION_LIMIT
-    monkeypatch.delenv("DEA_ITER_CAP")
-    assert solve(example_lp()).status is Status.OPTIMAL
-
-
 @pytest.mark.parametrize("seed", range(60))
 def test_enumeration_equivalence(seed):
     lp = random_bounded_lp(seed)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import deakit.linprog as linprog
 import deakit.models as models
 from deakit import (DataError, Dataset, Indicator, ModelError, ModelKind,
-                    ModelSpec, ReturnsToScale, Role, SolverError,
+                    ModelSpec, ReturnsToScale, Role, RoleSlice, SolverError,
                     build_instance, evaluate_all, evaluate_ccr_output,
                     evaluate_sbm_undesirable, improvement_targets,
                     linearize_sbm, load_csv, solve)
@@ -155,27 +155,28 @@ def test_identical_dmus_all_efficient():
 
 
 def test_improvement_targets_canonical():
-    inst = build_instance(CANONICAL, "B", SBM)
+    roles = RoleSlice(CANONICAL)
     sbm_rates = improvement_targets(
-        evaluate_sbm_undesirable(CANONICAL, "B", SBM), inst)
+        evaluate_sbm_undesirable(CANONICAL, "B", SBM), roles)
     assert sbm_rates.input_reduction_pct["x"] == pytest.approx(50.0,
                                                                abs=1e-6)
     assert sbm_rates.bad_reduction_pct["yb"] == pytest.approx(75.0, abs=1e-6)
     assert sbm_rates.good_increase_pct["yg"] == 0.0
 
     ccr_rates = improvement_targets(
-        evaluate_ccr_output(CANONICAL, "B", CCR),
-        build_instance(CANONICAL, "B", CCR))
+        evaluate_ccr_output(CANONICAL, "B", CCR), roles)
     assert ccr_rates.good_increase_pct["yg"] == pytest.approx(100.0,
                                                               abs=1e-6)
     assert ccr_rates.input_reduction_pct["x"] == 0.0
     assert ccr_rates.bad_reduction_pct == {}
+    # a result scored on another panel has no row in this slice
+    with pytest.raises(DataError, match="unknown DMU"):
+        improvement_targets(evaluate_all(paper_shaped(), CCR)[0], roles)
 
 
 def test_efficient_dmu_rates_are_zero():
-    inst = build_instance(CANONICAL, "A", SBM)
     rates = improvement_targets(
-        evaluate_sbm_undesirable(CANONICAL, "A", SBM), inst)
+        evaluate_sbm_undesirable(CANONICAL, "A", SBM), RoleSlice(CANONICAL))
     assert all(v == 0.0 for v in rates.input_reduction_pct.values())
     assert all(v == 0.0 for v in rates.bad_reduction_pct.values())
     assert all(v == 0.0 for v in rates.good_increase_pct.values())
