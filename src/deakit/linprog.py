@@ -1,10 +1,16 @@
-"""Minimization LPs in equality standard form and a two-phase simplex solver.
+"""Minimization LPs in equality standard form and two simplex solvers.
 
 All variables are nonnegative and every constraint is an equality; callers
-add slack/surplus columns themselves.  The solver pivots a dense tableau
-with numpy: Dantzig pricing, a Bland's-rule fallback after `BLAND_AFTER`
-consecutive degenerate pivots, and ratio-test ties broken on the smaller
-basis index.
+add slack/surplus columns themselves.  Both solvers use Dantzig pricing, a
+Bland's-rule fallback after `BLAND_AFTER` consecutive degenerate pivots,
+and ratio-test ties broken on the smaller basis index.
+
+- `Lockstep` steps a batch of LPs together with a revised simplex: stacked
+  basis inverses, batched pricing and ratio tests, and rank-1 updates.
+  The LPs share one block of zero-cost columns and differ in their own
+  columns, costs and right-hand sides.  It needs a feasible start basis.
+- `solve` is a two-phase dense-tableau simplex for one LP from any start,
+  used where no feasible start basis is known.
 """
 
 from __future__ import annotations
@@ -68,8 +74,9 @@ class StandardFormLP:
 @dataclass(frozen=True)
 class LPSolution:
     """A solve's outcome.  `duals` are the simplex multipliers y of the
-    final basis (reduced costs c - A^T y); None unless OPTIMAL with one
-    basic column per row."""
+    final basis (reduced costs c - A^T y), one per row; None unless
+    OPTIMAL.  `rows` lists the rows the basis spans when phase 1 dropped
+    redundant ones (None: every row); their duals are 0."""
 
     status: Status
     objective: float
@@ -77,6 +84,7 @@ class LPSolution:
     basis: tuple[int, ...]
     iterations: int
     duals: Optional[np.ndarray] = None
+    rows: Optional[tuple[int, ...]] = None
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -200,7 +208,7 @@ def solve(lp: StandardFormLP, *, basis=None, iter_cap: Optional[int] = None,
     if start is not None:
         T2, basis = start
         it = 0
-        rows_kept = m
+        keep = list(range(m))
     else:
         # Phase 1: artificial basis, cost = sum of artificials.
         T = np.zeros((m + 1, n + m + 1))
@@ -250,40 +258,246 @@ def solve(lp: StandardFormLP, *, basis=None, iter_cap: Optional[int] = None,
         return _failed(status, n, it)
 
     primal = np.zeros(n)
-    x_basic = T2[:rows_kept, -1]
+    x_basic = T2[:len(keep), -1]
     duals = None
-    if rows_kept == m:
-        try:
-            B_inv = np.linalg.inv(A[:, basis])
-        except np.linalg.LinAlgError:
-            B_inv = None
-        if B_inv is not None:
-            # Re-solve on the original data to shed accumulated pivot drift.
-            refined = B_inv @ b
-            if np.all(refined >= -PIVOT_TOL * b_scale):
-                x_basic = refined
-            duals = lp.c[basis] @ B_inv
-            if sign is not None:
-                duals *= sign
+    try:
+        B_inv = np.linalg.inv(A[keep][:, basis])
+    except np.linalg.LinAlgError:
+        B_inv = None
+    if B_inv is not None:
+        # Re-solve on the original data to shed accumulated pivot drift.
+        refined = B_inv @ b[keep]
+        if np.all(refined >= -PIVOT_TOL * b_scale):
+            x_basic = refined
+        duals = np.zeros(m)
+        duals[keep] = lp.c[basis] @ B_inv
+        if sign is not None:
+            duals *= sign
     primal[basis] = x_basic
     objective = float(lp.c @ primal)
     return LPSolution(Status.OPTIMAL, objective, primal,
-                      tuple(basis.tolist()), it, duals)
+                      tuple(basis.tolist()), it, duals,
+                      None if len(keep) == m else tuple(keep))
+
+
+def _inverses(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of the stacked matrices `B`, and which of them exist."""
+    try:
+        return np.linalg.inv(B), np.ones(len(B), dtype=bool)
+    except np.linalg.LinAlgError:
+        inv = np.full(B.shape, np.nan)
+        ok = np.zeros(len(B), dtype=bool)
+        for i, Bi in enumerate(B):
+            try:
+                inv[i] = np.linalg.inv(Bi)
+                ok[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return inv, ok
+
+
+def exchange(Binv: np.ndarray, row: np.ndarray, d: np.ndarray) -> None:
+    """Rank-1 update of stacked basis inverses, in place: basis l's column
+    at position `row[l]` leaves for a column a with B^-1 a = d[l]."""
+    rows = np.arange(len(row))
+    prow = Binv[rows, row] / d[rows, row][:, None]
+    Binv -= d[:, :, None] * prow[:, None, :]
+    Binv[rows, row] = prow
+
+
+class Lockstep:
+    """A batch of LPs  min c_l.x  s.t.  A_l x = b_l,  x >= 0,  solved together
+    by a revised simplex.
+
+    Every LP numbers its columns alike: column 0 is its own, then come the
+    N columns of a block `S` that all LPs share at zero cost, then the rest
+    of its own columns.  LP l's own columns are `O[l]` (rows x own), their
+    costs `c[l]`, and its right-hand side is `b[l]`.  Each LP keeps an
+    explicit basis inverse `Binv[l]` and basic solution `x[l]` for the
+    column indices `basis[l]`.  `step` pivots every active LP at once with
+    the rules of `solve`: Dantzig pricing, Bland's rule after `BLAND_AFTER`
+    consecutive degenerate pivots, ratio-test ties broken on the smaller
+    column index.  An LP leaves the active set when it stops.
+
+    The start `basis` is usable for an LP when its columns are invertible
+    and B^-1 b is feasible to within FEAS_TOL (`usable`); `Binv` may pass
+    the start inverses in.  An LP whose start is unusable is never stepped.
+    """
+
+    head = 1  # own columns before the shared block
+
+    def __init__(self, S: np.ndarray, O: np.ndarray, c: np.ndarray,
+                 b: np.ndarray, basis: np.ndarray,
+                 Binv: Optional[np.ndarray] = None):
+        self.S, self.N = S, S.shape[1]
+        self.O, self.c, self.b = O, c, b
+        self.basis = np.array(basis, dtype=np.int64)
+        n = len(self.basis)
+        self.b_scale = 1.0 + np.abs(b).max(axis=1, initial=0.0)
+        if Binv is None:
+            Binv, ok = _inverses(self._basis_matrix(np.arange(n)))
+        else:
+            ok = np.ones(n, dtype=bool)
+        x = np.einsum("lrs,ls->lr", Binv, b)
+        with np.errstate(invalid="ignore"):
+            ok &= (np.isfinite(x).all(axis=1)
+                   & (x.min(axis=1) >= -FEAS_TOL * self.b_scale))
+        self.Binv, self.x = Binv, np.maximum(x, 0.0)
+        self.usable = ok
+        self.status = np.full(n, None, dtype=object)
+        self.iterations = np.zeros(n, dtype=np.int64)
+
+    def _own(self, ids: np.ndarray):
+        """Which column indices are shared, and each own column's position
+        in `O` (0 for shared ones)."""
+        shared = (ids >= self.head) & (ids < self.head + self.N)
+        pos = np.where(ids < self.head, ids, ids - self.N)
+        return shared, np.where(shared, 0, pos)
+
+    def _basis_matrix(self, ls: np.ndarray) -> np.ndarray:
+        ids = self.basis[ls]
+        shared, pos = self._own(ids)
+        B = np.take_along_axis(self.O[ls], pos[:, None, :], axis=2)
+        li, ri = np.nonzero(shared)
+        B[li, :, ri] = self.S[:, ids[li, ri] - self.head].T
+        return B
+
+    def _basic_costs(self, c: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        shared, pos = self._own(ids)
+        return np.where(shared, 0.0, np.take_along_axis(c, pos, axis=1))
+
+    @property
+    def objective(self) -> np.ndarray:
+        return (self._basic_costs(self.c, self.basis) * self.x).sum(axis=1)
+
+    def duals(self, ls: np.ndarray) -> np.ndarray:
+        """Simplex multipliers y = c_B B^-1 of the LPs `ls`."""
+        return np.einsum("lr,lrs->ls",
+                         self._basic_costs(self.c[ls], self.basis[ls]),
+                         self.Binv[ls])
+
+    def refine(self, ls: np.ndarray) -> None:
+        """Recompute B^-1 and x_B = B^-1 b from the LP data, shedding the
+        drift of the rank-1 updates.  x_B is kept where the recomputed one
+        is infeasible beyond PIVOT_TOL; an LP whose basis turns out
+        singular ends NUMERICAL_BREAKDOWN."""
+        Binv, ok = _inverses(self._basis_matrix(ls))
+        x = np.einsum("lrs,ls->lr", Binv, self.b[ls])
+        with np.errstate(invalid="ignore"):
+            keep = ok & (x.min(axis=1) >= -PIVOT_TOL * self.b_scale[ls])
+        self.x[ls[keep]] = x[keep]
+        self.Binv[ls[ok]] = Binv[ok]
+        self.status[ls[~ok]] = Status.NUMERICAL_BREAKDOWN
+
+    def adopt(self, l: int, basis: np.ndarray, x: np.ndarray) -> None:
+        """Make an optimal basis found elsewhere, and its basic values, LP
+        l's solution."""
+        self.basis[l], self.x[l] = basis, x
+        self.status[l] = Status.OPTIMAL
+        self.refine(np.array([l]))
+
+    def step(self, ls: np.ndarray, cand: np.ndarray, extra: np.ndarray,
+             iter_cap: int = ITER_CAP) -> None:
+        """Pivot the LPs `ls` until each is OPTIMAL on its candidate columns,
+        UNBOUNDED, or at `iter_cap` pivots (ITERATION_LIMIT).
+
+        LP l's candidates are its own columns, the shared columns `cand`
+        (indices into `S`) and the shared column `extra[l]`.
+        """
+        head, N = self.head, self.N
+        ls = np.asarray(ls, dtype=np.int64)
+        q, F = self.O.shape[2], cand.size
+        S_c = self.S[:, cand]
+        ids = np.concatenate((np.arange(head), np.arange(head + N, N + q),
+                              head + cand))
+        big = N + q + 1
+        Binv, x, basis = self.Binv[ls], self.x[ls], self.basis[ls]
+        O, c, it = self.O[ls], self.c[ls], self.iterations[ls]
+        ext = extra[ls]
+        S_e = self.S[:, ext].T
+        ext_in_cand = np.isin(ext, cand)
+        degenerate = np.zeros(ls.size, dtype=np.int64)
+        while ls.size:
+            rows = np.arange(ls.size)
+            y = np.einsum("lr,lrs->ls", self._basic_costs(c, basis), Binv)
+            red = np.empty((ls.size, q + F + 1))
+            red[:, :q] = c - np.einsum("lr,lrq->lq", y, O)
+            np.matmul(y, S_c, out=red[:, q:q + F])
+            red[:, q:q + F] *= -1.0
+            red[:, -1] = np.where(ext_in_cand, 0.0,
+                                  -np.einsum("lr,lr->l", y, S_e))
+            enter = red.argmin(axis=1)
+            optimal = red[rows, enter] >= -OPT_TOL
+            bland = degenerate >= BLAND_AFTER
+            if bland.any():
+                all_ids = np.empty(red.shape, dtype=np.int64)
+                all_ids[:, :-1] = ids
+                all_ids[:, -1] = head + ext
+                first = np.where(red[bland] < -OPT_TOL, all_ids[bland],
+                                 big).argmin(axis=1)
+                enter[bland] = first
+            col = np.empty((ls.size, self.S.shape[0]))
+            own = enter < q
+            col[own] = O[rows[own], :, enter[own]]
+            shared = ~own & (enter < q + F)
+            col[shared] = S_c[:, enter[shared] - q].T
+            last = enter == q + F
+            col[last] = S_e[last]
+            d = np.einsum("lrs,ls->lr", Binv, col)
+            positive = d > PIVOT_TOL
+            ratio = np.full(d.shape, np.inf)
+            np.divide(x, d, out=ratio, where=positive)
+            np.maximum(ratio, 0.0, out=ratio)
+            best = ratio.min(axis=1)
+            row = np.where(ratio == best[:, None], basis, big).argmin(axis=1)
+            capped = ~optimal & (it >= iter_cap)
+            unbounded = ~optimal & ~capped & ~positive.any(axis=1)
+            done = optimal | capped | unbounded
+            if done.any():
+                gone = ls[done]
+                self.Binv[gone], self.x[gone] = Binv[done], x[done]
+                self.basis[gone], self.iterations[gone] = basis[done], it[done]
+                self.status[ls[optimal]] = Status.OPTIMAL
+                self.status[ls[capped]] = Status.ITERATION_LIMIT
+                self.status[ls[unbounded]] = Status.UNBOUNDED
+                go = ~done
+                ls, Binv, x, basis, O, c, it = (
+                    ls[go], Binv[go], x[go], basis[go], O[go], c[go], it[go])
+                ext, S_e, ext_in_cand = ext[go], S_e[go], ext_in_cand[go]
+                degenerate, enter, d, best, row = (
+                    degenerate[go], enter[go], d[go], best[go], row[go])
+                rows = np.arange(ls.size)
+            entering = np.where(enter < head, enter, enter + N)
+            shared = (enter >= q) & (enter < q + F)
+            entering[shared] = head + cand[enter[shared] - q]
+            last = enter == q + F
+            entering[last] = head + ext[last]
+            exchange(Binv, row, d)
+            x -= best[:, None] * d
+            x[rows, row] = best
+            basis[rows, row] = entering
+            degenerate = np.where(best <= PIVOT_TOL, degenerate + 1, 0)
+            it += 1
 
 
 def verify_optimality(lp: StandardFormLP, sol: LPSolution) -> bool:
     """Independent optimality certificate for an Optimal solution.
 
-    Checks primal feasibility of `sol.primal` and dual feasibility of the
-    returned basis (reduced costs >= -OPT_TOL), recomputed from the original
-    LP data.  Requires a full-rank basis; raises SolverError otherwise.
+    Checks primal feasibility of `sol.primal` on every row and dual
+    feasibility of the returned basis (reduced costs >= -OPT_TOL),
+    recomputed from the original LP data on the rows the basis spans
+    (`sol.rows`).  Requires the basis to be invertible on those rows;
+    raises SolverError otherwise.
     """
     if sol.status is not Status.OPTIMAL:
         raise SolverError("verify_optimality expects an Optimal solution")
     basis = np.asarray(sol.basis, dtype=int)
-    if basis.size != lp.n_constraints or np.unique(basis).size != basis.size:
+    rows = (np.arange(lp.n_constraints) if sol.rows is None
+            else np.asarray(sol.rows, dtype=int))
+    if basis.size != rows.size or np.unique(basis).size != basis.size:
         raise SolverError("basis not invertible")
-    B = lp.A[:, basis]
+    A = lp.A[rows]
+    B = A[:, basis]
     try:
         y = np.linalg.solve(B.T, lp.c[basis])
     except np.linalg.LinAlgError as exc:
@@ -297,5 +511,5 @@ def verify_optimality(lp: StandardFormLP, sol: LPSolution) -> bool:
         return False
     if abs(float(lp.c @ x) - sol.objective) > 1e-9 * (1.0 + abs(sol.objective)):
         return False
-    reduced = lp.c - lp.A.T @ y
+    reduced = lp.c - A.T @ y
     return bool(reduced.min(initial=0.0) >= -OPT_TOL)

@@ -5,6 +5,11 @@ all observed DMUs under an intensity-sum constraint L <= e lambda <= U
 (CRS: L=0 with no upper row; VRS: L=U=1).  CCR expands desirable outputs
 radially and scores 1/phi*; the SBM score is the slack ratio rho*, made
 linear with the Charnes-Cooper transform.
+
+Every evaluation solves a whole batch of DMUs at once (one DMU for the
+per-DMU functions): each stage's LPs share one template per panel and are
+stepped in lockstep by `linprog.Lockstep` on a shared frame of candidate
+intensity columns, then checked against every column (`_solve_stage`).
 """
 
 from __future__ import annotations
@@ -196,8 +201,12 @@ def build_instance(d: Dataset, dmu: str, spec: ModelSpec, *,
     )
 
 
-# lambda-columns that join a panel's candidate set per failed pricing round
+# lambda-columns that join a panel's frame per blocked DMU and pricing round
 FRAME_BATCH = 4
+# entries of one block of a DMUs-by-columns array: the full-width pricing
+# product and the SBM recovery run in blocks of DMUs, so that no n x n
+# array is ever allocated
+PRICE_BLOCK = 1 << 16
 
 
 class _Template:
@@ -209,8 +218,14 @@ class _Template:
     [undesirable outputs], then L <= e lambda <= U (CRS: no row for L = 0
     or U = inf).  Each data row is stored in units of its panel mean:
     scores do not depend on units, and the solver's absolute tolerances
-    then act on numbers of order one.  Per DMU only the lead column, b,
-    the normalization row and the objective change.
+    then act on numbers of order one.  The lambda block is the same for
+    every DMU; per DMU only the lead column, b, the SBM normalization row
+    and the objective change (`stage`).
+
+    `frame` is the panel's candidate set of lambda-columns, shared by every
+    DMU and stage of the model.  It starts with the DMUs of best ratio of
+    one desirable output to one input (or undesirable output): each lies
+    on the CRS frontier (Dula & Lopez 2009).
     """
 
     def __init__(self, inst: ModelInstance, kind: ModelKind):
@@ -218,6 +233,7 @@ class _Template:
         self.n, self.m, self.s1 = inst.n, inst.m, inst.s1
         self.s2 = inst.s2 if self.sbm else 0
         self.L, self.U = inst.L, inst.U
+        self.names = inst.dmu_names
         self.raw = np.vstack((inst.X, inst.Yg, inst.Yb) if self.sbm
                              else (inst.X, inst.Yg))
         self.unit = self.raw.mean(axis=1)
@@ -234,6 +250,7 @@ class _Template:
         self.bound = np.array(bound)
         top = 1 if self.sbm else 0
         rows = top + len(signs)
+        self.signs = np.array(signs)
         self.tail = np.arange(1 + n, 1 + n + len(signs))
         self.width = 1 + n + len(signs)
         A = np.zeros((rows, self.width))
@@ -251,58 +268,68 @@ class _Template:
         A.flags.writeable = False
         self._own_tail = np.delete(self.tail, [0] if self.sbm else [0, self.m])
         self.lam_block = A[:, 1:1 + n]
+        m, s1 = self.m, self.s1
+        ratios = self.Z[m:m + s1, None] / np.delete(
+            self.Z, np.s_[m:m + s1], axis=0)[None]
+        self.frame = np.zeros(n, dtype=bool)
+        self.frame[ratios.argmax(axis=2)] = True
 
     def columns(self, lam: np.ndarray, lead: bool = True) -> np.ndarray:
         """Sorted template indices of an LP on the lambda-columns `lam`."""
         head = [0] if lead else []
         return np.concatenate((head, 1 + lam, self.tail)).astype(np.int64)
 
-    def own_basis(self, k: int) -> np.ndarray:
-        """DMU k's own point, phi = 1 or t = 1 with lambda = e_k.
+    def own_bases(self, ks: np.ndarray) -> np.ndarray:
+        """Each DMU k's own point, phi = 1 or t = 1 with lambda = e_k.
 
-        The basis is the lead, lambda_k and every tail column but the first
+        A basis is the lead, lambda_k and every tail column but the first
         input slack and, for CCR, the first desirable-output slack.  It is
         nonsingular for positive data and feasible when L <= 1 <= U.
         """
-        return np.concatenate(([0, 1 + k], self._own_tail))
+        return np.column_stack((np.zeros_like(ks), 1 + ks,
+                                np.tile(self._own_tail, (ks.size, 1))))
+
+    def stage(self, ks: np.ndarray, phi: Optional[np.ndarray] = None):
+        """The per-DMU part of the LPs of DMUs `ks`: own columns (the lead,
+        then the tail) with their costs, and b.
+
+        For CCR, stage 1 when `phi` is None; otherwise stage 2, with each
+        DMU's phi fixed (its column zero) and the total slack in raw units
+        maximized.  Lambda-columns cost nothing in every stage.
+        """
+        z = self.Z[:, ks].T
+        m, s1, k = self.m, self.s1, self.Z.shape[0]
+        own = self.A[:, np.r_[0, self.tail]]
+        O = np.repeat(own[None], ks.size, axis=0)
+        c = np.zeros((ks.size, own.shape[1]))
+        b = np.repeat(self.b[None], ks.size, axis=0)
+        if self.sbm:
+            O[:, 1:1 + k, 0] = -z
+            O[:, 0, 1 + m:1 + k] = 1.0 / ((k - m) * z[:, m:])
+            c[:, 0] = 1.0
+            c[:, 1:1 + m] = -1.0 / (m * z[:, :m])
+        else:
+            b[:, :m] = z[:, :m]
+            if phi is None:
+                O[:, m:m + s1, 0] = -z[:, m:]
+                c[:, 0] = -1.0
+            else:
+                b[:, m:m + s1] = phi[:, None] * z[:, m:]
+                c[:, 1:1 + m + s1] = -self.unit
+        return O, c, b
 
     def lp(self, k: int, cols: np.ndarray,
            phi: Optional[float] = None) -> StandardFormLP:
-        """DMU k's LP on the template columns `cols` (see `columns`).
-
-        For CCR, stage 1 when `phi` is None; otherwise stage 2, with phi
-        fixed and the total slack in raw units maximized.
-        """
-        z = self.Z[:, k]
-        m, s1 = self.m, self.s1
-        A = self.A[:, cols]
-        b = self.b.copy()
-        c = np.zeros(cols.size)
-        tail = cols.size - self.tail.size
-        if self.sbm:
-            A[1:1 + z.size, 0] = -z
-            A[0, tail + m:tail + z.size] = 1.0 / ((z.size - m) * z[m:])
-            c[0] = 1.0
-            c[tail:tail + m] = -1.0 / (m * z[:m])
-        else:
-            b[:m] = z[:m]
-            if phi is None:
-                A[m:m + s1, 0] = -z[m:]
-                c[0] = -1.0
-            else:
-                b[m:m + s1] = phi * z[m:]
-                c[tail:tail + m + s1] = -self.unit
-        return StandardFormLP(c, A, b)
+        """DMU k's LP on the template columns `cols` (see `columns`)."""
+        O, c, b = self.stage(np.array([k]),
+                             None if phi is None else np.array([phi]))
+        A = np.hstack((O[0, :, :1], self.lam_block, O[0, :, 1:]))
+        cost = np.concatenate((c[0, :1], np.zeros(self.n), c[0, 1:]))
+        return StandardFormLP(cost[cols], A[:, cols], b[0])
 
     def recovery(self) -> "SbmRecovery":
         return SbmRecovery(n=self.n, m=self.m, s1=self.s1, s2=self.s2,
                            units=tuple(self.unit))
-
-    def widen(self, sol: linprog.LPSolution, cols: np.ndarray) -> np.ndarray:
-        """An LP's primal solution at full template width."""
-        x = np.zeros(self.width)
-        x[cols] = sol.primal
-        return x
 
 
 def _clip_tiny(v: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -311,99 +338,141 @@ def _clip_tiny(v: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return out + 0.0  # normalizes -0.0 to +0.0
 
 
-def _framed_solve(tpl: _Template, k: int, frame: np.ndarray,
-                  start: np.ndarray, context: str,
-                  phi: Optional[float] = None):
-    """Solve DMU k's LP on the lambda-columns of `frame` and k.
-
-    `frame` is the panel's candidate set, a boolean mask over the DMUs that
-    this call extends in place.  A restricted optimum is accepted only when
-    every lambda-column of the panel prices out (reduced cost >= -OPT_TOL
-    under its basis), which makes it optimal for the LP on all columns
-    (Ali 1993; Dula 2011).  Otherwise the most negative columns join the
-    frame and the LP is solved again from the last basis.  `start` is a
-    start basis in template indices.  A restricted LP that does not end
-    OPTIMAL is solved on all columns.  Returns (lp, solution, columns).
-    """
-    lead = phi is None
-    basis = start
-    while True:
-        member = frame.copy()
-        member[k] = True
-        cols = tpl.columns(np.flatnonzero(member), lead)
-        lp = tpl.lp(k, cols, phi)
-        sol = linprog.solve(lp, basis=np.searchsorted(cols, basis))
-        if sol.duals is None:
-            break
-        reduced = -(sol.duals @ tpl.lam_block)
-        reduced[member] = 0.0
-        entering = np.flatnonzero(reduced < -linprog.OPT_TOL)
-        if entering.size == 0:
-            return lp, sol, cols
-        frame[entering[np.argsort(reduced[entering])[:FRAME_BATCH]]] = True
-        basis = cols[list(sol.basis)]
-    cols = tpl.columns(np.arange(tpl.n), lead)
-    lp = tpl.lp(k, cols, phi)
-    sol = linprog.solve(lp, basis=np.searchsorted(cols, start))
+def _cold(tpl: _Template, k: int, what: str, phi: Optional[float] = None):
+    """DMU k's LP solved by `linprog.solve` on all columns from no start
+    basis: its objective, basis in template indices and basic values."""
+    cols = tpl.columns(np.arange(tpl.n), lead=phi is None)
+    sol = linprog.solve(tpl.lp(k, cols, phi))
     if sol.status is not Status.OPTIMAL:
-        raise SolverError(f"{context}: LP ended {sol.status.name}")
-    return lp, sol, cols
+        raise SolverError(f"{what} for DMU {tpl.names[k]!r}: LP ended "
+                          f"{sol.status.name}")
+    basis = list(sol.basis)
+    return sol.objective, cols[basis], sol.primal[basis]
 
 
-def _stage2_start(tpl: _Template, lp: StandardFormLP,
-                  sol: linprog.LPSolution, cols: np.ndarray) -> np.ndarray:
-    """The stage-1 optimal basis with phi swapped for one slack column.
+def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
+                 phi: Optional[np.ndarray] = None,
+                 start=None) -> linprog.Lockstep:
+    """One stage's LPs of the DMUs `ks`, solved together on the frame.
 
-    Let p be phi's position in that basis.  Row i's slack column is a unit
+    1. Every LP starts at `start` (bases in template indices and their
+       inverses), by default its DMU's own point.
+    2. All LPs step in lockstep on the frame's lambda-columns plus their
+       own DMU's (`linprog.Lockstep`).
+    3. A restricted optimum is accepted only when every lambda-column of
+       the panel prices out (reduced cost >= -OPT_TOL under its refined
+       basis), which makes it optimal on all columns (Ali 1993; Dula
+       2011).  This full-width pricing runs in blocks of DMUs against a
+       snapshot of the frame; a blocked DMU's `FRAME_BATCH` most negative
+       columns join the frame.
+    4. The blocked DMUs step again from their current basis.
+    An LP whose start is unusable, or that does not end OPTIMAL, is solved
+    cold (`_cold`).  Returns the solved batch, one LP per DMU of `ks`.
+    """
+    O, c, b = tpl.stage(ks, phi)
+    basis, Binv = (tpl.own_bases(ks), None) if start is None else start
+    run = linprog.Lockstep(tpl.lam_block, O, c, b, basis, Binv)
+    active = np.flatnonzero(run.usable)
+    per_block = max(1, PRICE_BLOCK // tpl.n)
+    batch = min(FRAME_BATCH, tpl.n)
+    while active.size:
+        run.step(active, np.flatnonzero(tpl.frame), ks)
+        active = active[run.status[active] == Status.OPTIMAL]
+        run.refine(active)
+        active = active[run.status[active] == Status.OPTIMAL]
+        member = tpl.frame.copy()
+        blocked = []
+        for lo in range(0, active.size, per_block):
+            part = active[lo:lo + per_block]
+            reduced = run.duals(part) @ tpl.lam_block
+            reduced *= -1.0
+            reduced[:, member] = 0.0
+            reduced[np.arange(part.size), ks[part]] = 0.0
+            hit = np.flatnonzero(reduced.min(axis=1) < -linprog.OPT_TOL)
+            if hit.size:
+                reduced = reduced[hit]
+                top = np.argpartition(reduced, batch - 1, axis=1)[:, :batch]
+                joins = np.take_along_axis(reduced, top, axis=1)
+                tpl.frame[top[joins < -linprog.OPT_TOL]] = True
+                blocked.append(part[hit])
+        active = np.concatenate(blocked) if blocked else active[:0]
+    for l in np.flatnonzero(run.status != Status.OPTIMAL):
+        run.adopt(l, *_cold(tpl, int(ks[l]), what,
+                            None if phi is None else phi[l])[1:])
+    return run
+
+
+def _phi_out(run: linprog.Lockstep, tpl: _Template):
+    """CCR stage 2's start: each stage-1 optimal basis with phi swapped for
+    one slack column, as a rank-1 update of its inverse.
+
+    Let p be phi's position in a basis.  Row i's slack column is a unit
     vector, so entry i of row p of B^-1 is that column's coefficient on
     phi: the slack can replace phi when the entry is nonzero, and the
     largest entry keeps the basis best conditioned.  With phi fixed at its
     optimum, stage 1's solution without phi solves the new basis, so the
     basis is feasible.
     """
-    basis = np.array(sol.basis)
-    full = cols[basis]
-    e = (full == 0).astype(float)
-    try:
-        r = np.abs(np.linalg.solve(lp.A[:, basis].T, e))
-    except np.linalg.LinAlgError:
-        return full[full != 0]
-    basic = np.zeros(tpl.width, dtype=bool)
-    basic[full] = True
-    r[basic[tpl.tail]] = 0.0
-    return np.append(full[full != 0], tpl.tail[int(np.argmax(r))])
+    basis, Binv = run.basis.copy(), run.Binv.copy()
+    rows = np.arange(len(basis))
+    p = np.argmax(basis == 0, axis=1)
+    # CCR's row i has slack column tail[i]
+    r = np.abs(Binv[rows, p])
+    li, ri = np.nonzero(basis > tpl.n)
+    r[li, basis[li, ri] - tpl.tail[0]] = 0.0
+    i = r.argmax(axis=1)
+    linprog.exchange(Binv, p, Binv[rows, :, i] * tpl.signs[i][:, None])
+    basis[rows, p] = tpl.tail[i]
+    return basis, Binv
 
 
-def _ccr(tpl: _Template, k: int, frame: np.ndarray,
-         dmu: str) -> EfficiencyResult:
-    lp1, sol1, cols1 = _framed_solve(tpl, k, frame, tpl.own_basis(k),
-                                     f"CCR stage 1 for DMU {dmu!r}")
-    phi = -sol1.objective
-    if abs(phi - 1.0) <= 1e-9:
-        phi = 1.0
-    if phi <= 0.0 or (tpl.L <= 1.0 <= tpl.U and phi < 1.0):
-        # lambda = e_k, phi = 1 is feasible when L <= 1 <= U
-        raise SolverError(f"CCR stage 1 for DMU {dmu!r}: phi = {phi!r} is "
-                          "not a valid expansion")
+def _valid_phi(tpl: _Template, phi: float) -> bool:
+    # lambda = e_k, phi = 1 is feasible when L <= 1 <= U
+    return phi > 0.0 and not (tpl.L <= 1.0 <= tpl.U and phi < 1.0)
 
-    _, sol2, cols2 = _framed_solve(tpl, k, frame,
-                                   _stage2_start(tpl, lp1, sol1, cols1),
-                                   f"CCR stage 2 for DMU {dmu!r}", phi=phi)
-    x = tpl.widen(sol2, cols2)
-    m, s1 = tpl.m, tpl.s1
-    lam = _clip_tiny(x[1:1 + tpl.n])
-    s_in = _clip_tiny(x[tpl.tail[:m]]) * tpl.unit[:m]
-    s_good = _clip_tiny(x[tpl.tail[m:m + s1]]) * tpl.unit[m:]
-    x0, y0g = tpl.raw[:m, k], tpl.raw[m:, k]
-    score = 1.0 / phi
-    if abs(score - 1.0) <= 1e-9:
-        score = 1.0
-    return EfficiencyResult(
-        dmu=dmu, kind=ModelKind.CCR_OUTPUT, score=score, phi=phi,
-        lam=lam, slack_in=s_in, slack_good=s_good, slack_bad=np.empty(0),
-        projection=Projection(inputs=x0 - s_in, goods=phi * y0g + s_good,
-                              bads=np.empty(0)),
-    )
+
+def _snap(v: float) -> float:
+    return 1.0 if abs(v - 1.0) <= 1e-9 else v
+
+
+def _ccr(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
+    one = _solve_stage(tpl, ks, "CCR stage 1")
+    phi = [_snap(float(-v)) for v in one.objective]
+    for l, v in enumerate(phi):
+        if _valid_phi(tpl, v):
+            continue
+        # a warm start can end just off a valid phi where a cold solve
+        # of the same LP does not
+        objective, basis, xb = _cold(tpl, int(ks[l]), "CCR stage 1")
+        phi[l] = _snap(float(-objective))
+        if not _valid_phi(tpl, phi[l]):
+            raise SolverError(f"CCR stage 1 for DMU {tpl.names[ks[l]]!r}: "
+                              f"phi = {phi[l]!r} is not a valid expansion")
+        one.adopt(l, basis, xb)
+    phi = np.array(phi)
+    two = _solve_stage(tpl, ks, "CCR stage 2", phi=phi,
+                       start=_phi_out(one, tpl))
+    m, s1, n = tpl.m, tpl.s1, tpl.n
+    x = _clip_tiny(two.x)
+    slack = np.zeros((ks.size, tpl.tail.size))
+    li, ri = np.nonzero(two.basis > n)
+    slack[li, two.basis[li, ri] - tpl.tail[0]] = x[li, ri]
+    s_in = slack[:, :m] * tpl.unit[:m]
+    s_good = slack[:, m:m + s1] * tpl.unit[m:]
+    inputs = tpl.raw[:m, ks].T - s_in
+    goods = phi[:, None] * tpl.raw[m:, ks].T + s_good
+    out = []
+    for l, k in enumerate(ks):
+        lam = np.zeros(n)
+        sel = (two.basis[l] > 0) & (two.basis[l] <= n)
+        lam[two.basis[l, sel] - 1] = x[l, sel]
+        out.append(EfficiencyResult(
+            dmu=tpl.names[k], kind=ModelKind.CCR_OUTPUT,
+            score=_snap(float(1.0 / phi[l])), phi=float(phi[l]), lam=lam,
+            slack_in=s_in[l], slack_good=s_good[l], slack_bad=np.empty(0),
+            projection=Projection(inputs=inputs[l], goods=goods[l],
+                                  bads=np.empty(0))))
+    return out
 
 
 def evaluate_ccr_output(d: Dataset, dmu: str, spec: ModelSpec) -> EfficiencyResult:
@@ -417,8 +486,7 @@ def evaluate_ccr_output(d: Dataset, dmu: str, spec: ModelSpec) -> EfficiencyResu
     if spec.kind is not ModelKind.CCR_OUTPUT:
         raise ModelError(f"evaluate_ccr_output got spec kind {spec.kind}")
     inst = build_instance(d, dmu, spec)
-    return _ccr(_Template(inst, spec.kind), inst.index,
-                np.zeros(inst.n, dtype=bool), dmu)
+    return _ccr(_Template(inst, spec.kind), np.array([inst.index]))[0]
 
 
 @dataclass(frozen=True)
@@ -436,17 +504,22 @@ class SbmRecovery:
     units: tuple[float, ...] = ()
 
     def recover(self, primal: np.ndarray):
-        t = float(primal[0])
-        if t <= 1e-7:
+        """(t, lambda, s_in, s_good, s_bad) of one LP's primal solution, or
+        of one per row of a matrix (then each is one row per LP)."""
+        t = primal[..., :1]
+        low = t <= 1e-7
+        if low.any():
             raise ModelError("degenerate Charnes-Cooper scale "
-                             f"(t = {t:.3e})")
-        lam = primal[1:1 + self.n] / t
+                             f"(t = {float(t[low][0]):.3e})")
+        lam = primal[..., 1:1 + self.n] / t
         off = 1 + self.n
-        s = _clip_tiny(primal[off:off + self.m + self.s1 + self.s2] / t)
+        s = _clip_tiny(primal[..., off:off + self.m + self.s1 + self.s2] / t)
         if self.units:
             s = s * np.asarray(self.units)
-        s_in, s_good, s_bad = np.split(s, [self.m, self.m + self.s1])
-        return t, _clip_tiny(lam), s_in, s_good, s_bad
+        m, ms = self.m, self.m + self.s1
+        t = t[..., 0]
+        return (float(t) if t.ndim == 0 else t, _clip_tiny(lam),
+                s[..., :m], s[..., m:ms], s[..., ms:])
 
 
 def linearize_sbm(inst: ModelInstance) -> tuple[StandardFormLP, SbmRecovery]:
@@ -462,24 +535,30 @@ def linearize_sbm(inst: ModelInstance) -> tuple[StandardFormLP, SbmRecovery]:
             tpl.recovery())
 
 
-def _sbm(tpl: _Template, k: int, frame: np.ndarray,
-         dmu: str) -> EfficiencyResult:
-    _, sol, cols = _framed_solve(tpl, k, frame, tpl.own_basis(k),
-                                 f"SBM solve for DMU {dmu!r}")
-    t, lam, s_in, s_good, s_bad = tpl.recovery().recover(
-        tpl.widen(sol, cols))
+def _sbm(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
+    run = _solve_stage(tpl, ks, "SBM solve")
+    recovery = tpl.recovery()
     m, s1 = tpl.m, tpl.s1
-    score = sol.objective
-    if abs(score - 1.0) <= 1e-9:
-        score = 1.0
-    x0, y0g, y0b = (tpl.raw[:m, k], tpl.raw[m:m + s1, k],
-                    tpl.raw[m + s1:, k])
-    return EfficiencyResult(
-        dmu=dmu, kind=ModelKind.SBM_UNDESIRABLE, score=score, phi=1.0,
-        lam=lam, slack_in=s_in, slack_good=s_good, slack_bad=s_bad,
-        projection=Projection(inputs=x0 - s_in, goods=y0g + s_good,
-                              bads=y0b - s_bad),
-    )
+    score = run.objective
+    out = []
+    per_block = max(1, PRICE_BLOCK // tpl.width)
+    for lo in range(0, ks.size, per_block):
+        part = np.arange(lo, min(lo + per_block, ks.size))
+        primal = np.zeros((part.size, tpl.width))
+        primal[part[:, None] - lo, run.basis[part]] = run.x[part]
+        _, lam, s_in, s_good, s_bad = recovery.recover(primal)
+        k = ks[part]
+        inputs = tpl.raw[:m, k].T - s_in
+        goods = tpl.raw[m:m + s1, k].T + s_good
+        bads = tpl.raw[m + s1:, k].T - s_bad
+        for i, l in enumerate(part):
+            out.append(EfficiencyResult(
+                dmu=tpl.names[ks[l]], kind=ModelKind.SBM_UNDESIRABLE,
+                score=_snap(float(score[l])), phi=1.0, lam=lam[i],
+                slack_in=s_in[i], slack_good=s_good[i], slack_bad=s_bad[i],
+                projection=Projection(inputs=inputs[i], goods=goods[i],
+                                      bads=bads[i])))
+    return out
 
 
 def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
@@ -491,8 +570,7 @@ def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
     if spec.kind is not ModelKind.SBM_UNDESIRABLE:
         raise ModelError(f"evaluate_sbm_undesirable got spec kind {spec.kind}")
     inst = build_instance(d, dmu, spec, allow_plain_sbm=allow_plain_sbm)
-    return _sbm(_Template(inst, spec.kind), inst.index,
-                np.zeros(inst.n, dtype=bool), dmu)
+    return _sbm(_Template(inst, spec.kind), np.array([inst.index]))[0]
 
 
 def improvement_targets(r: EfficiencyResult, roles: RoleSlice) -> RateReport:
@@ -544,7 +622,5 @@ def evaluate_all(d: Dataset, spec: ModelSpec, *,
         return []
     inst = build_instance(d, d.dmu_names[0], spec,
                           allow_plain_sbm=allow_plain_sbm)
-    tpl = _Template(inst, spec.kind)
-    frame = np.zeros(inst.n, dtype=bool)
     evaluate = _ccr if spec.kind is ModelKind.CCR_OUTPUT else _sbm
-    return [evaluate(tpl, k, frame, dmu) for k, dmu in enumerate(d.dmu_names)]
+    return evaluate(_Template(inst, spec.kind), np.arange(inst.n))

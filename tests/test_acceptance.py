@@ -27,7 +27,7 @@ from deakit import (Dataset, EfficiencyResult, LPSolution, ModelKind,
                     efficiency_bands, evaluate_all, evaluate_ccr_output,
                     evaluate_sbm_undesirable, improvement_targets, load_csv,
                     rank_scores, render_csv, synthesize_matching)
-from deakit import linprog, models
+from deakit import models
 from deakit.analysis import ComparisonRecord
 from deakit.cli import console_main
 from deakit.linprog import Status, verify_optimality
@@ -224,6 +224,32 @@ def test_c5_oracle_equivalence_suite():
     assert elapsed < 30.0, f"suite took {elapsed:.1f} s"
 
 
+def certifying_stage(count: dict):
+    """`models._solve_stage` that certifies each DMU's final basis on its
+    LP over all of the panel's columns, counting one certificate per DMU
+    and stage in count["n"]."""
+    real_stage = models._solve_stage
+
+    def certified(tpl, ks, what, phi=None, start=None):
+        run = real_stage(tpl, ks, what, phi, start)
+        full = tpl.columns(np.arange(tpl.n), lead=phi is None)
+        for l, k in enumerate(ks):
+            basis = run.basis[l]
+            assert np.isin(basis, full).all(), what
+            primal = np.zeros(tpl.width)
+            primal[basis] = run.x[l]
+            sol = LPSolution(Status.OPTIMAL, float(run.objective[l]),
+                             primal[full],
+                             tuple(np.searchsorted(full, basis).tolist()),
+                             int(run.iterations[l]))
+            lp = tpl.lp(k, full, None if phi is None else phi[l])
+            assert verify_optimality(lp, sol), (what, tpl.names[k])
+            count["n"] += 1
+        return run
+
+    return certified
+
+
 def test_c6_invariant_suites(monkeypatch):
     """Units invariance, efficiency characterization, peers, certificates."""
     # units invariance: scale every model column, scores must not move
@@ -282,18 +308,9 @@ def test_c6_invariant_suites(monkeypatch):
                             f"peer {peer} of {r.dmu} scores "
                             f"{res[peer].score}")
 
-    # feasibility/duality certificate on every Optimal solve
-    real_solve = linprog.solve
+    # feasibility/duality certificate on every stage's final basis
     certified = {"n": 0}
-
-    def checked(lp, **kwargs):
-        sol = real_solve(lp, **kwargs)
-        if sol.status is Status.OPTIMAL:
-            assert verify_optimality(lp, sol)
-            certified["n"] += 1
-        return sol
-
-    monkeypatch.setattr(linprog, "solve", checked)
+    monkeypatch.setattr(models, "_solve_stage", certifying_stage(certified))
     for seed in range(500, 508):
         d = random_dataset(seed, n=4, m=2)
         evaluate_all(d, CCR)
@@ -301,23 +318,10 @@ def test_c6_invariant_suites(monkeypatch):
     assert certified["n"] >= 8 * 4 * 3  # two CCR stages + one SBM per DMU
     monkeypatch.undo()
 
-    # every accepted optimum on a panel's candidate columns, padded to the
-    # full width, is certified on the LP over all of the panel's columns
-    real_framed = models._framed_solve
+    # every optimum accepted on a panel's frame is certified on the LP over
+    # all of the panel's columns
     padded = {"n": 0}
-
-    def framed(tpl, k, frame, start, context, phi=None):
-        lp, sol, cols = real_framed(tpl, k, frame, start, context, phi)
-        full = tpl.columns(np.arange(tpl.n), lead=phi is None)
-        basis = np.searchsorted(full, cols[list(sol.basis)])
-        wide = LPSolution(Status.OPTIMAL, sol.objective,
-                          tpl.widen(sol, cols)[full],
-                          tuple(basis.tolist()), sol.iterations)
-        assert verify_optimality(tpl.lp(k, full, phi), wide), context
-        padded["n"] += 1
-        return lp, sol, cols
-
-    monkeypatch.setattr(models, "_framed_solve", framed)
+    monkeypatch.setattr(models, "_solve_stage", certifying_stage(padded))
     for d in (random_dataset(510, n=12, m=2), table1_panel(150, seed=3),
               table1_panel(30, seed=5, raw=True)):
         for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):

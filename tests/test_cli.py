@@ -233,9 +233,13 @@ def test_rank_wide_range_panel_scores_or_reports_error(tmp_path, capsys):
 
 
 def test_rank_solver_failure_prints_error(capsys, pair_csv, monkeypatch):
-    stage1 = SimpleNamespace(objective=-0.0)  # phi = 0
-    monkeypatch.setattr(models, "_framed_solve",
-                        lambda *args, **kwargs: (None, stage1, None))
+    # phi = 0 from the lockstep solve and from the cold retry
+    monkeypatch.setattr(models, "_solve_stage",
+                        lambda tpl, ks, *args, **kwargs: SimpleNamespace(
+                            objective=np.zeros(ks.size)))
+    monkeypatch.setattr(models.linprog, "solve", lambda lp: SimpleNamespace(
+        status=models.Status.OPTIMAL, objective=-0.0, basis=(),
+        primal=np.empty(0)))
     code, out, err = run_cli(capsys, "rank", "--input", pair_csv,
                              "--model", "ccr")
     assert code == 1

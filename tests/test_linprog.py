@@ -223,7 +223,17 @@ def test_redundant_row_is_dropped():
     A = np.array([[1.0, 1.0, 1.0],
                   [2.0, 2.0, 2.0]])
     b = np.array([1.0, 2.0])
-    c = np.array([-1.0, 0.0, 0.0])
-    sol = solve(StandardFormLP(c, A, b))
-    assert sol.status is Status.OPTIMAL
-    assert sol.objective == pytest.approx(-1.0, abs=1e-9)
+    for c, want in (([-1.0, 0.0, 0.0], -1.0), ([1.0, 2.0, 0.0], 0.0)):
+        lp = StandardFormLP(np.array(c), A, b)
+        sol = solve(lp)
+        assert sol.status is Status.OPTIMAL
+        assert sol.objective == pytest.approx(want, abs=1e-9)
+        # the certificate holds on the rows the basis spans
+        assert len(sol.rows) == len(sol.basis) == 1
+        assert verify_optimality(lp, sol)
+        dropped = [i for i in range(2) if i not in sol.rows]
+        assert sol.duals[dropped] == pytest.approx(0.0)
+        reduced = lp.c - A.T @ sol.duals
+        assert reduced.min() >= -OPT_TOL
+        np.testing.assert_allclose(reduced[list(sol.basis)], 0.0,
+                                   atol=1e-12)

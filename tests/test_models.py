@@ -237,10 +237,14 @@ def test_custom_bounds_match_enumeration(lower, upper):
 @pytest.mark.parametrize("phi", [0.0, 0.5])
 def test_stage1_phi_below_one_is_a_solver_error(monkeypatch, phi):
     # lambda = e_o, phi = 1 is feasible under CRS and VRS, so a smaller
-    # stage-1 optimum can only be numerical failure
-    stage1 = SimpleNamespace(objective=-phi)
-    monkeypatch.setattr(models, "_framed_solve",
-                        lambda *args, **kwargs: (None, stage1, None))
+    # stage-1 optimum can only be numerical failure; it is an error when
+    # the cold retry ends there too
+    monkeypatch.setattr(models, "_solve_stage",
+                        lambda tpl, ks, *args, **kwargs: SimpleNamespace(
+                            objective=np.full(ks.size, -phi)))
+    monkeypatch.setattr(linprog, "solve", lambda lp: SimpleNamespace(
+        status=linprog.Status.OPTIMAL, objective=-phi, basis=(),
+        primal=np.empty(0)))
     for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
         with pytest.raises(SolverError, match="'B'.*phi"):
             evaluate_ccr_output(CANONICAL, "B",
@@ -393,3 +397,93 @@ def test_concurrent_equals_serial():
             lambda dmu: evaluate_sbm_undesirable(d, dmu, SBM).score,
             d.dmu_names))
     assert serial == parallel
+
+
+def test_stage1_cold_retry_scores_a_warm_phi_just_below_one():
+    # columns spanning 6 decades, the last DMU a copy of the first: the
+    # warm start ends d14's stage 1 at phi = 1 - 9.7e-9, a cold two-phase
+    # solve at 1 - 4e-11 (HiGHS: EE 1.0)
+    values = 10 ** np.random.default_rng(36).uniform(-3, 3, (20, 6))
+    values[-1] = values[0]
+    d = Dataset(tuple(f"d{i}" for i in range(20)),
+                tuple(Indicator(f"x{i}", Role.INPUT) for i in range(4))
+                + (Indicator("x4", Role.DESIRABLE),
+                   Indicator("x5", Role.UNDESIRABLE)), values)
+    results = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT,
+                                        ReturnsToScale.vrs()))
+    assert results[14].dmu == "d14"
+    assert results[14].score == 1.0
+
+
+def test_full_width_pricing_is_blocked():
+    # pricing all n lambda-columns for all n DMUs in one (n, n) float64
+    # array would take 8 n^2 bytes inside a stage's solve; the results
+    # themselves hold n lambda vectors of n entries, so the bound applies
+    # to each stage's solve, not to the whole call
+    import tracemalloc
+    d = table1_panel(1000, seed=3)
+    n = len(d.dmu_names)
+    real_stage = models._solve_stage
+    peaks = []
+
+    def measured(*args, **kwargs):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run = real_stage(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return run
+
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_solve_stage", measured)
+            evaluate_all(d, CCR)
+            evaluate_all(d, SBM)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3
+    assert max(peaks) < 8 * n * n
+
+
+@st.composite
+def panels(draw):
+    """Small positive panels with duplicate and dominated DMUs."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 3))
+    k = m + 2
+    values = np.array(draw(st.lists(st.floats(0.5, 10.0), min_size=n * k,
+                                    max_size=n * k))).reshape(n, k)
+    for i in range(1, n):
+        kind = draw(st.sampled_from(("free", "duplicate", "dominated")))
+        if kind == "free":
+            continue
+        j = draw(st.integers(0, i - 1))
+        values[i] = values[j]
+        if kind == "dominated":
+            worse = draw(st.floats(1.0, 2.0))
+            values[i, :m] *= worse   # more input
+            values[i, m] /= worse    # less desirable output
+            values[i, m + 1] *= worse  # more undesirable output
+    indicators = (tuple(Indicator(f"x{i}", Role.INPUT) for i in range(m))
+                  + (Indicator("g", Role.DESIRABLE),
+                     Indicator("b", Role.UNDESIRABLE)))
+    return Dataset(tuple(f"d{i}" for i in range(n)), indicators, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(panels(), st.sampled_from(list(ModelKind)),
+       st.sampled_from((ReturnsToScale.crs(), ReturnsToScale.vrs())))
+def test_lockstep_matches_cold_and_single_dmu_solves(d, kind, rts):
+    spec = ModelSpec(kind, rts)
+    single = (evaluate_ccr_output if kind is ModelKind.CCR_OUTPUT
+              else evaluate_sbm_undesirable)
+    tpl = models._Template(build_instance(d, d.dmu_names[0], spec), kind)
+    cols = tpl.columns(np.arange(tpl.n))
+    for k, r in enumerate(evaluate_all(d, spec)):
+        cold = solve(tpl.lp(k, cols))
+        assert cold.status is linprog.Status.OPTIMAL
+        want = (1.0 / -cold.objective if kind is ModelKind.CCR_OUTPUT
+                else cold.objective)
+        assert r.score == pytest.approx(want, abs=1e-9)
+        assert single(d, r.dmu, spec).score == pytest.approx(r.score,
+                                                             abs=1e-9)
