@@ -9,8 +9,8 @@ and ratio-test ties broken on the smaller basis index.
   basis inverses, batched pricing and ratio tests, and rank-1 updates.
   The LPs share one block of zero-cost columns and differ in their own
   columns, costs and right-hand sides.  It needs a feasible start basis.
-- `solve` is a two-phase dense-tableau simplex for one LP from any start,
-  used where no feasible start basis is known.
+- `solve` is a two-phase dense-tableau simplex for one LP, used where no
+  feasible start basis is known.
 """
 
 from __future__ import annotations
@@ -152,43 +152,14 @@ def _run(T: np.ndarray, basis: np.ndarray, iteration: int, iter_cap: int,
         iteration += 1
 
 
-def _start_tableau(c: np.ndarray, A: np.ndarray, b: np.ndarray, basis,
-                   b_scale: float):
-    """Phase-2 tableau on the columns `basis`, or None when they are not an
-    invertible basis or their basic solution is infeasible."""
-    m, n = A.shape
-    basis = np.array(basis, dtype=np.int64)
-    listed = basis.tolist()
-    if (m == 0 or basis.shape != (m,) or len(set(listed)) != m
-            or min(listed) < 0 or max(listed) >= n):
-        return None
-    try:
-        body = np.linalg.solve(A[:, basis], np.column_stack((A, b)))
-    except np.linalg.LinAlgError:
-        return None
-    if (not np.isfinite(body).all()
-            or body[:, -1].min() < -FEAS_TOL * b_scale):
-        return None
-    T = np.empty((m + 1, n + 1))
-    T[:m] = body
-    T[:m, basis] = np.eye(m)
-    np.maximum(body[:, -1], 0.0, out=T[:m, -1])
-    cb = c[basis]
-    T[m, :n] = c - cb @ T[:m, :n]
-    T[m, -1] = -(cb @ T[:m, -1])
-    return T, basis
-
-
-def solve(lp: StandardFormLP, *, basis=None, iter_cap: Optional[int] = None,
+def solve(lp: StandardFormLP, *, iter_cap: Optional[int] = None,
           log: Optional[IO[str]] = None) -> LPSolution:
     """Two-phase dense simplex.
 
     Phase 1 minimizes the sum of one artificial variable per row; phase 2
-    restores the original costs.  A start `basis` (one column index per
-    row) skips phase 1 when those columns are invertible and their basic
-    solution B^-1 b is feasible to within FEAS_TOL; otherwise phase 1 runs
-    as without it.  Dantzig pivoting with a Bland's-rule fallback after
-    `BLAND_AFTER` consecutive degenerate pivots guarantees termination.
+    restores the original costs.  Dantzig pivoting with a Bland's-rule
+    fallback after `BLAND_AFTER` consecutive degenerate pivots guarantees
+    termination.
     Deterministic for identical input.  `iter_cap` bounds the pivots of
     both phases together (default `ITER_CAP`); `log` gets one line per
     pivot.
@@ -203,62 +174,55 @@ def solve(lp: StandardFormLP, *, basis=None, iter_cap: Optional[int] = None,
         b = b * sign
     b_scale = 1.0 + (float(np.max(b)) if m else 0.0)
 
-    start = (_start_tableau(lp.c, A, b, basis, b_scale)
-             if basis is not None else None)
-    if start is not None:
-        T2, basis = start
-        it = 0
-        keep = list(range(m))
-    else:
-        # Phase 1: artificial basis, cost = sum of artificials.
-        T = np.zeros((m + 1, n + m + 1))
-        T[:m, :n] = A
-        T[:m, n:n + m] = np.eye(m)
-        T[:m, -1] = b
-        T[m, :n] = -A.sum(axis=0)
-        T[m, -1] = -b.sum()
-        basis = np.arange(n, n + m, dtype=np.int64)
+    # Phase 1: artificial basis, cost = sum of artificials.
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :n] = -A.sum(axis=0)
+    T[m, -1] = -b.sum()
+    basis = np.arange(n, n + m, dtype=np.int64)
 
-        status, it = _run(T, basis, 0, cap, log, 1)
-        if status is Status.ITERATION_LIMIT:
-            return _failed(status, n, it)
-        if status is Status.UNBOUNDED:
-            # phase-1 objective is bounded below by zero; only numerical
-            # breakdown can land here
-            return _failed(Status.NUMERICAL_BREAKDOWN, n, it)
-        if -T[m, -1] > FEAS_TOL * b_scale:
-            return _failed(Status.INFEASIBLE, n, it)
+    status, it = _run(T, basis, 0, cap, log, 1)
+    if status is Status.ITERATION_LIMIT:
+        return _failed(status, n, it)
+    if status is Status.UNBOUNDED:
+        # phase-1 objective is bounded below by zero; only numerical
+        # breakdown can land here
+        return _failed(Status.NUMERICAL_BREAKDOWN, n, it)
+    if -T[m, -1] > FEAS_TOL * b_scale:
+        return _failed(Status.INFEASIBLE, n, it)
 
-        # Drive leftover artificials out of the basis; a row that offers no
-        # pivot in the original columns is redundant and gets dropped.
-        drop = []
-        for i in range(m):
-            if basis[i] >= n:
-                cols = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
-                if cols.size:
-                    _pivot(T, i, int(cols[0]))
-                    basis[i] = int(cols[0])
-                else:
-                    drop.append(i)
-        keep = [i for i in range(m) if i not in drop]
-        rows_kept = len(keep)
+    # Drive leftover artificials out of the basis; a row that offers no
+    # pivot in the original columns is redundant and gets dropped.
+    drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            cols = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
+            if cols.size:
+                _pivot(T, i, int(cols[0]))
+                basis[i] = int(cols[0])
+            else:
+                drop.append(i)
+    keep = [i for i in range(m) if i not in drop]
+    rows_kept = len(keep)
 
-        # Phase 2 tableau: original columns only, costs re-priced on the
-        # basis.
-        T2 = np.empty((rows_kept + 1, n + 1))
-        T2[:rows_kept, :n] = T[keep, :n]
-        T2[:rows_kept, -1] = T[keep, -1]
-        basis = basis[keep]
-        cb = lp.c[basis]
-        T2[rows_kept, :n] = lp.c - cb @ T2[:rows_kept, :n]
-        T2[rows_kept, -1] = -(cb @ T2[:rows_kept, -1])
+    # Phase 2 tableau: original columns only, costs re-priced on the
+    # basis.
+    T2 = np.empty((rows_kept + 1, n + 1))
+    T2[:rows_kept, :n] = T[keep, :n]
+    T2[:rows_kept, -1] = T[keep, -1]
+    basis = basis[keep]
+    cb = lp.c[basis]
+    T2[rows_kept, :n] = lp.c - cb @ T2[:rows_kept, :n]
+    T2[rows_kept, -1] = -(cb @ T2[:rows_kept, -1])
 
     status, it = _run(T2, basis, it, cap, log, 2)
     if status is not Status.OPTIMAL:
         return _failed(status, n, it)
 
     primal = np.zeros(n)
-    x_basic = T2[:len(keep), -1]
+    x_basic = T2[:rows_kept, -1]
     duals = None
     try:
         B_inv = np.linalg.inv(A[keep][:, basis])
@@ -324,8 +288,6 @@ class Lockstep:
     the start inverses in.  An LP whose start is unusable is never stepped.
     """
 
-    head = 1  # own columns before the shared block
-
     def __init__(self, S: np.ndarray, O: np.ndarray, c: np.ndarray,
                  b: np.ndarray, basis: np.ndarray,
                  Binv: Optional[np.ndarray] = None):
@@ -333,6 +295,8 @@ class Lockstep:
         self.O, self.c, self.b = O, c, b
         self.basis = np.array(basis, dtype=np.int64)
         n = len(self.basis)
+        if self.basis.shape != (n, S.shape[0]):
+            raise SolverError("a start basis needs one column per row")
         self.b_scale = 1.0 + np.abs(b).max(axis=1, initial=0.0)
         if Binv is None:
             Binv, ok = _inverses(self._basis_matrix(np.arange(n)))
@@ -350,8 +314,8 @@ class Lockstep:
     def _own(self, ids: np.ndarray):
         """Which column indices are shared, and each own column's position
         in `O` (0 for shared ones)."""
-        shared = (ids >= self.head) & (ids < self.head + self.N)
-        pos = np.where(ids < self.head, ids, ids - self.N)
+        shared = (ids >= 1) & (ids <= self.N)
+        pos = np.where(ids == 0, 0, ids - self.N)
         return shared, np.where(shared, 0, pos)
 
     def _basis_matrix(self, ls: np.ndarray) -> np.ndarray:
@@ -359,7 +323,7 @@ class Lockstep:
         shared, pos = self._own(ids)
         B = np.take_along_axis(self.O[ls], pos[:, None, :], axis=2)
         li, ri = np.nonzero(shared)
-        B[li, :, ri] = self.S[:, ids[li, ri] - self.head].T
+        B[li, :, ri] = self.S[:, ids[li, ri] - 1].T
         return B
 
     def _basic_costs(self, c: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -396,20 +360,19 @@ class Lockstep:
         self.status[l] = Status.OPTIMAL
         self.refine(np.array([l]))
 
-    def step(self, ls: np.ndarray, cand: np.ndarray, extra: np.ndarray,
-             iter_cap: int = ITER_CAP) -> None:
+    def step(self, ls: np.ndarray, cand: np.ndarray,
+             extra: np.ndarray) -> None:
         """Pivot the LPs `ls` until each is OPTIMAL on its candidate columns,
-        UNBOUNDED, or at `iter_cap` pivots (ITERATION_LIMIT).
+        UNBOUNDED, or at `ITER_CAP` pivots (ITERATION_LIMIT).
 
         LP l's candidates are its own columns, the shared columns `cand`
         (indices into `S`) and the shared column `extra[l]`.
         """
-        head, N = self.head, self.N
+        N = self.N
         ls = np.asarray(ls, dtype=np.int64)
         q, F = self.O.shape[2], cand.size
         S_c = self.S[:, cand]
-        ids = np.concatenate((np.arange(head), np.arange(head + N, N + q),
-                              head + cand))
+        ids = np.concatenate(([0], np.arange(1 + N, N + q), 1 + cand))
         big = N + q + 1
         Binv, x, basis = self.Binv[ls], self.x[ls], self.basis[ls]
         O, c, it = self.O[ls], self.c[ls], self.iterations[ls]
@@ -432,7 +395,7 @@ class Lockstep:
             if bland.any():
                 all_ids = np.empty(red.shape, dtype=np.int64)
                 all_ids[:, :-1] = ids
-                all_ids[:, -1] = head + ext
+                all_ids[:, -1] = 1 + ext
                 first = np.where(red[bland] < -OPT_TOL, all_ids[bland],
                                  big).argmin(axis=1)
                 enter[bland] = first
@@ -450,7 +413,7 @@ class Lockstep:
             np.maximum(ratio, 0.0, out=ratio)
             best = ratio.min(axis=1)
             row = np.where(ratio == best[:, None], basis, big).argmin(axis=1)
-            capped = ~optimal & (it >= iter_cap)
+            capped = ~optimal & (it >= ITER_CAP)
             unbounded = ~optimal & ~capped & ~positive.any(axis=1)
             done = optimal | capped | unbounded
             if done.any():
@@ -467,11 +430,11 @@ class Lockstep:
                 degenerate, enter, d, best, row = (
                     degenerate[go], enter[go], d[go], best[go], row[go])
                 rows = np.arange(ls.size)
-            entering = np.where(enter < head, enter, enter + N)
+            entering = np.where(enter == 0, 0, enter + N)
             shared = (enter >= q) & (enter < q + F)
-            entering[shared] = head + cand[enter[shared] - q]
+            entering[shared] = 1 + cand[enter[shared] - q]
             last = enter == q + F
-            entering[last] = head + ext[last]
+            entering[last] = 1 + ext[last]
             exchange(Binv, row, d)
             x -= best[:, None] * d
             x[rows, row] = best

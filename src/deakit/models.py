@@ -507,7 +507,10 @@ class SbmRecovery:
         """(t, lambda, s_in, s_good, s_bad) of one LP's primal solution, or
         of one per row of a matrix (then each is one row per LP)."""
         t = primal[..., :1]
-        low = t <= 1e-7
+        # The SBM LP's b is e_0 (normalization row), so the solver takes a
+        # basic value within PIVOT_TOL * (1 + max|b|) of 0 for 0; any t
+        # above that is a scale that can be divided by.
+        low = t <= 2.0 * linprog.PIVOT_TOL
         if low.any():
             raise ModelError("degenerate Charnes-Cooper scale "
                              f"(t = {float(t[low][0]):.3e})")

@@ -91,3 +91,11 @@ def test_wide_range_ccr_vrs_scores_or_raises():
     X, Yg = d.values[:, :4].T, d.values[:, 4:5].T
     assert r.score == pytest.approx(highs_ccr(X, Yg, 12, True),
                                     abs=SCORE_TOL)
+
+
+def test_wide_range_sbm_with_a_tiny_charnes_cooper_scale():
+    """d0's SBM optimum under CRS has t = 1.75e-8: its goods slack is
+    millions of times its own good output.  Once raised "degenerate
+    Charnes-Cooper scale"."""
+    d = wide_range_panel(5, 50)
+    _check_panel(d, False, range(5))

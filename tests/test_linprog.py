@@ -7,7 +7,7 @@ import pytest
 
 from deakit import LPSolution, SolverError, StandardFormLP, Status, solve, \
     verify_optimality
-from deakit.linprog import OPT_TOL
+from deakit.linprog import FEAS_TOL, OPT_TOL, Lockstep
 from oracles import lp_enum_min, random_bounded_lp
 
 
@@ -93,16 +93,53 @@ def test_every_optimal_passes_certificate(seed):
     np.testing.assert_allclose(reduced[list(sol.basis)], 0.0, atol=1e-12)
 
 
+def lockstep(lp: StandardFormLP, bases) -> Lockstep:
+    """A `Lockstep` batch of copies of `lp`, one per start basis: column 0
+    leads, one zero column stands in for the shared block, and the LP's
+    other columns follow it (column j is the batch's j + 1)."""
+    bases = [[j + (j > 0) for j in basis] for basis in bases]
+    k = len(bases)
+    return Lockstep(np.zeros((lp.n_constraints, 1)),
+                    np.repeat(lp.A[None], k, axis=0),
+                    np.repeat(lp.c[None], k, axis=0),
+                    np.repeat(lp.b[None], k, axis=0), bases)
+
+
+def step_all(run: Lockstep) -> np.ndarray:
+    """Step every LP of `run` with a usable start; their indices."""
+    ls = np.flatnonzero(run.usable)
+    run.step(ls, np.zeros(1, dtype=np.int64), np.zeros(len(run.b), np.int64))
+    return ls
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_any_start_basis_reaches_the_optimum(seed):
-    # feasible, infeasible and singular starts alike
+    # every feasible basis is a usable lockstep start and steps to the
+    # enumerated optimum; infeasible and singular ones are not usable
     lp = random_bounded_lp(seed)
     best, _ = lp_enum_min(lp)
-    for basis in itertools.combinations(range(lp.n_vars), lp.n_constraints):
-        sol = solve(lp, basis=basis)
-        assert sol.status is Status.OPTIMAL
-        assert sol.objective == pytest.approx(best, abs=1e-7)
+    bases = list(itertools.combinations(range(lp.n_vars), lp.n_constraints))
+    run = lockstep(lp, bases)
+    b_scale = 1.0 + np.abs(lp.b).max()
+    for basis, usable in zip(bases, run.usable):
+        try:
+            xb = np.linalg.solve(lp.A[:, basis], lp.b)
+            feasible = xb.min() >= -FEAS_TOL * b_scale
+        except np.linalg.LinAlgError:
+            feasible = False
+        assert usable == feasible
+    for l in step_all(run):
+        assert run.status[l] is Status.OPTIMAL
+        assert run.objective[l] == pytest.approx(best, abs=1e-7)
+        basis = run.basis[l] - (run.basis[l] > 0)
+        primal = np.zeros(lp.n_vars)
+        primal[basis] = run.x[l]
+        sol = LPSolution(Status.OPTIMAL, float(lp.c @ primal), primal,
+                         tuple(basis.tolist()), int(run.iterations[l]))
         assert verify_optimality(lp, sol)
+        y = np.linalg.solve(lp.A[:, basis].T, lp.c[basis])
+        np.testing.assert_allclose(run.duals(np.array([l]))[0], y,
+                                   atol=1e-9)
 
 
 @pytest.mark.parametrize("basis,phase1", [
@@ -113,13 +150,20 @@ def test_any_start_basis_reaches_the_optimum(seed):
     ((0, 1, 2), True),  # one column too many
 ])
 def test_start_basis_skips_phase1_only_when_usable(basis, phase1):
-    stream = io.StringIO()
-    sol = solve(example_lp(), basis=basis, log=stream)
-    assert sol.status is Status.OPTIMAL
-    assert sol.objective == pytest.approx(-2.0, abs=1e-12)
-    assert ("[phase1]" in stream.getvalue()) is phase1
-    if basis == (0, 1):
-        assert sol.iterations == 0
+    # a lockstep LP starts only from an invertible, feasible basis; any
+    # other start needs phase 1
+    lp = example_lp()
+    if len(basis) != lp.n_constraints:
+        with pytest.raises(SolverError, match="one column per row"):
+            lockstep(lp, [basis])
+        return
+    run = lockstep(lp, [basis])
+    assert bool(run.usable[0]) is not phase1
+    if run.usable[0]:
+        step_all(run)
+        assert run.status[0] is Status.OPTIMAL
+        assert run.objective[0] == pytest.approx(-2.0, abs=1e-12)
+        assert (run.iterations[0] == 0) == (basis == (0, 1))
 
 
 def test_phase1_breakdown_has_its_own_status():
