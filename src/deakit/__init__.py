@@ -3,7 +3,8 @@
 Output-oriented CCR and SBM-with-undesirable-outputs models over small
 datasets of decision-making units, with dataset I/O, descriptive stats,
 synthesis, correlations, rankings, and report rendering.  Every model is
-solved on the package's own two-phase simplex (`solve`).
+solved on the package's own revised simplex (`linprog.Lockstep`), whose
+two-phase batch of one is `solve`.
 """
 
 from .analysis import (ComparisonRecord, CorrelationMatrix, compare_models,

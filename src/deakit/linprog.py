@@ -1,23 +1,21 @@
-"""Minimization LPs in equality standard form and two simplex solvers.
+"""Minimization LPs in equality standard form and one simplex.
 
 All variables are nonnegative and every constraint is an equality; callers
-add slack/surplus columns themselves.  Both solvers use Dantzig pricing, a
-Bland's-rule fallback after `BLAND_AFTER` consecutive degenerate pivots,
-and ratio-test ties broken on the smaller basis index.
+add slack/surplus columns themselves.
 
 - `Lockstep` steps a batch of LPs together with a revised simplex: stacked
   basis inverses, batched pricing and ratio tests, and rank-1 updates.
   The LPs share one block of zero-cost columns and differ in their own
   columns, costs and right-hand sides.  It needs a feasible start basis.
-- `solve` is a two-phase dense-tableau simplex for one LP, used where no
-  feasible start basis is known.
+- `solve` is its two-phase batch of one, for an LP with no known
+  feasible start basis.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -87,161 +85,93 @@ class LPSolution:
     rows: Optional[tuple[int, ...]] = None
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    prow = T[row]
-    prow /= T[row, col]
-    coef = T[:, col].copy()
-    coef[row] = 0.0
-    T -= np.outer(coef, prow)
-
-
 def _failed(status: Status, n_vars: int, iterations: int) -> LPSolution:
     return LPSolution(status, float("nan"), np.full(n_vars, np.nan), (),
                       iterations)
 
 
-def _run(T: np.ndarray, basis: np.ndarray, iteration: int, iter_cap: int,
-         log: Optional[IO[str]], phase: int) -> tuple[Status, int]:
-    """Primal simplex pivots on a tableau until an exit condition.
+def solve(lp: StandardFormLP) -> LPSolution:
+    """Two-phase revised simplex: a `Lockstep` batch of one LP.
 
-    `T` is (rows+1) x (cols+1): constraint rows, then the reduced-cost row;
-    the last column is the right-hand side.  Both `T` and `basis` are
-    updated in place.  Returns the status (OPTIMAL, UNBOUNDED or
-    ITERATION_LIMIT) and the total iteration count.
+    Phase 1 starts from one artificial column per row (cost 1, identity
+    basis) and minimizes their sum; once it stops, it steps on from a
+    recomputed B^-1.  Artificials still basic after it are driven out by
+    exchanges; a row that offers no pivot in the LP's columns is redundant,
+    keeps its artificial basic at zero and is left out of `rows`.  Phase 2
+    restores the original costs from that basis, with B^-1 recomputed; a
+    basis that then shows singular or infeasible ends NUMERICAL_BREAKDOWN.
+    `ITER_CAP` bounds the pivots of both phases together.  Deterministic
+    for identical input.
     """
-    n_rows = T.shape[0] - 1
-    n_cols = T.shape[1] - 1
-    red = T[n_rows]
-    degenerate_run = 0
-    while True:
-        if degenerate_run >= BLAND_AFTER:
-            col = -1
-            for j in range(n_cols):
-                if red[j] < -OPT_TOL:
-                    col = j
-                    break
-        else:
-            col = int(np.argmin(red[:n_cols]))
-            if red[col] >= -OPT_TOL:
-                col = -1
-        if col < 0:
-            return Status.OPTIMAL, iteration
-        if iteration >= iter_cap:
-            return Status.ITERATION_LIMIT, iteration
-
-        # Ratio test; ties broken on the smaller basis index (Bland-safe).
-        row = -1
-        best = 0.0
-        for i in range(n_rows):
-            a = T[i, col]
-            if a > PIVOT_TOL:
-                ratio = T[i, n_cols] / a
-                if row < 0 or ratio < best or (ratio == best
-                                               and basis[i] < basis[row]):
-                    row = i
-                    best = ratio
-        if row < 0:
-            return Status.UNBOUNDED, iteration
-        if log is not None:
-            log.write(f"[phase{phase}] it={iteration} enter=x{col} "
-                      f"leave=x{basis[row]} ratio={best:.6g}\n")
-        degenerate_run = degenerate_run + 1 if best <= PIVOT_TOL else 0
-
-        _pivot(T, row, col)
-        basis[row] = col
-        iteration += 1
-
-
-def solve(lp: StandardFormLP, *, iter_cap: Optional[int] = None,
-          log: Optional[IO[str]] = None) -> LPSolution:
-    """Two-phase dense simplex.
-
-    Phase 1 minimizes the sum of one artificial variable per row; phase 2
-    restores the original costs.  Dantzig pivoting with a Bland's-rule
-    fallback after `BLAND_AFTER` consecutive degenerate pivots guarantees
-    termination.
-    Deterministic for identical input.  `iter_cap` bounds the pivots of
-    both phases together (default `ITER_CAP`); `log` gets one line per
-    pivot.
-    """
-    cap = ITER_CAP if iter_cap is None else iter_cap
     m, n = lp.n_constraints, lp.n_vars
-    A, b = lp.A, lp.b
-    sign = None
-    if m and b.min() < 0:
-        sign = np.where(b < 0, -1.0, 1.0)
-        A = A * sign[:, None]
-        b = b * sign
-    b_scale = 1.0 + (float(np.max(b)) if m else 0.0)
-
-    # Phase 1: artificial basis, cost = sum of artificials.
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
-    basis = np.arange(n, n + m, dtype=np.int64)
-
-    status, it = _run(T, basis, 0, cap, log, 1)
-    if status is Status.ITERATION_LIMIT:
-        return _failed(status, n, it)
-    if status is Status.UNBOUNDED:
-        # phase-1 objective is bounded below by zero; only numerical
+    sign = np.where(lp.b < 0, -1.0, 1.0)
+    A, b = lp.A * sign[:, None], lp.b * sign
+    # LP column j is the batch's column j + (j > 0): one zero column stands
+    # in for the shared block
+    S = np.zeros((m, 1))
+    none, one = np.zeros(0, np.int64), np.zeros(1, np.int64)
+    art = np.arange(n, n + m)
+    run = Lockstep(S, np.hstack((A, np.eye(m)))[None],
+                   np.concatenate((np.zeros(n), np.ones(m)))[None], b[None],
+                   (art + (art > 0))[None], np.eye(m)[None])
+    run.step(one, none, one)
+    if run.status[0] is Status.OPTIMAL:
+        # the drift of the rank-1 updates can make a basis look optimal, or
+        # infeasible, when it is not
+        run.refine(one)
+        if run.status[0] is Status.OPTIMAL:
+            run.step(one, none, one)
+    it = int(run.iterations[0])
+    if run.status[0] is Status.UNBOUNDED:
+        # the phase-1 objective is bounded below by zero; only numerical
         # breakdown can land here
         return _failed(Status.NUMERICAL_BREAKDOWN, n, it)
-    if -T[m, -1] > FEAS_TOL * b_scale:
+    if run.status[0] is not Status.OPTIMAL:
+        return _failed(run.status[0], n, it)
+    if run.objective[0] > FEAS_TOL * run.b_scale[0]:
         return _failed(Status.INFEASIBLE, n, it)
 
-    # Drive leftover artificials out of the basis; a row that offers no
-    # pivot in the original columns is redundant and gets dropped.
+    # each artificial left is basic at (near) zero: exchange it for the
+    # first nonbasic column with a nonzero entry in its row of B^-1 A
+    # (basic columns' entries there are zero only up to drift)
+    Binv = run.Binv[0]
+    basis = run.basis[0] - (run.basis[0] > 0)
     drop = []
-    for i in range(m):
-        if basis[i] >= n:
-            cols = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
-            if cols.size:
-                _pivot(T, i, int(cols[0]))
-                basis[i] = int(cols[0])
-            else:
-                drop.append(i)
-    keep = [i for i in range(m) if i not in drop]
-    rows_kept = len(keep)
+    for p in np.flatnonzero(basis >= n):
+        row = Binv[p] @ A
+        row[basis[basis < n]] = 0.0
+        cols = np.flatnonzero(np.abs(row) > PIVOT_TOL)
+        if not cols.size:
+            # phase 2 numbers the artificials it keeps n, n + 1, ...
+            drop.append(basis[p] - n)
+            basis[p] = n + len(drop) - 1
+            continue
+        d = Binv @ A[:, cols[0]]
+        exchange(run.Binv, np.array([p]), d[None])
+        basis[p] = cols[0]
+    drop = np.array(drop, dtype=np.int64)
 
-    # Phase 2 tableau: original columns only, costs re-priced on the
-    # basis.
-    T2 = np.empty((rows_kept + 1, n + 1))
-    T2[:rows_kept, :n] = T[keep, :n]
-    T2[:rows_kept, -1] = T[keep, -1]
-    basis = basis[keep]
-    cb = lp.c[basis]
-    T2[rows_kept, :n] = lp.c - cb @ T2[:rows_kept, :n]
-    T2[rows_kept, -1] = -(cb @ T2[:rows_kept, -1])
-
-    status, it = _run(T2, basis, it, cap, log, 2)
-    if status is not Status.OPTIMAL:
-        return _failed(status, n, it)
-
+    # Phase 2 on the LP's columns and the artificials of redundant rows
+    run = Lockstep(S, np.hstack((A, np.eye(m)[:, drop]))[None],
+                   np.concatenate((lp.c, np.zeros(drop.size)))[None], b[None],
+                   (basis + (basis > 0))[None])
+    run.iterations[0] = it
+    if run.usable[0]:
+        run.step(one, none, one)
+        it = int(run.iterations[0])
+        if run.status[0] is Status.OPTIMAL:
+            run.refine(one)
+    if run.status[0] is not Status.OPTIMAL:
+        return _failed(run.status[0] or Status.NUMERICAL_BREAKDOWN, n, it)
+    basis = run.basis[0] - (run.basis[0] > 0)
+    art = basis >= n
     primal = np.zeros(n)
-    x_basic = T2[:rows_kept, -1]
-    duals = None
-    try:
-        B_inv = np.linalg.inv(A[keep][:, basis])
-    except np.linalg.LinAlgError:
-        B_inv = None
-    if B_inv is not None:
-        # Re-solve on the original data to shed accumulated pivot drift.
-        refined = B_inv @ b[keep]
-        if np.all(refined >= -PIVOT_TOL * b_scale):
-            x_basic = refined
-        duals = np.zeros(m)
-        duals[keep] = lp.c[basis] @ B_inv
-        if sign is not None:
-            duals *= sign
-    primal[basis] = x_basic
-    objective = float(lp.c @ primal)
-    return LPSolution(Status.OPTIMAL, objective, primal,
-                      tuple(basis.tolist()), it, duals,
-                      None if len(keep) == m else tuple(keep))
+    primal[basis[~art]] = run.x[0, ~art]
+    rows = np.setdiff1d(np.arange(m), drop[basis[art] - n])
+    return LPSolution(Status.OPTIMAL, float(lp.c @ primal), primal,
+                      tuple(basis[~art].tolist()), it,
+                      run.duals(one)[0] * sign,
+                      tuple(rows.tolist()) if art.any() else None)
 
 
 def _inverses(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,10 +208,11 @@ class Lockstep:
     of its own columns.  LP l's own columns are `O[l]` (rows x own), their
     costs `c[l]`, and its right-hand side is `b[l]`.  Each LP keeps an
     explicit basis inverse `Binv[l]` and basic solution `x[l]` for the
-    column indices `basis[l]`.  `step` pivots every active LP at once with
-    the rules of `solve`: Dantzig pricing, Bland's rule after `BLAND_AFTER`
-    consecutive degenerate pivots, ratio-test ties broken on the smaller
-    column index.  An LP leaves the active set when it stops.
+    column indices `basis[l]`.  `step` pivots every active LP at once:
+    Dantzig pricing, Bland's rule after `BLAND_AFTER` consecutive
+    degenerate pivots, ratio-test ties broken on the smaller column index.
+    Basic columns price at exactly zero.  An LP leaves the active set when
+    it stops.
 
     The start `basis` is usable for an LP when its columns are invertible
     and B^-1 b is feasible to within FEAS_TOL (`usable`); `Binv` may pass
@@ -304,8 +235,9 @@ class Lockstep:
             ok = np.ones(n, dtype=bool)
         x = np.einsum("lrs,ls->lr", Binv, b)
         with np.errstate(invalid="ignore"):
-            ok &= (np.isfinite(x).all(axis=1)
-                   & (x.min(axis=1) >= -FEAS_TOL * self.b_scale))
+            low = x.min(axis=1, initial=0.0)
+            ok &= np.isfinite(x).all(axis=1) & (low >= -FEAS_TOL
+                                                * self.b_scale)
         self.Binv, self.x = Binv, np.maximum(x, 0.0)
         self.usable = ok
         self.status = np.full(n, None, dtype=object)
@@ -348,7 +280,8 @@ class Lockstep:
         Binv, ok = _inverses(self._basis_matrix(ls))
         x = np.einsum("lrs,ls->lr", Binv, self.b[ls])
         with np.errstate(invalid="ignore"):
-            keep = ok & (x.min(axis=1) >= -PIVOT_TOL * self.b_scale[ls])
+            low = x.min(axis=1, initial=0.0)
+            keep = ok & (low >= -PIVOT_TOL * self.b_scale[ls])
         self.x[ls[keep]] = x[keep]
         self.Binv[ls[ok]] = Binv[ok]
         self.status[ls[~ok]] = Status.NUMERICAL_BREAKDOWN
@@ -379,16 +312,27 @@ class Lockstep:
         ext = extra[ls]
         S_e = self.S[:, ext].T
         ext_in_cand = np.isin(ext, cand)
+        # each basic column's position in `red`; shared columns that are
+        # not candidates go to one last position, outside `red`
+        slot = np.full(N + q, q + F + 1)
+        slot[0], slot[1 + N:] = 0, np.arange(1, q)
+        slot[1 + cand] = np.arange(q, q + F)
+        at = np.where((basis == 1 + ext[:, None]) & ~ext_in_cand[:, None],
+                      q + F, slot[basis])
         degenerate = np.zeros(ls.size, dtype=np.int64)
         while ls.size:
             rows = np.arange(ls.size)
             y = np.einsum("lr,lrs->ls", self._basic_costs(c, basis), Binv)
-            red = np.empty((ls.size, q + F + 1))
+            full = np.empty((ls.size, q + F + 2))
+            red = full[:, :-1]
             red[:, :q] = c - np.einsum("lr,lrq->lq", y, O)
             np.matmul(y, S_c, out=red[:, q:q + F])
             red[:, q:q + F] *= -1.0
             red[:, -1] = np.where(ext_in_cand, 0.0,
                                   -np.einsum("lr,lr->l", y, S_e))
+            # basic columns price at exactly zero, as on a tableau, so
+            # that drift in B^-1 never lets one enter twice
+            full[rows[:, None], at] = 0.0
             enter = red.argmin(axis=1)
             optimal = red[rows, enter] >= -OPT_TOL
             bland = degenerate >= BLAND_AFTER
@@ -408,11 +352,6 @@ class Lockstep:
             col[last] = S_e[last]
             d = np.einsum("lrs,ls->lr", Binv, col)
             positive = d > PIVOT_TOL
-            ratio = np.full(d.shape, np.inf)
-            np.divide(x, d, out=ratio, where=positive)
-            np.maximum(ratio, 0.0, out=ratio)
-            best = ratio.min(axis=1)
-            row = np.where(ratio == best[:, None], basis, big).argmin(axis=1)
             capped = ~optimal & (it >= ITER_CAP)
             unbounded = ~optimal & ~capped & ~positive.any(axis=1)
             done = optimal | capped | unbounded
@@ -426,10 +365,18 @@ class Lockstep:
                 go = ~done
                 ls, Binv, x, basis, O, c, it = (
                     ls[go], Binv[go], x[go], basis[go], O[go], c[go], it[go])
-                ext, S_e, ext_in_cand = ext[go], S_e[go], ext_in_cand[go]
-                degenerate, enter, d, best, row = (
-                    degenerate[go], enter[go], d[go], best[go], row[go])
+                ext, S_e, ext_in_cand, at = (
+                    ext[go], S_e[go], ext_in_cand[go], at[go])
+                degenerate, enter, d, positive = (
+                    degenerate[go], enter[go], d[go], positive[go])
+                if not ls.size:
+                    return
                 rows = np.arange(ls.size)
+            ratio = np.full(d.shape, np.inf)
+            np.divide(x, d, out=ratio, where=positive)
+            np.maximum(ratio, 0.0, out=ratio)
+            best = ratio.min(axis=1)
+            row = np.where(ratio == best[:, None], basis, big).argmin(axis=1)
             entering = np.where(enter == 0, 0, enter + N)
             shared = (enter >= q) & (enter < q + F)
             entering[shared] = 1 + cand[enter[shared] - q]
@@ -439,6 +386,7 @@ class Lockstep:
             x -= best[:, None] * d
             x[rows, row] = best
             basis[rows, row] = entering
+            at[rows, row] = enter
             degenerate = np.where(best <= PIVOT_TOL, degenerate + 1, 0)
             it += 1
 

@@ -1,13 +1,14 @@
 import dataclasses
-import io
 import itertools
 
 import numpy as np
 import pytest
 
-from deakit import LPSolution, SolverError, StandardFormLP, Status, solve, \
-    verify_optimality
+from deakit import (Dataset, Indicator, LPSolution, ModelKind, ModelSpec,
+                    ReturnsToScale, Role, SolverError, StandardFormLP, Status,
+                    build_instance, linprog, solve, verify_optimality)
 from deakit.linprog import FEAS_TOL, OPT_TOL, Lockstep
+from deakit.models import _Template
 from oracles import lp_enum_min, random_bounded_lp
 
 
@@ -50,10 +51,30 @@ def test_unbounded():
     assert solve(lp).status is Status.UNBOUNDED
 
 
-def test_iteration_limit_status():
-    lp = example_lp()
-    sol = solve(lp, iter_cap=1)
-    assert sol.status is Status.ITERATION_LIMIT
+def test_iteration_limit_status(monkeypatch):
+    # min -x - 2y  s.t.  x + s1 = 1,  y + s2 = 1 takes two pivots from the
+    # slack basis, and two in phase 1 from the artificial one
+    lp = StandardFormLP(np.array([-1.0, -2.0, 0.0, 0.0]),
+                        np.array([[1.0, 0.0, 1.0, 0.0],
+                                  [0.0, 1.0, 0.0, 1.0]]),
+                        np.array([1.0, 1.0]))
+    monkeypatch.setattr(linprog, "ITER_CAP", 1)
+    assert solve(lp).status is Status.ITERATION_LIMIT
+    run = lockstep(lp, [(2, 3)])
+    step_all(run)
+    assert run.status[0] is Status.ITERATION_LIMIT
+    assert run.iterations[0] == 1
+
+
+def test_zero_row_lp():
+    # no constraints: optimal at x = 0 when no cost is negative, else
+    # unbounded
+    A, b = np.zeros((0, 2)), np.zeros(0)
+    sol = solve(StandardFormLP(np.array([1.0, 2.0]), A, b))
+    assert sol.status is Status.OPTIMAL
+    assert sol.objective == 0.0
+    assert solve(StandardFormLP(np.array([-1.0, 2.0]), A,
+                                b)).status is Status.UNBOUNDED
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -166,6 +187,28 @@ def test_start_basis_skips_phase1_only_when_usable(basis, phase1):
         assert (run.iterations[0] == 0) == (basis == (0, 1))
 
 
+@pytest.mark.parametrize("seed,k", [(1, 1), (3, 1)])
+def test_a_basic_column_never_enters_twice(seed, k):
+    # DMU k's VRS CCR LP on a panel spanning 9 decades.  Drift in B^-1
+    # can price the basic phi column below -OPT_TOL; unless basic columns
+    # price at zero, phi enters a second time and the basis goes singular
+    # (NUMERICAL_BREAKDOWN).  The DMU is efficient, phi* = 1, by exact
+    # enumeration.
+    d = Dataset(tuple(f"d{i}" for i in range(5)),
+                tuple([Indicator(f"x{i}", Role.INPUT) for i in range(4)]
+                      + [Indicator("yg", Role.DESIRABLE),
+                         Indicator("yb", Role.UNDESIRABLE)]),
+                10 ** np.random.default_rng(seed).uniform(-3, 6, (5, 6)))
+    spec = ModelSpec(ModelKind.CCR_OUTPUT, ReturnsToScale.vrs())
+    tpl = _Template(build_instance(d, "d0", spec), spec.kind)
+    lp = tpl.lp(k, tpl.columns(np.arange(5)))
+    sol = solve(lp)
+    assert sol.status is Status.OPTIMAL
+    assert len(set(sol.basis)) == lp.n_constraints
+    assert verify_optimality(lp, sol)
+    assert sol.objective == pytest.approx(-1.0, abs=1e-9)
+
+
 def test_phase1_breakdown_has_its_own_status():
     # Every entry is below PIVOT_TOL, so no row can leave the basis, yet
     # their sum prices the column below -OPT_TOL in phase 1.
@@ -249,17 +292,6 @@ def test_degenerate_lp_terminates():
     sol = solve(StandardFormLP(c, A, b))
     assert sol.status is Status.OPTIMAL
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
-
-
-def test_debug_log_stream():
-    lp = example_lp()
-    stream = io.StringIO()
-    sol = solve(lp, log=stream)
-    assert sol.status is Status.OPTIMAL
-    text = stream.getvalue()
-    assert "enter=" in text and "[phase1]" in text
-    plain = solve(lp)
-    assert np.array_equal(sol.primal, plain.primal)
 
 
 def test_redundant_row_is_dropped():
