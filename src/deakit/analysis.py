@@ -1,4 +1,9 @@
-"""Statistics over model results: correlations, ranking, bands, comparison."""
+"""Statistics over model results: correlations, ranking, bands, comparison.
+
+`compare_models` computes each model's improvement rates for a whole
+panel in one array pass (the batch `improvement_targets` is one of); each
+column of its Mean row is `np.mean` of that column in DMU order.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +14,8 @@ import numpy as np
 
 from .dataset import Dataset, Role
 from .errors import DataError
-from .models import (EfficiencyResult, RateReport, RoleSlice,
-                     improvement_targets)
+from .models import (EfficiencyResult, RateReport, RoleSlice, _rate_reports,
+                     _rates)
 
 RANK_TOL = 5e-3
 
@@ -135,17 +140,12 @@ def efficiency_bands(records: Sequence[ComparisonRecord],
     return levels
 
 
-def _mean_rates(reports: Sequence[RateReport]) -> RateReport:
-    def avg(key: str) -> dict[str, float]:
-        dicts = [getattr(r, key) for r in reports]
-        names = list(dicts[0].keys()) if dicts else []
-        return {name: float(np.mean([dd[name] for dd in dicts]))
-                for name in names}
-
-    return RateReport(dmu="Mean",
-                      input_reduction_pct=avg("input_reduction_pct"),
-                      bad_reduction_pct=avg("bad_reduction_pct"),
-                      good_increase_pct=avg("good_increase_pct"))
+def _mean_rates(rates) -> RateReport:
+    # each column's mean is np.mean of a contiguous 1-D array in DMU
+    # order: a mean along an axis of a 2-D array sums in another order
+    return _rate_reports(["Mean"], [
+        (names, np.array([[np.mean(col) for col in np.array(v.T)]]))
+        for names, v in rates])[0]
 
 
 def compare_models(ee: Sequence[EfficiencyResult],
@@ -155,40 +155,41 @@ def compare_models(ee: Sequence[EfficiencyResult],
 
     Both result lists must cover the dataset's DMUs in dataset order.
     The mean record averages every numeric column; its ranks are None.
+    Each model's improvement rates are computed for the whole panel at
+    once; a record's rates equal `improvement_targets` of its result.
     """
     names = [r.dmu for r in ee]
     if names != [r.dmu for r in epi] or names != list(d.dmu_names):
         raise DataError("compare_models: DMU sets/order differ between "
                         "result lists and dataset")
-    ee_ranks = rank_scores([r.score for r in ee])
-    epi_ranks = rank_scores([r.score for r in epi])
+    ee_scores = [r.score for r in ee]
+    epi_scores = [r.score for r in epi]
+    ee_ranks, epi_ranks = rank_scores(ee_scores), rank_scores(epi_scores)
     meta_cols = d.role_columns(Role.META)
+    meta_names = [d.indicators[j].name for j in meta_cols]
     roles = RoleSlice(d)
+    ccr_rates = _rates(ee, roles)
+    sbm_rates = _rates(epi, roles)
 
-    records = []
-    for i, dmu in enumerate(names):
-        records.append(ComparisonRecord(
-            dmu=dmu,
-            ee=ee[i].score,
-            epi=epi[i].score,
-            ee_rank=ee_ranks[i],
-            epi_rank=epi_ranks[i],
-            ccr_rates=improvement_targets(ee[i], roles),
-            sbm_rates=improvement_targets(epi[i], roles),
-            meta={d.indicators[j].name: float(d.values[i, j])
-                  for j in meta_cols},
-        ))
+    records = [ComparisonRecord(
+        dmu=dmu, ee=a, epi=b, ee_rank=ra, epi_rank=rb, ccr_rates=ca,
+        sbm_rates=cb, meta=dict(zip(meta_names, meta)))
+        for dmu, a, b, ra, rb, ca, cb, meta in zip(
+            names, ee_scores, epi_scores, ee_ranks, epi_ranks,
+            _rate_reports(names, ccr_rates),
+            _rate_reports(names, sbm_rates),
+            d.values[:, meta_cols].tolist())]
 
     mean_meta = {d.indicators[j].name: float(d.values[:, j].mean())
                  for j in meta_cols}
     records.append(ComparisonRecord(
         dmu="Mean",
-        ee=float(np.mean([r.ee for r in records])),
-        epi=float(np.mean([r.epi for r in records])),
+        ee=float(np.mean(ee_scores)),
+        epi=float(np.mean(epi_scores)),
         ee_rank=None,
         epi_rank=None,
-        ccr_rates=_mean_rates([r.ccr_rates for r in records]),
-        sbm_rates=_mean_rates([r.sbm_rates for r in records]),
+        ccr_rates=_mean_rates(ccr_rates),
+        sbm_rates=_mean_rates(sbm_rates),
         meta=mean_meta,
         is_mean=True,
     ))

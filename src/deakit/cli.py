@@ -14,11 +14,11 @@ from typing import Optional, Sequence
 
 from .analysis import compare_models, correlation_matrix, efficiency_bands, \
     rank_scores
-from .dataset import CsvSchema, Dataset, Role, descriptive_stats, load_csv, \
+from .dataset import CsvSchema, Dataset, descriptive_stats, load_csv, \
     load_stats_spec, render_csv, synthesize_matching
 from .errors import DeaError
-from .models import (ModelKind, ModelSpec, ReturnsToScale, RoleSlice,
-                     evaluate_all, improvement_targets)
+from .models import (ModelKind, ModelSpec, ReturnsToScale, RoleSlice, _rates,
+                     evaluate_all)
 from .render import Column, Table, render_table
 
 _MODEL_TOKENS = {k.value: k for k in ModelKind}
@@ -112,33 +112,24 @@ def _note(cfg: RunConfig, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _rate_columns(d: Dataset, prefix: str = "",
+def _rate_columns(roles: RoleSlice, prefix: str = "",
                   include_bads: bool = True) -> list[Column]:
-    cols = []
-    for j in d.role_columns(Role.INPUT):
-        cols.append(Column(f"{prefix}reduce {d.indicators[j].name} (%)",
-                           "rate"))
-    if include_bads:
-        for j in d.role_columns(Role.UNDESIRABLE):
-            cols.append(Column(f"{prefix}reduce {d.indicators[j].name} (%)",
-                               "rate"))
-    for j in d.role_columns(Role.DESIRABLE):
-        cols.append(Column(f"{prefix}increase {d.indicators[j].name} (%)",
-                           "rate"))
-    return cols
+    reduced = roles.input_names + (roles.bad_names if include_bads else ())
+    return ([Column(f"{prefix}reduce {name} (%)", "rate")
+             for name in reduced]
+            + [Column(f"{prefix}increase {name} (%)", "rate")
+               for name in roles.good_names])
 
 
-def _rate_cells(d: Dataset, rates, include_bads: bool = True) -> list[float]:
-    cells = []
-    for j in d.role_columns(Role.INPUT):
-        cells.append(rates.input_reduction_pct.get(d.indicators[j].name, 0.0))
+def _rate_cells(roles: RoleSlice, rates,
+                include_bads: bool = True) -> list[float]:
+    cells = [rates.input_reduction_pct.get(name, 0.0)
+             for name in roles.input_names]
     if include_bads:
-        for j in d.role_columns(Role.UNDESIRABLE):
-            cells.append(rates.bad_reduction_pct.get(d.indicators[j].name,
-                                                     0.0))
-    for j in d.role_columns(Role.DESIRABLE):
-        cells.append(rates.good_increase_pct.get(d.indicators[j].name, 0.0))
-    return cells
+        cells += [rates.bad_reduction_pct.get(name, 0.0)
+                  for name in roles.bad_names]
+    return cells + [rates.good_increase_pct.get(name, 0.0)
+                    for name in roles.good_names]
 
 
 def _cmd_stats(cfg: RunConfig) -> str:
@@ -179,15 +170,15 @@ def _cmd_evaluate(cfg: RunConfig) -> str:
     results = evaluate_all(d, spec)
     roles = RoleSlice(d)
     with_bads = spec.kind is ModelKind.SBM_UNDESIRABLE
-    rows = []
     for r in results:
         _note(cfg, f"evaluated {r.dmu}: score {r.score:.6f}")
-        rates = improvement_targets(r, roles)
-        rows.append((r.dmu, r.score, *_rate_cells(d, rates, with_bads)))
+    # CCR results have no undesirable slacks, so `bads` has no columns
+    ins, bads, goods = (v.tolist() for _, v in _rates(results, roles))
     table = Table(
         columns=(Column("dmu", "text"), Column("score", "score"),
-                 *_rate_columns(d, include_bads=with_bads)),
-        rows=tuple(rows))
+                 *_rate_columns(roles, include_bads=with_bads)),
+        rows=tuple((r.dmu, r.score, *a, *b, *c)
+                   for r, a, b, c in zip(results, ins, bads, goods)))
     return render_table(table, cfg.fmt)
 
 
@@ -209,14 +200,15 @@ def _cmd_report(cfg: RunConfig) -> str:
     meta_names = sorted(records[0].meta)
     columns = [Column("dmu", "text"), Column("EE", "scorerank"),
                Column("EPI", "scorerank")]
-    columns += _rate_columns(d, prefix="CCR ", include_bads=False)
-    columns += _rate_columns(d, prefix="SBM ")
+    roles = RoleSlice(d)
+    columns += _rate_columns(roles, prefix="CCR ", include_bads=False)
+    columns += _rate_columns(roles, prefix="SBM ")
     columns += [Column(name) for name in meta_names]
     rows = []
     for rec in records:
         rows.append((rec.dmu, (rec.ee, rec.ee_rank), (rec.epi, rec.epi_rank),
-                     *_rate_cells(d, rec.ccr_rates, include_bads=False),
-                     *_rate_cells(d, rec.sbm_rates),
+                     *_rate_cells(roles, rec.ccr_rates, include_bads=False),
+                     *_rate_cells(roles, rec.sbm_rates),
                      *(rec.meta[name] for name in meta_names)))
     out = render_table(Table(tuple(columns), tuple(rows)), cfg.fmt)
     if cfg.fmt == "md":

@@ -152,7 +152,8 @@ def validate(d: Dataset) -> list[Violation]:
         if ind.role is Role.META:
             continue
         col = d.values[:, j]
-        for i in range(rows):
+        # one mask per column; a Violation is built only for a bad cell
+        for i in np.flatnonzero(~(np.isfinite(col) & (col > 0.0))).tolist():
             v = col[i]
             where = f"row {i + 1} ({d.dmu_names[i]}), column {ind.name!r}"
             if not math.isfinite(v):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -435,6 +435,27 @@ def _snap(v: float) -> float:
     return 1.0 if abs(v - 1.0) <= 1e-9 else v
 
 
+def _results(tpl: _Template, ks: np.ndarray, kind: ModelKind,
+             score: np.ndarray, phi: np.ndarray, lam, s_in: np.ndarray,
+             s_good: np.ndarray, s_bad: np.ndarray) -> list[EfficiencyResult]:
+    """One result per DMU of `ks` from per-DMU rows: scores (snapped to 1
+    within 1e-9), phi, lambda (an array or a sequence of rows) and slacks
+    in raw units.  Each result holds row views of the arrays."""
+    score = np.where(np.abs(score - 1.0) <= 1e-9, 1.0, score)
+    raw = tpl.raw[:, ks].T
+    m, ms = tpl.m, tpl.m + tpl.s1
+    inputs = raw[:, :m] - s_in
+    goods = phi[:, None] * raw[:, m:ms] + s_good
+    bads = raw[:, ms:ms + s_bad.shape[1]] - s_bad
+    return [EfficiencyResult(
+        dmu=tpl.names[k], kind=kind, score=v, phi=f, lam=la, slack_in=si,
+        slack_good=sg, slack_bad=sb,
+        projection=Projection(inputs=pi, goods=pg, bads=pb))
+        for k, v, f, la, si, sg, sb, pi, pg, pb in zip(
+            ks.tolist(), score.tolist(), phi.tolist(), lam, s_in, s_good,
+            s_bad, inputs, goods, bads)]
+
+
 def _ccr(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
     one = _solve_stage(tpl, ks, "CCR stage 1")
     phi = [_snap(float(-v)) for v in one.objective]
@@ -454,25 +475,16 @@ def _ccr(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
                        start=_phi_out(one, tpl))
     m, s1, n = tpl.m, tpl.s1, tpl.n
     x = _clip_tiny(two.x)
+    lam = np.zeros((ks.size, n))
+    li, ri = np.nonzero((two.basis > 0) & (two.basis <= n))
+    lam[li, two.basis[li, ri] - 1] = x[li, ri]
     slack = np.zeros((ks.size, tpl.tail.size))
     li, ri = np.nonzero(two.basis > n)
     slack[li, two.basis[li, ri] - tpl.tail[0]] = x[li, ri]
     s_in = slack[:, :m] * tpl.unit[:m]
     s_good = slack[:, m:m + s1] * tpl.unit[m:]
-    inputs = tpl.raw[:m, ks].T - s_in
-    goods = phi[:, None] * tpl.raw[m:, ks].T + s_good
-    out = []
-    for l, k in enumerate(ks):
-        lam = np.zeros(n)
-        sel = (two.basis[l] > 0) & (two.basis[l] <= n)
-        lam[two.basis[l, sel] - 1] = x[l, sel]
-        out.append(EfficiencyResult(
-            dmu=tpl.names[k], kind=ModelKind.CCR_OUTPUT,
-            score=_snap(float(1.0 / phi[l])), phi=float(phi[l]), lam=lam,
-            slack_in=s_in[l], slack_good=s_good[l], slack_bad=np.empty(0),
-            projection=Projection(inputs=inputs[l], goods=goods[l],
-                                  bads=np.empty(0))))
-    return out
+    return _results(tpl, ks, ModelKind.CCR_OUTPUT, 1.0 / phi, phi, lam,
+                    s_in, s_good, np.empty((ks.size, 0)))
 
 
 def evaluate_ccr_output(d: Dataset, dmu: str, spec: ModelSpec) -> EfficiencyResult:
@@ -541,27 +553,20 @@ def linearize_sbm(inst: ModelInstance) -> tuple[StandardFormLP, SbmRecovery]:
 def _sbm(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
     run = _solve_stage(tpl, ks, "SBM solve")
     recovery = tpl.recovery()
-    m, s1 = tpl.m, tpl.s1
-    score = run.objective
-    out = []
+    lam, slack = [], []
     per_block = max(1, PRICE_BLOCK // tpl.width)
     for lo in range(0, ks.size, per_block):
         part = np.arange(lo, min(lo + per_block, ks.size))
         primal = np.zeros((part.size, tpl.width))
         primal[part[:, None] - lo, run.basis[part]] = run.x[part]
-        _, lam, s_in, s_good, s_bad = recovery.recover(primal)
-        k = ks[part]
-        inputs = tpl.raw[:m, k].T - s_in
-        goods = tpl.raw[m:m + s1, k].T + s_good
-        bads = tpl.raw[m + s1:, k].T - s_bad
-        for i, l in enumerate(part):
-            out.append(EfficiencyResult(
-                dmu=tpl.names[ks[l]], kind=ModelKind.SBM_UNDESIRABLE,
-                score=_snap(float(score[l])), phi=1.0, lam=lam[i],
-                slack_in=s_in[i], slack_good=s_good[i], slack_bad=s_bad[i],
-                projection=Projection(inputs=inputs[i], goods=goods[i],
-                                      bads=bads[i])))
-    return out
+        _, block, *s = recovery.recover(primal)
+        lam.extend(block)
+        slack.append(np.hstack(s))
+    slack = np.concatenate(slack)
+    m, ms = tpl.m, tpl.m + tpl.s1
+    return _results(tpl, ks, ModelKind.SBM_UNDESIRABLE, run.objective,
+                    np.ones(ks.size), lam, slack[:, :m], slack[:, m:ms],
+                    slack[:, ms:])
 
 
 def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
@@ -576,39 +581,51 @@ def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
     return _sbm(_Template(inst, spec.kind), np.array([inst.index]))[0]
 
 
+def _rates(results: Sequence[EfficiencyResult], roles: RoleSlice):
+    """Percent improvement rates of results scored on the panel `roles`.
+
+    Returns (names, rates) per kind: input reduction, undesirable-output
+    reduction and desirable-output increase, with one row of `rates` per
+    result.  A kind has as many columns as the results have slacks of it.
+    """
+    try:
+        ks = [roles.rows[r.dmu] for r in results]
+    except KeyError as exc:
+        raise DataError(f"unknown DMU {exc.args[0]!r}") from None
+    radial = (np.array([r.phi for r in results]) - 1.0) * 100.0
+    out = []
+    for attr, names, values in (("slack_in", roles.input_names, roles.X),
+                                ("slack_bad", roles.bad_names, roles.Yb),
+                                ("slack_good", roles.good_names, roles.Yg)):
+        slack = np.array([getattr(r, attr) for r in results])
+        w = min(slack.shape[1], len(names))
+        v = 100.0 * slack[:, :w] / values[ks, :w]
+        if attr == "slack_good":
+            v = radial[:, None] + v
+        out.append((names[:w], np.where(v < 1e-7, 0.0, v)))
+    return out
+
+
+def _rate_reports(dmus: Sequence[str], rates) -> list[RateReport]:
+    """One RateReport per row of `rates` (see `_rates`)."""
+    (ins, x), (bads, yb), (goods, yg) = rates
+    return [RateReport(dmu=dmu, input_reduction_pct=dict(zip(ins, a)),
+                       bad_reduction_pct=dict(zip(bads, b)),
+                       good_increase_pct=dict(zip(goods, c)))
+            for dmu, a, b, c in zip(dmus, x.tolist(), yb.tolist(),
+                                    yg.tolist())]
+
+
 def improvement_targets(r: EfficiencyResult, roles: RoleSlice) -> RateReport:
     """Percent improvement rates implied by a result's slacks.
 
     `roles` is the slice of the panel `r` was scored on.  Inputs and
     undesirable outputs report reduction rates 100*s/value; the desirable
     outputs report 100*((phi-1) + s/value), folding the radial expansion
-    in.  Rates below 1e-7 snap to exactly 0.
+    in.  Rates below 1e-7 snap to exactly 0.  This is the batch of one of
+    the rates that `compare_models` computes for a whole panel.
     """
-    try:
-        k = roles.rows[r.dmu]
-    except KeyError:
-        raise DataError(f"unknown DMU {r.dmu!r}") from None
-
-    def pct(vals: dict[str, float]) -> dict[str, float]:
-        out = {}
-        for name, v in vals.items():
-            v = max(v, 0.0)
-            out[name] = 0.0 if v < 1e-7 else v
-        return out
-
-    radial = (r.phi - 1.0) * 100.0
-    return RateReport(
-        dmu=r.dmu,
-        input_reduction_pct=pct({
-            name: 100.0 * s / x for name, s, x
-            in zip(roles.input_names, r.slack_in, roles.X[k])}),
-        bad_reduction_pct=pct({
-            name: 100.0 * s / y for name, s, y
-            in zip(roles.bad_names, r.slack_bad, roles.Yb[k])}),
-        good_increase_pct=pct({
-            name: radial + 100.0 * s / y for name, s, y
-            in zip(roles.good_names, r.slack_good, roles.Yg[k])}),
-    )
+    return _rate_reports([r.dmu], _rates([r], roles))[0]
 
 
 def evaluate_all(d: Dataset, spec: ModelSpec, *,

@@ -10,6 +10,10 @@ full precision.  Column kinds:
 - num: general numeric, md uses up to 10 significant digits
 - scorerank: (score, rank) pair; md prints "0.49/6" ("1.00" if rank is
   None), csv/json split it into two fields
+
+The json text is that of `json.dumps(rows, indent=2, allow_nan=False)`
+with one object per row, but each column is encoded in one call of the C
+encoder and each row is one format of per-table key prefixes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from json.encoder import encode_basestring_ascii
 
 from .errors import DataError
 
@@ -71,19 +75,19 @@ def _full(v) -> str:
     return f"{v:.17g}"
 
 
-def _flat_cells(columns: Sequence[Column], row: Sequence):
-    """Expand scorerank pairs so csv/json carry score and rank separately."""
-    headers = []
-    cells = []
-    for col, v in zip(columns, row):
+def _flat_columns(table: Table) -> list[tuple[str, str, list]]:
+    """The table's columns as (header, kind, values), each scorerank column
+    split in two, so that csv/json carry score and rank separately."""
+    out = []
+    for j, col in enumerate(table.columns):
+        values = [row[j] for row in table.rows]
         if col.kind == "scorerank":
-            score, rank = (None, None) if v is None else v
-            headers += [col.header, f"{col.header} rank"]
-            cells += [("score", score), ("int", rank)]
+            pairs = [(None, None) if v is None else v for v in values]
+            out += [(col.header, "score", [p[0] for p in pairs]),
+                    (f"{col.header} rank", "int", [p[1] for p in pairs])]
         else:
-            headers.append(col.header)
-            cells.append((col.kind, v))
-    return headers, cells
+            out.append((col.header, col.kind, values))
+    return out
 
 
 def _render_md(table: Table) -> str:
@@ -104,49 +108,57 @@ def _render_md(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_cell(kind: str, v) -> str:
+    if v is None:
+        return ""
+    if kind == "text":
+        return str(v)
+    if kind == "int":
+        return str(int(v))
+    return _full(float(v))
+
+
 def _render_csv(table: Table) -> str:
+    columns = _flat_columns(table)
+    cells = [[_csv_cell(kind, v) for v in values]
+             for _, kind, values in columns]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    first = True
-    for row in table.rows:
-        headers, cells = _flat_cells(table.columns, row)
-        if first:
-            writer.writerow(headers)
-            first = False
-        out = []
-        for kind, v in cells:
-            if v is None:
-                out.append("")
-            elif kind == "text":
-                out.append(str(v))
-            elif kind == "int":
-                out.append(str(int(v)))
-            else:
-                out.append(_full(float(v)))
-        writer.writerow(out)
-    if first:
-        headers, _ = _flat_cells(table.columns,
-                                 [None] * len(table.columns))
-        writer.writerow(headers)
+    writer.writerow([h for h, _, _ in columns])
+    writer.writerows(zip(*cells) if cells else [()] * len(table.rows))
     return buf.getvalue()
 
 
+def _json_column(kind: str, values: list) -> list[str]:
+    """One flat column's JSON values, as `json.dumps` writes them."""
+    if kind == "text":
+        return ["null" if v is None else encode_basestring_ascii(str(v))
+                for v in values]
+    cast = int if kind == "int" else float
+    # one C-encoded list of a nonempty column; no number or null holds
+    # ", ", so the split is exact
+    text = json.dumps([None if v is None else cast(v) for v in values],
+                      allow_nan=False)
+    return text[1:-1].split(", ")
+
+
 def _render_json(table: Table) -> str:
-    objs = []
-    for row in table.rows:
-        headers, cells = _flat_cells(table.columns, row)
-        obj = {}
-        for h, (kind, v) in zip(headers, cells):
-            if v is None:
-                obj[h] = None
-            elif kind == "text":
-                obj[h] = str(v)
-            elif kind == "int":
-                obj[h] = int(v)
-            else:
-                obj[h] = float(v)
-        objs.append(obj)
-    return json.dumps(objs, indent=2, allow_nan=False) + "\n"
+    """The text of json.dumps(rows as objects, indent=2, allow_nan=False),
+    built from per-table key prefixes and per-column encoded values: with
+    `indent` set, json.dumps runs its pure-Python encoder."""
+    if not table.rows:
+        return "[]\n"
+    if not table.columns:
+        return "[\n" + ",\n".join(["  {}"] * len(table.rows)) + "\n]\n"
+    columns = _flat_columns(table)
+    # as in a dict: a repeated key keeps its first place and last value
+    last = {h: i for i, (h, _, _) in enumerate(columns)}
+    columns = [columns[i] for i in last.values()]
+    obj = "  {\n" + ",\n".join(
+        "    " + encode_basestring_ascii(h).replace("%", "%%") + ": %s"
+        for h, _, _ in columns) + "\n  }"
+    cells = zip(*(_json_column(kind, values) for _, kind, values in columns))
+    return "[\n" + ",\n".join(obj % row for row in cells) + "\n]\n"
 
 
 def render_table(table: Table, fmt: str = "md") -> str:

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import reference_2011 as ref
 from deakit import (ComparisonRecord, DataError, ModelKind, ModelSpec,
-                    RateReport, compare_models, correlation_matrix,
-                    efficiency_bands, evaluate_all, load_csv, rank_scores)
+                    RateReport, ReturnsToScale, RoleSlice, compare_models,
+                    correlation_matrix, efficiency_bands, evaluate_all,
+                    improvement_targets, load_csv, rank_scores)
 from oracles import random_dataset
 
 
@@ -211,3 +212,38 @@ def test_compare_models_mismatch():
     epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE))
     with pytest.raises(DataError, match="order"):
         compare_models(ee, list(reversed(epi)), d)
+
+
+RATE_KINDS = ("input_reduction_pct", "bad_reduction_pct", "good_increase_pct")
+
+
+@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compare_models_rates_and_mean_row_exact(seed, rts):
+    d = random_dataset(seed, 40, 2, s1=2, s2=1, with_meta=True)
+    ee = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT, rts))
+    epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts))
+    *records, mean = compare_models(ee, epi, d)
+    roles = RoleSlice(d)
+    # the panel's batch gives each DMU exactly its batch of one
+    for rec, r_ee, r_epi in zip(records, ee, epi):
+        assert rec.ccr_rates == improvement_targets(r_ee, roles)
+        assert rec.sbm_rates == improvement_targets(r_epi, roles)
+    # every Mean column is np.mean of the column's list, to the last bit
+    assert mean.ee == float(np.mean([rec.ee for rec in records]))
+    assert mean.epi == float(np.mean([rec.epi for rec in records]))
+    for model in ("ccr_rates", "sbm_rates"):
+        for kind in RATE_KINDS:
+            got = getattr(getattr(mean, model), kind)
+            rows = [getattr(getattr(rec, model), kind) for rec in records]
+            assert list(got) == list(rows[0])
+            for name, v in got.items():
+                assert v == float(np.mean([row[name] for row in rows]))
+    assert mean.meta == {"note": float(np.mean(d.values[:, -1]))}
+    # a result scored on another panel has no row in this one
+    other = evaluate_all(three_point([1.0, 2.0, 3.0], [2.0, 3.0, 3.5]),
+                         ModelSpec(ModelKind.CCR_OUTPUT, rts))
+    with pytest.raises(DataError, match="unknown DMU"):
+        improvement_targets(other[1], roles)
+    with pytest.raises(DataError):
+        compare_models(other, epi, d)

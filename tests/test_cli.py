@@ -278,3 +278,41 @@ def test_report_ignores_former_solver_knobs(tmp_path):
         outs.append(run.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])[1]["EE"] == pytest.approx(2 / 3, abs=1e-12)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# each golden file is the md stdout of `deakit <args> --input panel.csv`
+# on `golden_panel()`; md only, because its rounding hides the last-digit
+# differences between BLAS builds that csv and json (17 digits) would show
+GOLDEN_CASES = {
+    "report-crs": ("report", "--rts", "crs"),
+    "report-vrs": ("report", "--rts", "vrs"),
+    "evaluate-ccr-crs": ("evaluate", "--model", "ccr", "--rts", "crs"),
+    "evaluate-sbm-u-vrs": ("evaluate", "--model", "sbm-u", "--rts", "vrs"),
+    "rank-ccr-vrs": ("rank", "--model", "ccr", "--rts", "vrs"),
+    "rank-sbm-u-crs": ("rank", "--model", "sbm-u", "--rts", "crs"),
+}
+
+
+def golden_panel() -> str:
+    """40 DMUs: two inputs, two desirable outputs, one undesirable output
+    and a meta column, lognormal around per-column scales."""
+    rng = np.random.default_rng(2011)
+    header = ("dmu,in:labor,in:capital,out+:gdp,out+:exports,out-:waste,"
+              "meta:population")
+    scales = np.array([50.0, 800.0, 300.0, 40.0, 12.0, 4000.0])
+    values = scales * rng.lognormal(0.0, 0.7, (40, scales.size))
+    lines = [header] + [
+        f"p{i + 1:02d}," + ",".join(repr(float(v)) for v in row)
+        for i, row in enumerate(values)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_md_output_matches_golden(capsys, tmp_path, name):
+    path = tmp_path / "panel.csv"
+    path.write_text(golden_panel())
+    code, out, err = run_cli(capsys, *GOLDEN_CASES[name], "--input",
+                             str(path))
+    assert code == 0, err
+    assert out == (GOLDEN / f"{name}.md").read_bytes().decode()

@@ -3,6 +3,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deakit import Column, DataError, Table, render_table
 
@@ -69,3 +71,82 @@ def test_unknown_format_and_kind():
 def test_row_width_checked():
     with pytest.raises(DataError, match="cells"):
         Table(columns=(Column("a", "num"),), rows=((1.0, 2.0),))
+
+
+def reference_json(table: Table) -> str:
+    """The json format as json.dumps writes it: one dict per row, indent 2.
+
+    The renderer builds the same text without the pure-Python encoder that
+    `indent` selects; this is the definition it is checked against.
+    """
+    objs = []
+    for row in table.rows:
+        obj = {}
+        for col, v in zip(table.columns, row):
+            cells = [(col.header, col.kind, v)]
+            if col.kind == "scorerank":
+                score, rank = (None, None) if v is None else v
+                cells = [(col.header, "score", score),
+                         (f"{col.header} rank", "int", rank)]
+            for h, kind, v in cells:
+                if v is None:
+                    obj[h] = None
+                elif kind == "text":
+                    obj[h] = str(v)
+                elif kind == "int":
+                    obj[h] = int(v)
+                else:
+                    obj[h] = float(v)
+        objs.append(obj)
+    return json.dumps(objs, indent=2, allow_nan=False) + "\n"
+
+
+# quotes, backslashes, control characters and non-ASCII (astral too)
+TEXT = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x1f\n\t\x7f\u00e9\u2028\U0001d11e'),
+    st.characters()), max_size=8)
+INTS = st.one_of(st.none(), st.integers(), st.booleans())
+FLOATS = st.one_of(
+    st.none(), st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2 ** 60, 2 ** 60))
+CELLS = {"text": st.one_of(st.none(), TEXT, st.integers()),
+         "int": INTS, "score": FLOATS, "rate": FLOATS, "num": FLOATS,
+         "scorerank": st.one_of(st.none(), st.tuples(FLOATS, INTS))}
+
+
+@st.composite
+def tables(draw):
+    # short headers from a small alphabet repeat often, also as "x rank"
+    header = st.one_of(st.text("ab %\"\u00e9", max_size=3),
+                       st.sampled_from(["a rank", "dmu"]))
+    columns = draw(st.lists(st.builds(Column, header,
+                                      st.sampled_from(sorted(CELLS))),
+                            max_size=6))
+    rows = draw(st.lists(st.tuples(*(CELLS[c.kind] for c in columns)),
+                         max_size=6))
+    return Table(tuple(columns), tuple(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_json_matches_json_dumps(table):
+    assert render_table(table, "json") == reference_json(table)
+
+
+@pytest.mark.parametrize("table", [
+    Table((), ()), Table((), ((),)), Table((Column("a", "text"),), ()),
+    Table((Column("a", "scorerank"),), ((None,), ((None, None),)))])
+def test_json_edge_tables(table):
+    assert render_table(table, "json") == reference_json(table)
+
+
+@pytest.mark.parametrize("kind", ["score", "rate", "num", "scorerank"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_rejects_non_finite(kind, bad):
+    table = Table((Column("a", kind),),
+                  ((1.0 if kind != "scorerank" else (1.0, 1),),
+                   (bad if kind != "scorerank" else (bad, 2),)))
+    for render in (lambda t: render_table(t, "json"), reference_json):
+        with pytest.raises(ValueError):
+            render(table)
