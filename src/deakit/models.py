@@ -426,13 +426,14 @@ def _phi_out(run: linprog.Lockstep, tpl: _Template):
     return basis, Binv
 
 
-def _valid_phi(tpl: _Template, phi: float) -> bool:
-    # lambda = e_k, phi = 1 is feasible when L <= 1 <= U
-    return phi > 0.0 and not (tpl.L <= 1.0 <= tpl.U and phi < 1.0)
+def _valid_phi(tpl: _Template, phi):
+    # lambda = e_k, phi = 1 is feasible when L <= 1 <= U; elementwise
+    return (phi > 0.0) & ((phi >= 1.0) | (not tpl.L <= 1.0 <= tpl.U))
 
 
-def _snap(v: float) -> float:
-    return 1.0 if abs(v - 1.0) <= 1e-9 else v
+def _snap(v):
+    """`v` with the entries within 1e-9 of 1 set to exactly 1."""
+    return np.where(np.abs(v - 1.0) <= 1e-9, 1.0, v)
 
 
 def _results(tpl: _Template, ks: np.ndarray, kind: ModelKind,
@@ -441,7 +442,7 @@ def _results(tpl: _Template, ks: np.ndarray, kind: ModelKind,
     """One result per DMU of `ks` from per-DMU rows: scores (snapped to 1
     within 1e-9), phi, lambda (an array or a sequence of rows) and slacks
     in raw units.  Each result holds row views of the arrays."""
-    score = np.where(np.abs(score - 1.0) <= 1e-9, 1.0, score)
+    score = _snap(score)
     raw = tpl.raw[:, ks].T
     m, ms = tpl.m, tpl.m + tpl.s1
     inputs = raw[:, :m] - s_in
@@ -458,19 +459,17 @@ def _results(tpl: _Template, ks: np.ndarray, kind: ModelKind,
 
 def _ccr(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
     one = _solve_stage(tpl, ks, "CCR stage 1")
-    phi = [_snap(float(-v)) for v in one.objective]
-    for l, v in enumerate(phi):
-        if _valid_phi(tpl, v):
-            continue
+    phi = _snap(-one.objective)
+    for l in np.flatnonzero(~_valid_phi(tpl, phi)):
         # a warm start can end just off a valid phi where a cold solve
         # of the same LP does not
         objective, basis, xb = _cold(tpl, int(ks[l]), "CCR stage 1")
-        phi[l] = _snap(float(-objective))
+        phi[l] = _snap(-objective)
         if not _valid_phi(tpl, phi[l]):
             raise SolverError(f"CCR stage 1 for DMU {tpl.names[ks[l]]!r}: "
-                              f"phi = {phi[l]!r} is not a valid expansion")
+                              f"phi = {float(phi[l])!r} is not a valid "
+                              "expansion")
         one.adopt(l, basis, xb)
-    phi = np.array(phi)
     two = _solve_stage(tpl, ks, "CCR stage 2", phi=phi,
                        start=_phi_out(one, tpl))
     m, s1, n = tpl.m, tpl.s1, tpl.n
