@@ -16,11 +16,10 @@ from .errors import DataError, DeaError, ModelError, SolverError, \
     SynthesisError
 from .linprog import (LPSolution, StandardFormLP, Status, solve,
                       verify_optimality)
-from .models import (EfficiencyResult, ModelInstance, ModelKind, ModelSpec,
-                     Projection, RateReport, ReturnsToScale, RoleSlice,
-                     SbmRecovery, build_instance, evaluate_all,
+from .models import (EfficiencyResult, ModelKind, ModelSpec, Projection,
+                     RateReport, ReturnsToScale, RoleSlice, evaluate_all,
                      evaluate_ccr_output, evaluate_sbm_undesirable,
-                     improvement_targets, linearize_sbm)
+                     improvement_targets)
 from .render import Column, Table, render_table
 
 __version__ = "0.1.0"
@@ -33,10 +32,9 @@ __all__ = [
     "synthesize_matching", "validate",
     "DataError", "DeaError", "ModelError", "SolverError", "SynthesisError",
     "LPSolution", "StandardFormLP", "Status", "solve", "verify_optimality",
-    "EfficiencyResult", "ModelInstance", "ModelKind", "ModelSpec",
-    "Projection", "RateReport", "ReturnsToScale", "RoleSlice", "SbmRecovery",
-    "build_instance", "evaluate_all", "evaluate_ccr_output",
-    "evaluate_sbm_undesirable", "improvement_targets", "linearize_sbm",
+    "EfficiencyResult", "ModelKind", "ModelSpec", "Projection", "RateReport",
+    "ReturnsToScale", "RoleSlice", "evaluate_all", "evaluate_ccr_output",
+    "evaluate_sbm_undesirable", "improvement_targets",
     "Column", "Table", "render_table",
     "__version__",
 ]

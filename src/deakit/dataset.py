@@ -190,6 +190,19 @@ def _parse_header(cells: list[str]) -> list[Indicator]:
     return indicators
 
 
+def _read_text(source: Union[str, Path, bytes, IO]) -> str:
+    """The text of a path, bytes or a file object, decoded as UTF-8 (a
+    byte-order mark is dropped)."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            raw = fh.read()
+    else:
+        raw = source if isinstance(source, bytes) else source.read()
+    if isinstance(raw, str):
+        raw = raw.encode("utf-8")
+    return raw.decode("utf-8-sig")
+
+
 def load_csv(source: Union[str, Path, bytes, IO],
              schema: CsvSchema = CsvSchema()) -> Dataset:
     """Parse a dataset CSV and return a validated Dataset.
@@ -198,17 +211,8 @@ def load_csv(source: Union[str, Path, bytes, IO],
     names, or non-positive values in non-meta columns, each with row/column
     coordinates.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            raw = fh.read()
-    elif isinstance(source, bytes):
-        raw = source
-    else:
-        raw = source.read()
-        if isinstance(raw, str):
-            raw = raw.encode("utf-8")
-    text = raw.decode("utf-8-sig")
-    reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
+    reader = csv.reader(io.StringIO(_read_text(source)),
+                        delimiter=schema.delimiter)
     table = [row for row in reader if row]
     if not table:
         raise DataError("empty CSV")
@@ -379,6 +383,8 @@ def synthesize_matching(spec: Sequence[StatsRow], n: int, seed: int,
     """
     if not spec:
         raise SynthesisError("empty stats spec")
+    if n < 1:
+        raise SynthesisError(f"need n >= 1 DMUs, got {n}")
     rng = np.random.default_rng(seed)
     cols = []
     indicators = []
@@ -393,16 +399,7 @@ def synthesize_matching(spec: Sequence[StatsRow], n: int, seed: int,
 
 def load_stats_spec(source: Union[str, Path, bytes, IO]) -> list[StatsRow]:
     """Read a synthesis spec CSV with columns name,role,min,max,mean,sd."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            raw = fh.read()
-    elif isinstance(source, bytes):
-        raw = source
-    else:
-        raw = source.read()
-        if isinstance(raw, str):
-            raw = raw.encode("utf-8")
-    reader = csv.DictReader(io.StringIO(raw.decode("utf-8-sig")))
+    reader = csv.DictReader(io.StringIO(_read_text(source)))
     required = {"name", "role", "min", "max", "mean", "sd"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise DataError("stats spec needs columns name,role,min,max,mean,sd")

@@ -10,6 +10,8 @@ Every evaluation solves a whole batch of DMUs at once (one DMU for the
 per-DMU functions): each stage's LPs share one template per panel and are
 stepped in lockstep by `linprog.Lockstep` on a shared frame of candidate
 intensity columns, then checked against every column (`_solve_stage`).
+Both models read lambda and the slacks off their final bases (`_scatter`);
+the SBM's lambda scatter runs in blocks of DMUs, like full-width pricing.
 """
 
 from __future__ import annotations
@@ -52,75 +54,11 @@ class ReturnsToScale:
     def vrs(cls) -> "ReturnsToScale":
         return cls(1.0, 1.0)
 
-    @classmethod
-    def custom(cls, lower: float, upper: float) -> "ReturnsToScale":
-        return cls(lower, upper)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
     kind: ModelKind
     returns_to_scale: ReturnsToScale = field(default_factory=ReturnsToScale.crs)
-
-
-@dataclass(frozen=True, eq=False)
-class ModelInstance:
-    """Data of one evaluation: matrices are indicator-by-DMU (n columns)."""
-
-    dmu: str
-    index: int
-    dmu_names: tuple[str, ...]
-    input_names: tuple[str, ...]
-    good_names: tuple[str, ...]
-    bad_names: tuple[str, ...]
-    X: np.ndarray
-    Yg: np.ndarray
-    Yb: np.ndarray
-    L: float
-    U: float
-
-    def __post_init__(self):
-        for name in ("X", "Yg", "Yb"):
-            arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not (0 <= self.index < len(self.dmu_names)):
-            raise ModelError(f"DMU index {self.index} out of range")
-        if not (0.0 <= self.L <= self.U):
-            raise ModelError(f"invalid bounds L={self.L}, U={self.U}")
-
-    @property
-    def n(self) -> int:
-        return len(self.dmu_names)
-
-    @property
-    def m(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def s1(self) -> int:
-        return self.Yg.shape[0]
-
-    @property
-    def s2(self) -> int:
-        return self.Yb.shape[0] if self.Yb.size else 0
-
-    @property
-    def s(self) -> int:
-        return self.s1 + self.s2
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.X[:, self.index]
-
-    @property
-    def y0g(self) -> np.ndarray:
-        return self.Yg[:, self.index]
-
-    @property
-    def y0b(self) -> np.ndarray:
-        return (self.Yb[:, self.index] if self.s2
-                else np.empty(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,17 +103,17 @@ class RoleSlice:
         self.input_names, self.good_names, self.bad_names = (
             tuple(d.indicators[j].name for j in c) for c in cols)
         self.X, self.Yg, self.Yb = (d.values[:, c] for c in cols)
+        self.dmu_names = d.dmu_names
         self.rows = {dmu: k for k, dmu in enumerate(d.dmu_names)}
 
 
-def build_instance(d: Dataset, dmu: str, spec: ModelSpec, *,
-                   allow_plain_sbm: bool = False) -> ModelInstance:
-    """Slice the dataset into the matrices of one DMU's evaluation.
+def build_instance(d: Dataset, spec: ModelSpec, *,
+                   allow_plain_sbm: bool = False) -> "_Template":
+    """The LP template of the model `spec` on the panel `d`.
 
     Meta columns are dropped.  SbmUndesirable normally requires at least
     one undesirable column; `allow_plain_sbm` waives that (plain SBM).
     """
-    idx = d.dmu_index(dmu)
     roles = RoleSlice(d)
     if not roles.input_names:
         raise ModelError("no input columns in dataset")
@@ -185,32 +123,20 @@ def build_instance(d: Dataset, dmu: str, spec: ModelSpec, *,
             and not allow_plain_sbm):
         raise ModelError("no undesirable-output columns; pass "
                          "allow_plain_sbm=True to run plain SBM")
-    rts = spec.returns_to_scale
-    return ModelInstance(
-        dmu=dmu,
-        index=idx,
-        dmu_names=d.dmu_names,
-        input_names=roles.input_names,
-        good_names=roles.good_names,
-        bad_names=roles.bad_names,
-        X=roles.X.T,
-        Yg=roles.Yg.T,
-        Yb=roles.Yb.T,
-        L=rts.lower,
-        U=rts.upper,
-    )
+    return _Template(roles, spec)
 
 
 # lambda-columns that join a panel's frame per blocked DMU and pricing round
 FRAME_BATCH = 4
 # entries of one block of a DMUs-by-columns array: the full-width pricing
-# product and the SBM recovery run in blocks of DMUs, so that no n x n
-# array is ever allocated
+# product and the SBM lambda scatter run in blocks of DMUs, so that neither
+# allocates an n x n array
 PRICE_BLOCK = 1 << 16
 
 
 class _Template:
-    """One model's LP for every DMU of a panel, built once per panel.
+    """One model's LP for every DMU of a panel, built once per panel
+    (`build_instance`).
 
     Columns: the lead variable (CCR's phi, the SBM's Charnes-Cooper t), one
     lambda per DMU, then one slack per data row and one per intensity-bound
@@ -228,14 +154,16 @@ class _Template:
     on the CRS frontier (Dula & Lopez 2009).
     """
 
-    def __init__(self, inst: ModelInstance, kind: ModelKind):
-        self.sbm = kind is ModelKind.SBM_UNDESIRABLE
-        self.n, self.m, self.s1 = inst.n, inst.m, inst.s1
-        self.s2 = inst.s2 if self.sbm else 0
-        self.L, self.U = inst.L, inst.U
-        self.names = inst.dmu_names
-        self.raw = np.vstack((inst.X, inst.Yg, inst.Yb) if self.sbm
-                             else (inst.X, inst.Yg))
+    def __init__(self, roles: RoleSlice, spec: ModelSpec):
+        self.sbm = spec.kind is ModelKind.SBM_UNDESIRABLE
+        self.n, self.m = roles.X.shape
+        self.s1 = roles.Yg.shape[1]
+        self.s2 = roles.Yb.shape[1] if self.sbm else 0
+        rts = spec.returns_to_scale
+        self.L, self.U = rts.lower, rts.upper
+        self.names = roles.dmu_names
+        self.raw = np.vstack((roles.X.T, roles.Yg.T, roles.Yb.T) if self.sbm
+                             else (roles.X.T, roles.Yg.T))
         self.unit = self.raw.mean(axis=1)
         self.Z = self.raw / self.unit[:, None]
         k, n = self.Z.shape
@@ -327,15 +255,24 @@ class _Template:
         cost = np.concatenate((c[0, :1], np.zeros(self.n), c[0, 1:]))
         return StandardFormLP(cost[cols], A[:, cols], b[0])
 
-    def recovery(self) -> "SbmRecovery":
-        return SbmRecovery(n=self.n, m=self.m, s1=self.s1, s2=self.s2,
-                           units=tuple(self.unit))
-
 
 def _clip_tiny(v: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     out = np.array(v, dtype=float)
     out[(out < 0.0) & (out > -tol)] = 0.0
     return out + 0.0  # normalizes -0.0 to +0.0
+
+
+def _scatter(tpl: _Template, basis: np.ndarray, v: np.ndarray):
+    """(lambda, slack) of LPs with basic columns `basis` and basic values
+    `v` (one row per LP): each is `v` at its basic positions, 0 elsewhere.
+    `slack` holds the data rows' slacks, in raw units."""
+    lam = np.zeros((len(basis), tpl.n))
+    li, ri = np.nonzero((basis > 0) & (basis <= tpl.n))
+    lam[li, basis[li, ri] - 1] = v[li, ri]
+    slack = np.zeros((len(basis), tpl.tail.size))
+    li, ri = np.nonzero(basis > tpl.n)
+    slack[li, basis[li, ri] - tpl.tail[0]] = v[li, ri]
+    return lam, slack[:, :tpl.unit.size] * tpl.unit
 
 
 def _cold(tpl: _Template, k: int, what: str, phi: Optional[float] = None):
@@ -437,17 +374,19 @@ def _snap(v):
 
 
 def _results(tpl: _Template, ks: np.ndarray, kind: ModelKind,
-             score: np.ndarray, phi: np.ndarray, lam, s_in: np.ndarray,
-             s_good: np.ndarray, s_bad: np.ndarray) -> list[EfficiencyResult]:
+             score: np.ndarray, phi: np.ndarray, lam,
+             slack: np.ndarray) -> list[EfficiencyResult]:
     """One result per DMU of `ks` from per-DMU rows: scores (snapped to 1
-    within 1e-9), phi, lambda (an array or a sequence of rows) and slacks
-    in raw units.  Each result holds row views of the arrays."""
+    within 1e-9), phi, lambda (an array or a sequence of rows) and the
+    data rows' slacks in raw units (see `_scatter`).  Each result holds
+    row views of the arrays."""
     score = _snap(score)
     raw = tpl.raw[:, ks].T
     m, ms = tpl.m, tpl.m + tpl.s1
+    s_in, s_good, s_bad = slack[:, :m], slack[:, m:ms], slack[:, ms:]
     inputs = raw[:, :m] - s_in
     goods = phi[:, None] * raw[:, m:ms] + s_good
-    bads = raw[:, ms:ms + s_bad.shape[1]] - s_bad
+    bads = raw[:, ms:] - s_bad
     return [EfficiencyResult(
         dmu=tpl.names[k], kind=kind, score=v, phi=f, lam=la, slack_in=si,
         slack_good=sg, slack_bad=sb,
@@ -472,18 +411,9 @@ def _ccr(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
         one.adopt(l, basis, xb)
     two = _solve_stage(tpl, ks, "CCR stage 2", phi=phi,
                        start=_phi_out(one, tpl))
-    m, s1, n = tpl.m, tpl.s1, tpl.n
-    x = _clip_tiny(two.x)
-    lam = np.zeros((ks.size, n))
-    li, ri = np.nonzero((two.basis > 0) & (two.basis <= n))
-    lam[li, two.basis[li, ri] - 1] = x[li, ri]
-    slack = np.zeros((ks.size, tpl.tail.size))
-    li, ri = np.nonzero(two.basis > n)
-    slack[li, two.basis[li, ri] - tpl.tail[0]] = x[li, ri]
-    s_in = slack[:, :m] * tpl.unit[:m]
-    s_good = slack[:, m:m + s1] * tpl.unit[m:]
+    lam, slack = _scatter(tpl, two.basis, _clip_tiny(two.x))
     return _results(tpl, ks, ModelKind.CCR_OUTPUT, 1.0 / phi, phi, lam,
-                    s_in, s_good, np.empty((ks.size, 0)))
+                    slack)
 
 
 def evaluate_ccr_output(d: Dataset, dmu: str, spec: ModelSpec) -> EfficiencyResult:
@@ -496,76 +426,41 @@ def evaluate_ccr_output(d: Dataset, dmu: str, spec: ModelSpec) -> EfficiencyResu
     """
     if spec.kind is not ModelKind.CCR_OUTPUT:
         raise ModelError(f"evaluate_ccr_output got spec kind {spec.kind}")
-    inst = build_instance(d, dmu, spec)
-    return _ccr(_Template(inst, spec.kind), np.array([inst.index]))[0]
+    k = d.dmu_index(dmu)
+    return _ccr(build_instance(d, spec), np.array([k]))[0]
 
 
-@dataclass(frozen=True)
-class SbmRecovery:
-    """Maps Charnes-Cooper variables (t, Lambda, S) back to (lambda, s).
-
-    `units` holds the unit of each slack (inputs, desirable, undesirable
-    outputs) when the LP's data rows are scaled; empty means unscaled.
-    """
-
-    n: int
-    m: int
-    s1: int
-    s2: int
-    units: tuple[float, ...] = ()
-
-    def recover(self, primal: np.ndarray):
-        """(t, lambda, s_in, s_good, s_bad) of one LP's primal solution, or
-        of one per row of a matrix (then each is one row per LP)."""
-        t = primal[..., :1]
-        # The SBM LP's b is e_0 (normalization row), so the solver takes a
-        # basic value within PIVOT_TOL * (1 + max|b|) of 0 for 0; any t
-        # above that is a scale that can be divided by.
-        low = t <= 2.0 * linprog.PIVOT_TOL
-        if low.any():
-            raise ModelError("degenerate Charnes-Cooper scale "
-                             f"(t = {float(t[low][0]):.3e})")
-        lam = primal[..., 1:1 + self.n] / t
-        off = 1 + self.n
-        s = _clip_tiny(primal[..., off:off + self.m + self.s1 + self.s2] / t)
-        if self.units:
-            s = s * np.asarray(self.units)
-        m, ms = self.m, self.m + self.s1
-        t = t[..., 0]
-        return (float(t) if t.ndim == 0 else t, _clip_tiny(lam),
-                s[..., :m], s[..., m:ms], s[..., ms:])
-
-
-def linearize_sbm(inst: ModelInstance) -> tuple[StandardFormLP, SbmRecovery]:
-    """Charnes-Cooper linearization of the SBM ratio.
+def linearize_sbm(tpl: _Template, k: int) -> StandardFormLP:
+    """Charnes-Cooper linearization of DMU k's SBM ratio on an SBM template.
 
     Variables are (t, Lambda, S_in, S_good, S_bad) and the intensity-bound
     slacks, with Lambda = t*lambda and S = t*s in units of each indicator's
-    panel mean.  The normalization row pins the denominator to 1; the
-    objective then equals the original ratio.
+    panel mean (`tpl.unit`).  The normalization row pins the denominator to
+    1; the objective then equals the original ratio.
     """
-    tpl = _Template(inst, ModelKind.SBM_UNDESIRABLE)
-    return (tpl.lp(inst.index, tpl.columns(np.arange(inst.n))),
-            tpl.recovery())
+    return tpl.lp(k, tpl.columns(np.arange(tpl.n)))
 
 
 def _sbm(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
     run = _solve_stage(tpl, ks, "SBM solve")
-    recovery = tpl.recovery()
+    t = np.where(run.basis == 0, run.x, 0.0).sum(axis=1)
+    # The SBM LP's b is e_0 (normalization row), so the solver takes a
+    # basic value within PIVOT_TOL * (1 + max|b|) of 0 for 0; any t above
+    # that is a scale that can be divided by.
+    low = t <= 2.0 * linprog.PIVOT_TOL
+    if low.any():
+        raise ModelError("degenerate Charnes-Cooper scale "
+                         f"(t = {float(t[low][0]):.3e})")
+    v = _clip_tiny(run.x / t[:, None])
     lam, slack = [], []
-    per_block = max(1, PRICE_BLOCK // tpl.width)
+    per_block = max(1, PRICE_BLOCK // tpl.n)
     for lo in range(0, ks.size, per_block):
-        part = np.arange(lo, min(lo + per_block, ks.size))
-        primal = np.zeros((part.size, tpl.width))
-        primal[part[:, None] - lo, run.basis[part]] = run.x[part]
-        _, block, *s = recovery.recover(primal)
+        block, s = _scatter(tpl, run.basis[lo:lo + per_block],
+                            v[lo:lo + per_block])
         lam.extend(block)
-        slack.append(np.hstack(s))
-    slack = np.concatenate(slack)
-    m, ms = tpl.m, tpl.m + tpl.s1
+        slack.append(s)
     return _results(tpl, ks, ModelKind.SBM_UNDESIRABLE, run.objective,
-                    np.ones(ks.size), lam, slack[:, :m], slack[:, m:ms],
-                    slack[:, ms:])
+                    np.ones(ks.size), lam, np.concatenate(slack))
 
 
 def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
@@ -576,8 +471,9 @@ def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
     """
     if spec.kind is not ModelKind.SBM_UNDESIRABLE:
         raise ModelError(f"evaluate_sbm_undesirable got spec kind {spec.kind}")
-    inst = build_instance(d, dmu, spec, allow_plain_sbm=allow_plain_sbm)
-    return _sbm(_Template(inst, spec.kind), np.array([inst.index]))[0]
+    k = d.dmu_index(dmu)
+    return _sbm(build_instance(d, spec, allow_plain_sbm=allow_plain_sbm),
+                np.array([k]))[0]
 
 
 def _rates(results: Sequence[EfficiencyResult], roles: RoleSlice):
@@ -639,7 +535,6 @@ def evaluate_all(d: Dataset, spec: ModelSpec, *,
         raise DataError(f"invalid dataset: {detail}")
     if not d.dmu_names:
         return []
-    inst = build_instance(d, d.dmu_names[0], spec,
-                          allow_plain_sbm=allow_plain_sbm)
+    tpl = build_instance(d, spec, allow_plain_sbm=allow_plain_sbm)
     evaluate = _ccr if spec.kind is ModelKind.CCR_OUTPUT else _sbm
-    return evaluate(_Template(inst, spec.kind), np.arange(inst.n))
+    return evaluate(tpl, np.arange(tpl.n))

@@ -147,6 +147,16 @@ def test_synth_deterministic(capsys, spec_csv):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_synth_rejects_fewer_than_one_dmu(capsys, tmp_path, n):
+    p = tmp_path / "const.csv"
+    p.write_bytes(b"name,role,min,max,mean,sd\nx,in,2,2,2,0\n")
+    code, out, err = run_cli(capsys, "synth", "--spec", str(p), "--n", n)
+    assert code == 1
+    assert "error:" in err
+    assert out == ""
+
+
 def test_missing_file_exit_1(capsys):
     code, out, err = run_cli(capsys, "evaluate", "--model", "ccr",
                              "--input", "missing.csv")
@@ -316,3 +326,18 @@ def test_md_output_matches_golden(capsys, tmp_path, name):
                              str(path))
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.md").read_bytes().decode()
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py replaces these functions by name to time them; a
+    # renamed or removed one fails only the traced benchmark runs
+    import importlib
+    import importlib.util
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    loader = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    assert spans.WRAPPED
+    for module, name in spans.WRAPPED.values():
+        assert callable(getattr(importlib.import_module(module), name, None)), \
+            f"{module}.{name}"

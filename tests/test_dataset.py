@@ -178,6 +178,14 @@ def test_synthesize_matching_rejects(row, fragment):
     assert "w" in str(err.value) or fragment == "no role"
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_synthesize_matching_needs_a_dmu(n):
+    # a constant column alone would make an empty or impossible array
+    row = StatsRow("w", max=2.0, min=2.0, mean=2.0, sd=0.0, role=Role.INPUT)
+    with pytest.raises(SynthesisError, match="n >= 1"):
+        synthesize_matching([row], n=n, seed=0)
+
+
 def test_synthesize_degenerate_column():
     row = StatsRow("w", max=2.0, min=2.0, mean=2.0, sd=0.0, role=Role.INPUT)
     d = synthesize_matching([row], n=5, seed=0)

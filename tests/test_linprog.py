@@ -6,9 +6,9 @@ import pytest
 
 from deakit import (Dataset, Indicator, LPSolution, ModelKind, ModelSpec,
                     ReturnsToScale, Role, SolverError, StandardFormLP, Status,
-                    build_instance, linprog, solve, verify_optimality)
+                    linprog, solve, verify_optimality)
 from deakit.linprog import FEAS_TOL, OPT_TOL, Lockstep
-from deakit.models import _Template
+from deakit.models import build_instance
 from oracles import lp_enum_min, random_bounded_lp
 
 
@@ -200,7 +200,7 @@ def test_a_basic_column_never_enters_twice(seed, k):
                          Indicator("yb", Role.UNDESIRABLE)]),
                 10 ** np.random.default_rng(seed).uniform(-3, 6, (5, 6)))
     spec = ModelSpec(ModelKind.CCR_OUTPUT, ReturnsToScale.vrs())
-    tpl = _Template(build_instance(d, "d0", spec), spec.kind)
+    tpl = build_instance(d, spec)
     lp = tpl.lp(k, tpl.columns(np.arange(5)))
     sol = solve(lp)
     assert sol.status is Status.OPTIMAL

@@ -10,10 +10,10 @@ import deakit.linprog as linprog
 import deakit.models as models
 from deakit import (DataError, Dataset, Indicator, ModelError, ModelKind,
                     ModelSpec, ReturnsToScale, Role, RoleSlice, SolverError,
-                    build_instance, evaluate_all, evaluate_ccr_output,
-                    evaluate_sbm_undesirable, improvement_targets,
-                    linearize_sbm, load_csv, solve)
-from deakit.models import SbmRecovery
+                    evaluate_all, evaluate_ccr_output,
+                    evaluate_sbm_undesirable, improvement_targets, load_csv,
+                    solve)
+from deakit.models import build_instance, linearize_sbm
 from oracles import (ccr_phi_enum, random_dataset, sbm_enum_oracle, sbm_rho,
                      table1_panel)
 
@@ -28,47 +28,49 @@ def paper_shaped() -> Dataset:
 
 def test_build_instance_slices_by_role():
     d = paper_shaped()
-    inst = build_instance(d, d.dmu_names[2], CCR)
-    assert (inst.m, inst.s1, inst.s2) == (4, 1, 1)
-    assert inst.n == 11
-    assert inst.L == 0.0 and inst.U == math.inf
-    assert inst.index == 2
-    np.testing.assert_array_equal(inst.x0, d.values[2, :4])
+    tpl = build_instance(d, SBM)
+    assert (tpl.m, tpl.s1, tpl.s2) == (4, 1, 1)
+    assert tpl.n == 11
+    assert tpl.L == 0.0 and tpl.U == math.inf
+    np.testing.assert_array_equal(tpl.raw[:, 2], d.values[2, :6])
+    # CCR ignores the undesirable output
+    assert build_instance(d, CCR).s2 == 0
 
 
 def test_build_instance_vrs_bounds():
-    d = paper_shaped()
-    inst = build_instance(d, d.dmu_names[0],
-                          ModelSpec(ModelKind.CCR_OUTPUT,
-                                    ReturnsToScale.vrs()))
-    assert inst.L == inst.U == 1.0
+    tpl = build_instance(paper_shaped(),
+                         ModelSpec(ModelKind.CCR_OUTPUT,
+                                   ReturnsToScale.vrs()))
+    assert tpl.L == tpl.U == 1.0
 
 
-def test_build_instance_unknown_dmu():
-    with pytest.raises(DataError, match="unknown DMU"):
-        build_instance(paper_shaped(), "nowhere", CCR)
+def test_evaluate_unknown_dmu():
+    for evaluate, spec in ((evaluate_ccr_output, CCR),
+                           (evaluate_sbm_undesirable, SBM)):
+        with pytest.raises(DataError, match="unknown DMU"):
+            evaluate(paper_shaped(), "nowhere", spec)
 
 
 def test_build_instance_meta_excluded():
     d = random_dataset(5, n=4, m=2, s1=1, s2=1, with_meta=True)
-    inst = build_instance(d, d.dmu_names[0], CCR)
-    assert inst.m == 2 and inst.s1 == 1 and inst.s2 == 1
-    assert "note" not in inst.input_names
+    tpl = build_instance(d, SBM)
+    assert tpl.m == 2 and tpl.s1 == 1 and tpl.s2 == 1
+    np.testing.assert_array_equal(tpl.raw, d.values[:, :4].T)  # meta last
 
 
 def test_plain_sbm_gate():
     d = load_csv(b"dmu,in:x,out+:y\nA,1,2\nB,1,1\n")
     with pytest.raises(ModelError, match="allow_plain_sbm"):
-        build_instance(d, "A", SBM)
+        build_instance(d, SBM)
     r = evaluate_sbm_undesirable(d, "B", SBM, allow_plain_sbm=True)
     assert 0.0 < r.score < 1.0
 
 
 def test_custom_rts_validation():
     with pytest.raises(ModelError):
-        ReturnsToScale.custom(2.0, 1.0)
+        ReturnsToScale(2.0, 1.0)
     with pytest.raises(ModelError):
-        ReturnsToScale.custom(-0.5, 1.0)
+        ReturnsToScale(-0.5, 1.0)
 
 
 def test_ccr_canonical_pair():
@@ -90,35 +92,31 @@ def test_ccr_wrong_kind_rejected():
 
 
 def test_linearize_sbm_dimensions_crs():
-    inst = build_instance(CANONICAL, "B", SBM)
-    lp, rec = linearize_sbm(inst)
+    tpl = build_instance(CANONICAL, SBM)
+    lp = linearize_sbm(tpl, 1)
     assert lp.n_vars == 6          # t, 2 Lambda, 1 S-, 1 Sg, 1 Sb
     assert lp.n_constraints == 4   # normalization + three data blocks
-    assert (rec.n, rec.m, rec.s1, rec.s2) == (2, 1, 1, 1)
+    assert (tpl.n, tpl.m, tpl.s1, tpl.s2) == (2, 1, 1, 1)
 
 
 def test_linearize_sbm_dimensions_vrs():
-    inst = build_instance(CANONICAL, "B",
-                          ModelSpec(ModelKind.SBM_UNDESIRABLE,
-                                    ReturnsToScale.vrs()))
-    lp, _ = linearize_sbm(inst)
+    tpl = build_instance(CANONICAL, ModelSpec(ModelKind.SBM_UNDESIRABLE,
+                                              ReturnsToScale.vrs()))
+    lp = linearize_sbm(tpl, 1)
     assert lp.n_vars == 8
     assert lp.n_constraints == 6
 
 
 def test_linearized_lp_objective_and_t():
-    inst = build_instance(CANONICAL, "B", SBM)
-    lp, rec = linearize_sbm(inst)
-    sol = solve(lp)
+    tpl = build_instance(CANONICAL, SBM)
+    sol = solve(linearize_sbm(tpl, 1))
     assert sol.objective == pytest.approx(4 / 11, abs=1e-9)
     t = sol.primal[0]
     assert t > 1e-7
-    # the LP's slacks are in mean units; recovery maps them back
-    _, lam, s_in, s_good, s_bad = rec.recover(sol.primal)
-    np.testing.assert_allclose(lam, [0.5, 0.0], atol=1e-9)
-    np.testing.assert_allclose(s_in, [0.5], atol=1e-9)
-    np.testing.assert_allclose(s_good, [0.0], atol=1e-9)
-    np.testing.assert_allclose(s_bad, [1.5], atol=1e-9)
+    # Lambda = t lambda and S = t s, with S in units of the panel means
+    np.testing.assert_allclose(sol.primal[1:3] / t, [0.5, 0.0], atol=1e-9)
+    np.testing.assert_allclose(sol.primal[3:6] / t * tpl.unit,
+                               [0.5, 0.0, 1.5], atol=1e-9)
 
 
 def test_sbm_canonical_pair():
@@ -201,7 +199,7 @@ def test_evaluate_all_validates_dataset():
 
 def test_infeasible_bounds_name_dmu():
     spec = ModelSpec(ModelKind.SBM_UNDESIRABLE,
-                     ReturnsToScale.custom(2.0, 3.0))
+                     ReturnsToScale(2.0, 3.0))
     with pytest.raises(SolverError, match="'A'"):
         evaluate_sbm_undesirable(CANONICAL, "A", spec)
 
@@ -213,7 +211,7 @@ def test_custom_bounds_match_enumeration(lower, upper):
     # and some DMUs have no feasible point at all
     d = random_dataset(77, n=3, m=1, s1=1, s2=1)
     X, Yg, Yb = (d.values[:, [j]].T for j in range(3))
-    rts = ReturnsToScale.custom(lower, upper)
+    rts = ReturnsToScale(lower, upper)
     ccr = ModelSpec(ModelKind.CCR_OUTPUT, rts)
     sbm = ModelSpec(ModelKind.SBM_UNDESIRABLE, rts)
     solved = 0
@@ -269,10 +267,35 @@ def test_shared_frame_matches_single_dmu_solves(rts):
                 np.testing.assert_allclose(a, b, atol=1e-7)
 
 
-def test_degenerate_scale_guard():
-    rec = SbmRecovery(n=2, m=1, s1=1, s2=1)
+def test_degenerate_scale_guard(monkeypatch):
+    real_stage = models._solve_stage
+
+    def zero_scale(*args, **kwargs):
+        run = real_stage(*args, **kwargs)
+        run.x[run.basis == 0] = 0.0   # t, the lead column's basic value
+        return run
+
+    monkeypatch.setattr(models, "_solve_stage", zero_scale)
     with pytest.raises(ModelError, match="degenerate Charnes-Cooper scale"):
-        rec.recover(np.zeros(6))
+        evaluate_all(CANONICAL, SBM)
+
+
+@pytest.mark.parametrize("n,seed", [(30, 1), (30, 2), (30, 3), (31, 1)])
+def test_results_do_not_depend_on_block_size(monkeypatch, n, seed):
+    # 2-DMU blocks for full-width pricing and the SBM lambda scatter, with
+    # a partial last block where n is odd
+    d = table1_panel(n, seed=seed)
+    specs = [ModelSpec(kind, rts) for kind in ModelKind
+             for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())]
+    default = [evaluate_all(d, spec) for spec in specs]
+    monkeypatch.setattr(models, "PRICE_BLOCK", 3 * n - 1)
+    for spec, want in zip(specs, default):
+        for got, r in zip(evaluate_all(d, spec), want):
+            assert got.score == r.score
+            for a, b in ((got.lam, r.lam), (got.slack_in, r.slack_in),
+                         (got.slack_good, r.slack_good),
+                         (got.slack_bad, r.slack_bad)):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_vrs_score_at_least_crs():
@@ -362,20 +385,20 @@ def test_result_invariants_random():
 
 def test_projection_identity():
     d = random_dataset(31, n=5, m=2, s1=1, s2=1)
-    spec = SBM
-    for r in evaluate_all(d, spec):
-        inst = build_instance(d, r.dmu, spec)
+    roles = RoleSlice(d)
+    for r in evaluate_all(d, SBM):
+        k = roles.rows[r.dmu]
         np.testing.assert_allclose(r.projection.inputs,
-                                   inst.x0 - r.slack_in, atol=1e-12)
+                                   roles.X[k] - r.slack_in, atol=1e-12)
         np.testing.assert_allclose(r.projection.goods,
-                                   r.phi * inst.y0g + r.slack_good,
+                                   r.phi * roles.Yg[k] + r.slack_good,
                                    atol=1e-12)
         np.testing.assert_allclose(r.projection.bads,
-                                   inst.y0b - r.slack_bad, atol=1e-12)
+                                   roles.Yb[k] - r.slack_bad, atol=1e-12)
     for r in evaluate_all(d, CCR):
-        inst = build_instance(d, r.dmu, CCR)
+        k = roles.rows[r.dmu]
         np.testing.assert_allclose(r.projection.goods,
-                                   r.phi * inst.y0g + r.slack_good,
+                                   r.phi * roles.Yg[k] + r.slack_good,
                                    atol=1e-12)
 
 
@@ -477,7 +500,7 @@ def test_lockstep_matches_cold_and_single_dmu_solves(d, kind, rts):
     spec = ModelSpec(kind, rts)
     single = (evaluate_ccr_output if kind is ModelKind.CCR_OUTPUT
               else evaluate_sbm_undesirable)
-    tpl = models._Template(build_instance(d, d.dmu_names[0], spec), kind)
+    tpl = build_instance(d, spec)
     cols = tpl.columns(np.arange(tpl.n))
     for k, r in enumerate(evaluate_all(d, spec)):
         cold = solve(tpl.lp(k, cols))

@@ -35,9 +35,8 @@ import numpy as np
 from scipy.optimize import linprog as highs
 
 from deakit import (Dataset, DeaError, Indicator, ModelKind, ModelSpec,
-                    ReturnsToScale, Role, build_instance, evaluate_all,
-                    linprog)
-from deakit.models import _Template
+                    ReturnsToScale, Role, evaluate_all, linprog)
+from deakit.models import build_instance
 from oracles import highs_ccr, highs_sbm
 
 SCORE_TOL = 1e-6
@@ -101,7 +100,7 @@ def exact_min(lp: linprog.StandardFormLP) -> Fraction:
 def exact_score(d: Dataset, kind: ModelKind, vrs: bool, k: int) -> float:
     """DMU k's score from the exact optimum of its (stage-1) LP as deakit
     builds it, with the panel in units of its column means (as floats)."""
-    tpl = _Template(build_instance(d, "d0", spec(kind, vrs)), kind)
+    tpl = build_instance(d, spec(kind, vrs))
     f = exact_min(tpl.lp(k, tpl.columns(np.arange(tpl.n))))
     return float(-1 / f if kind is ModelKind.CCR_OUTPUT else f)
 
@@ -158,7 +157,7 @@ def cold_lps() -> None:
     for s in range(100):
         d = nine_decade(s)
         for kind, vrs in SPECS:
-            tpl = _Template(build_instance(d, "d0", spec(kind, vrs)), kind)
+            tpl = build_instance(d, spec(kind, vrs))
             cols = tpl.columns(np.arange(tpl.n))
             for k in range(tpl.n):
                 lp = tpl.lp(k, cols)
