@@ -10,6 +10,8 @@ Every evaluation solves a whole batch of DMUs at once (one DMU for the
 per-DMU functions): each stage's LPs share one template per panel and are
 stepped in lockstep by `linprog.Lockstep` on a shared frame of candidate
 intensity columns, then checked against every column (`_solve_stage`).
+On a panel of `WAVE_FROM` DMUs or more, a first wave of about sqrt(n) of
+them grows the frame before the rest step.
 Both models read lambda and the slacks off their final bases (`_scatter`);
 the SBM's lambda scatter runs in blocks of DMUs, like full-width pricing.
 """
@@ -36,13 +38,14 @@ class ModelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ReturnsToScale:
-    """Intensity-sum bounds; `upper` may be math.inf (row omitted)."""
+    """Intensity-sum bounds; `lower` is finite, `upper` may be math.inf
+    (row omitted)."""
 
     lower: float
     upper: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper):
+        if not (0.0 <= self.lower <= self.upper and math.isfinite(self.lower)):
             raise ModelError(f"invalid returns-to-scale bounds "
                              f"L={self.lower}, U={self.upper}")
 
@@ -132,6 +135,10 @@ FRAME_BATCH = 4
 # product and the SBM lambda scatter run in blocks of DMUs, so that neither
 # allocates an n x n array
 PRICE_BLOCK = 1 << 16
+# usable LPs from which a stage that starts at the DMUs' own points first
+# solves a wave of ceil(sqrt(n)) of them to grow the frame; on smaller
+# stages the wave's extra rounds cost more than they save
+WAVE_FROM = 500
 
 
 class _Template:
@@ -292,10 +299,16 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
                  start=None) -> linprog.Lockstep:
     """One stage's LPs of the DMUs `ks`, solved together on the frame.
 
+    0. A stage that starts at the DMUs' own points with at least
+       `WAVE_FROM` usable LPs first runs steps 2-4 on a wave of
+       ceil(sqrt(n)) of them, at an even stride over `ks`, until the
+       wave's pricing blocks none.  The rest then join on the frame the
+       wave grew.  Smaller stages skip the wave, whose extra rounds cost
+       more than they save there.
     1. Every LP starts at `start` (bases in template indices and their
        inverses), by default its DMU's own point.
-    2. All LPs step in lockstep on the frame's lambda-columns plus their
-       own DMU's (`linprog.Lockstep`).
+    2. The active LPs step in lockstep on the frame's lambda-columns plus
+       their own DMU's (`linprog.Lockstep`).
     3. A restricted optimum is accepted only when every lambda-column of
        the panel prices out (reduced cost >= -OPT_TOL under its refined
        basis), which makes it optimal on all columns (Ali 1993; Dula
@@ -310,6 +323,11 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
     basis, Binv = (tpl.own_bases(ks), None) if start is None else start
     run = linprog.Lockstep(tpl.lam_block, O, c, b, basis, Binv)
     active = np.flatnonzero(run.usable)
+    rest = active[:0]
+    if start is None and active.size >= WAVE_FROM:
+        width = math.isqrt(active.size - 1) + 1
+        wave = np.arange(width) * active.size // width
+        active, rest = active[wave], np.delete(active, wave)
     per_block = max(1, PRICE_BLOCK // tpl.n)
     batch = min(FRAME_BATCH, tpl.n)
     while active.size:
@@ -333,6 +351,8 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
                 tpl.frame[top[joins < -linprog.OPT_TOL]] = True
                 blocked.append(part[hit])
         active = np.concatenate(blocked) if blocked else active[:0]
+        if not active.size:
+            active, rest = rest, active
     for l in np.flatnonzero(run.status != Status.OPTIMAL):
         run.adopt(l, *_cold(tpl, int(ks[l]), what,
                             None if phi is None else phi[l])[1:])

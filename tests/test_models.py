@@ -16,6 +16,7 @@ from deakit import (DataError, Dataset, Indicator, ModelError, ModelKind,
 from deakit.models import build_instance, linearize_sbm
 from oracles import (ccr_phi_enum, random_dataset, sbm_enum_oracle, sbm_rho,
                      table1_panel)
+from test_acceptance import certifying_stage
 
 CANONICAL = load_csv(b"dmu,in:x,out+:yg,out-:yb\nA,1,2,1\nB,1,1,2\n")
 CCR = ModelSpec(ModelKind.CCR_OUTPUT)
@@ -71,6 +72,15 @@ def test_custom_rts_validation():
         ReturnsToScale(2.0, 1.0)
     with pytest.raises(ModelError):
         ReturnsToScale(-0.5, 1.0)
+
+
+def test_rts_lower_bound_is_finite():
+    # an infinite L would reach the solver as LP data
+    with pytest.raises(ModelError):
+        ReturnsToScale(math.inf, math.inf)
+    ReturnsToScale.crs()
+    ReturnsToScale.vrs()
+    ReturnsToScale(0.5, 2.0)
 
 
 def test_ccr_canonical_pair():
@@ -290,6 +300,79 @@ def test_results_do_not_depend_on_block_size(monkeypatch, n, seed):
     default = [evaluate_all(d, spec) for spec in specs]
     monkeypatch.setattr(models, "PRICE_BLOCK", 3 * n - 1)
     for spec, want in zip(specs, default):
+        for got, r in zip(evaluate_all(d, spec), want):
+            assert got.score == r.score
+            for a, b in ((got.lam, r.lam), (got.slack_in, r.slack_in),
+                         (got.slack_good, r.slack_good),
+                         (got.slack_bad, r.slack_bad)):
+                np.testing.assert_array_equal(a, b)
+
+
+SPECS = [ModelSpec(kind, rts) for kind in ModelKind
+         for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())]
+
+
+def first_steps(monkeypatch) -> list:
+    """Spy on `_solve_stage` and `Lockstep.step`: the list gets one
+    [stage name, LPs in the stage's first step] entry per stage."""
+    firsts = []
+    real_stage, real_step = models._solve_stage, linprog.Lockstep.step
+
+    def stage(tpl, ks, what, *args, **kwargs):
+        firsts.append([what, None])
+        return real_stage(tpl, ks, what, *args, **kwargs)
+
+    def step(self, ls, cand, extra):
+        if firsts[-1][1] is None:
+            firsts[-1][1] = len(ls)
+        return real_step(self, ls, cand, extra)
+
+    monkeypatch.setattr(models, "_solve_stage", stage)
+    monkeypatch.setattr(linprog.Lockstep, "step", step)
+    return firsts
+
+
+def test_first_wave_matches_one_wave(monkeypatch):
+    # just above WAVE_FROM, the stages that start from the DMUs' own points
+    # first step a wave of ceil(sqrt(n)) LPs; the scores must be those of a
+    # run without the wave, and every final basis optimal on all columns
+    d = table1_panel(models.WAVE_FROM + 44, seed=1)
+    n = len(d.dmu_names)
+    firsts = first_steps(monkeypatch)
+    certified = {"n": 0}
+    monkeypatch.setattr(models, "_solve_stage",
+                        certifying_stage(certified))
+    monkeypatch.setattr(models, "_cold", None)  # every LP ends in the batch
+    waved = [evaluate_all(d, spec) for spec in SPECS]
+    assert certified["n"] == 2 * 3 * n
+    wave = math.isqrt(n - 1) + 1
+    assert firsts == (2 * [["CCR stage 1", wave], ["CCR stage 2", n]]
+                      + 2 * [["SBM solve", wave]])
+    monkeypatch.setattr(models, "WAVE_FROM", n + 1)
+    firsts.clear()
+    for spec, want in zip(SPECS, waved):
+        got = evaluate_all(d, spec)
+        np.testing.assert_allclose([r.score for r in got],
+                                   [r.score for r in want], rtol=0, atol=1e-9)
+    assert [step for _, step in firsts] == 6 * [n]
+
+
+def test_small_panels_skip_the_wave(monkeypatch):
+    # the paper-sized and batch panels step every usable LP at once
+    d = table1_panel(30, seed=1)
+    firsts = first_steps(monkeypatch)
+    for spec in SPECS:
+        evaluate_all(d, spec)
+    assert [step for _, step in firsts] == 6 * [30]
+
+
+def test_waved_results_do_not_depend_on_block_size(monkeypatch):
+    # as test_results_do_not_depend_on_block_size, with the wave active
+    d = table1_panel(models.WAVE_FROM + 44, seed=1)
+    n = len(d.dmu_names)
+    default = [evaluate_all(d, spec) for spec in SPECS]
+    monkeypatch.setattr(models, "PRICE_BLOCK", 3 * n - 1)
+    for spec, want in zip(SPECS, default):
         for got, r in zip(evaluate_all(d, spec), want):
             assert got.score == r.score
             for a, b in ((got.lam, r.lam), (got.slack_in, r.slack_in),
