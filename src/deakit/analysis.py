@@ -1,8 +1,7 @@
 """Statistics over model results: correlations, ranking, bands, comparison.
 
-`compare_models` computes each model's improvement rates for a whole
-panel in one array pass (the batch `improvement_targets` is one of); each
-column of its Mean row is `np.mean` of that column in DMU order.
+`_summary` computes one model's ranks, improvement rates and Mean row for
+a whole panel in array passes, for the CLI and for `compare_models`.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ import numpy as np
 
 from .dataset import Dataset, Role
 from .errors import DataError
-from .models import (EfficiencyResult, RateReport, RoleSlice, _rate_reports,
-                     _rates)
+from .models import (EfficiencyResult, RateReport, RoleSlice, _Columns,
+                     _rate_reports, _rates)
 
 RANK_TOL = 5e-3
 
@@ -120,32 +119,42 @@ def efficiency_bands(records: Sequence[ComparisonRecord],
 
     Level 1: score >= t1; level 2: t2 <= score < t1; level 3: score < t2.
     """
+    if key not in ("epi", "ee"):
+        raise DataError(f"unknown band key {key!r}")
+    body = [rec for rec in records if not rec.is_mean]
+    return _bands([rec.dmu for rec in body],
+                  [getattr(rec, key) for rec in body], thresholds)
+
+
+def _bands(dmus: Sequence[str], scores: Sequence[float],
+           thresholds: tuple[float, float]) -> dict[int, list[str]]:
+    """`efficiency_bands` of the DMUs `dmus` with scores `scores`."""
     t1, t2 = thresholds
     if not (0.0 < t2 < t1 < 1.0):
         raise DataError(f"thresholds must satisfy 0 < t2 < t1 < 1, "
                         f"got ({t1}, {t2})")
-    if key not in ("epi", "ee"):
-        raise DataError(f"unknown band key {key!r}")
     levels: dict[int, list[str]] = {1: [], 2: [], 3: []}
-    for rec in records:
-        if rec.is_mean:
-            continue
-        score = rec.epi if key == "epi" else rec.ee
-        if score >= t1:
-            levels[1].append(rec.dmu)
-        elif score >= t2:
-            levels[2].append(rec.dmu)
-        else:
-            levels[3].append(rec.dmu)
+    for dmu, score in zip(dmus, scores):
+        levels[1 if score >= t1 else 2 if score >= t2 else 3].append(dmu)
     return levels
 
 
-def _mean_rates(rates) -> RateReport:
-    # each column's mean is np.mean of a contiguous 1-D array in DMU
-    # order: a mean along an axis of a 2-D array sums in another order
-    return _rate_reports(["Mean"], [
-        (names, np.array([[np.mean(col) for col in np.array(v.T)]]))
-        for names, v in rates])[0]
+def _summary(res: _Columns, roles: RoleSlice):
+    """The mean score, the ranks and the rates (`models._rates`) of one
+    model's results on every DMU of `roles` in order, the last two with
+    the Mean row: rank None, and `np.mean` of each column as a contiguous
+    1-D array in DMU order (a mean along an axis of a 2-D array sums in
+    another order)."""
+    ranks = rank_scores(res.score) + [None]
+    return float(np.mean(res.score)), ranks, [
+        (names, np.vstack((v, [np.mean(col) for col in np.array(v.T)])))
+        for names, v in _rates(res, roles)]
+
+
+def _meta(d: Dataset, cols: Sequence[int]) -> list[list[float]]:
+    """The dataset columns `cols`, one row per DMU, then their means."""
+    return d.values[:, cols].tolist() + [
+        [float(d.values[:, j].mean()) for j in cols]]
 
 
 def compare_models(ee: Sequence[EfficiencyResult],
@@ -162,35 +171,17 @@ def compare_models(ee: Sequence[EfficiencyResult],
     if names != [r.dmu for r in epi] or names != list(d.dmu_names):
         raise DataError("compare_models: DMU sets/order differ between "
                         "result lists and dataset")
-    ee_scores = [r.score for r in ee]
-    epi_scores = [r.score for r in epi]
-    ee_ranks, epi_ranks = rank_scores(ee_scores), rank_scores(epi_scores)
+    roles = RoleSlice(d)
+    (ee_mean, ee_ranks, ccr_rates), (epi_mean, epi_ranks, sbm_rates) = (
+        _summary(_Columns.stack(res), roles) for res in (ee, epi))
     meta_cols = d.role_columns(Role.META)
     meta_names = [d.indicators[j].name for j in meta_cols]
-    roles = RoleSlice(d)
-    ccr_rates = _rates(ee, roles)
-    sbm_rates = _rates(epi, roles)
-
-    records = [ComparisonRecord(
+    names.append("Mean")
+    return [ComparisonRecord(
         dmu=dmu, ee=a, epi=b, ee_rank=ra, epi_rank=rb, ccr_rates=ca,
-        sbm_rates=cb, meta=dict(zip(meta_names, meta)))
+        sbm_rates=cb, meta=dict(zip(meta_names, meta)), is_mean=ra is None)
         for dmu, a, b, ra, rb, ca, cb, meta in zip(
-            names, ee_scores, epi_scores, ee_ranks, epi_ranks,
-            _rate_reports(names, ccr_rates),
-            _rate_reports(names, sbm_rates),
-            d.values[:, meta_cols].tolist())]
-
-    mean_meta = {d.indicators[j].name: float(d.values[:, j].mean())
-                 for j in meta_cols}
-    records.append(ComparisonRecord(
-        dmu="Mean",
-        ee=float(np.mean(ee_scores)),
-        epi=float(np.mean(epi_scores)),
-        ee_rank=None,
-        epi_rank=None,
-        ccr_rates=_mean_rates(ccr_rates),
-        sbm_rates=_mean_rates(sbm_rates),
-        meta=mean_meta,
-        is_mean=True,
-    ))
-    return records
+            names, [r.score for r in ee] + [ee_mean],
+            [r.score for r in epi] + [epi_mean], ee_ranks,
+            epi_ranks, _rate_reports(names, ccr_rates),
+            _rate_reports(names, sbm_rates), _meta(d, meta_cols))]

@@ -12,13 +12,13 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .analysis import compare_models, correlation_matrix, efficiency_bands, \
-    rank_scores
-from .dataset import CsvSchema, Dataset, descriptive_stats, load_csv, \
+import numpy as np
+
+from .analysis import _bands, _meta, _summary, correlation_matrix
+from .dataset import CsvSchema, Dataset, Role, descriptive_stats, load_csv, \
     load_stats_spec, render_csv, synthesize_matching
 from .errors import DeaError
-from .models import (ModelKind, ModelSpec, ReturnsToScale, RoleSlice, _rates,
-                     evaluate_all)
+from .models import ModelKind, ModelSpec, ReturnsToScale, RoleSlice, _evaluate
 from .render import Column, Table, render_table
 
 _MODEL_TOKENS = {k.value: k for k in ModelKind}
@@ -121,17 +121,6 @@ def _rate_columns(roles: RoleSlice, prefix: str = "",
                for name in roles.good_names])
 
 
-def _rate_cells(roles: RoleSlice, rates,
-                include_bads: bool = True) -> list[float]:
-    cells = [rates.input_reduction_pct.get(name, 0.0)
-             for name in roles.input_names]
-    if include_bads:
-        cells += [rates.bad_reduction_pct.get(name, 0.0)
-                  for name in roles.bad_names]
-    return cells + [rates.good_increase_pct.get(name, 0.0)
-                    for name in roles.good_names]
-
-
 def _cmd_stats(cfg: RunConfig) -> str:
     d = _load(cfg)
     rows = descriptive_stats(d)
@@ -155,30 +144,34 @@ def _cmd_corr(cfg: RunConfig) -> str:
 
 def _cmd_rank(cfg: RunConfig) -> str:
     d = _load(cfg)
-    results = evaluate_all(d, _model_spec(cfg))
-    ranks = rank_scores([r.score for r in results])
+    res = _evaluate(d, _model_spec(cfg))
+    _, ranks, _ = _summary(res, RoleSlice(d))
+    # zipped with the scores, the ranks drop their Mean row
     table = Table(
         columns=(Column("dmu", "text"), Column("score", "score"),
                  Column("rank", "int")),
-        rows=tuple((r.dmu, r.score, k) for r, k in zip(results, ranks)))
+        rows=tuple(zip(d.dmu_names, res.score.tolist(), ranks)))
     return render_table(table, cfg.fmt)
 
 
 def _cmd_evaluate(cfg: RunConfig) -> str:
     d = _load(cfg)
     spec = _model_spec(cfg)
-    results = evaluate_all(d, spec)
+    res = _evaluate(d, spec)
     roles = RoleSlice(d)
+    if cfg.verbose:
+        for dmu, score in zip(d.dmu_names, res.score.tolist()):
+            _note(cfg, f"evaluated {dmu}: score {score:.6f}")
+    _, _, rates = _summary(res, roles)
+    # CCR results have no undesirable slacks, so their bad rates have no
+    # columns; zipped with the scores, the rates drop their Mean row
     with_bads = spec.kind is ModelKind.SBM_UNDESIRABLE
-    for r in results:
-        _note(cfg, f"evaluated {r.dmu}: score {r.score:.6f}")
-    # CCR results have no undesirable slacks, so `bads` has no columns
-    ins, bads, goods = (v.tolist() for _, v in _rates(results, roles))
     table = Table(
         columns=(Column("dmu", "text"), Column("score", "score"),
                  *_rate_columns(roles, include_bads=with_bads)),
-        rows=tuple((r.dmu, r.score, *a, *b, *c)
-                   for r, a, b, c in zip(results, ins, bads, goods)))
+        rows=tuple((dmu, s, *r) for dmu, s, r in zip(
+            d.dmu_names, res.score.tolist(),
+            np.hstack([v for _, v in rates]).tolist())))
     return render_table(table, cfg.fmt)
 
 
@@ -191,28 +184,32 @@ def _cmd_synth(cfg: RunConfig) -> str:
 def _cmd_report(cfg: RunConfig) -> str:
     d = _load(cfg)
     rts = _RTS_TOKENS[cfg.rts]()
+    roles = RoleSlice(d)
     _note(cfg, "running CCR (EE)")
-    ee = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT, rts))
+    ee = _evaluate(d, ModelSpec(ModelKind.CCR_OUTPUT, rts))
     _note(cfg, "running SBM with undesirable outputs (EPI)")
-    epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts))
-    records = compare_models(ee, epi, d)
+    epi = _evaluate(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts))
+    (ee_mean, ee_ranks, ccr), (epi_mean, epi_ranks, sbm) = (
+        _summary(res, roles) for res in (ee, epi))
 
-    meta_names = sorted(records[0].meta)
+    meta_cols = sorted(d.role_columns(Role.META),
+                       key=lambda j: d.indicators[j].name)
     columns = [Column("dmu", "text"), Column("EE", "scorerank"),
                Column("EPI", "scorerank")]
-    roles = RoleSlice(d)
     columns += _rate_columns(roles, prefix="CCR ", include_bads=False)
     columns += _rate_columns(roles, prefix="SBM ")
-    columns += [Column(name) for name in meta_names]
-    rows = []
-    for rec in records:
-        rows.append((rec.dmu, (rec.ee, rec.ee_rank), (rec.epi, rec.epi_rank),
-                     *_rate_cells(roles, rec.ccr_rates, include_bads=False),
-                     *_rate_cells(roles, rec.sbm_rates),
-                     *(rec.meta[name] for name in meta_names)))
-    out = render_table(Table(tuple(columns), tuple(rows)), cfg.fmt)
+    columns += [Column(d.indicators[j].name) for j in meta_cols]
+    epi_score = epi.score.tolist()
+    # CCR's bad rates have no columns
+    rows = tuple((dmu, (a, ra), (b, rb), *rates, *meta)
+                 for dmu, a, ra, b, rb, rates, meta in zip(
+                     (*d.dmu_names, "Mean"), ee.score.tolist() + [ee_mean],
+                     ee_ranks, epi_score + [epi_mean], epi_ranks,
+                     np.hstack([v for _, v in ccr + sbm]).tolist(),
+                     _meta(d, meta_cols)))
+    out = render_table(Table(tuple(columns), rows), cfg.fmt)
     if cfg.fmt == "md":
-        bands = efficiency_bands(records, (cfg.t1, cfg.t2))
+        bands = _bands(d.dmu_names, epi_score, (cfg.t1, cfg.t2))
         lines = ["", f"Levels by EPI (t1={cfg.t1:g}, t2={cfg.t2:g}):"]
         for level in (1, 2, 3):
             members = ", ".join(bands[level]) if bands[level] else "-"

@@ -12,8 +12,8 @@ stepped in lockstep by `linprog.Lockstep` on a shared frame of candidate
 intensity columns, then checked against every column (`_solve_stage`).
 On a panel of `WAVE_FROM` DMUs or more, a first wave of about sqrt(n) of
 them grows the frame before the rest step.
-Both models read lambda and the slacks off their final bases (`_scatter`);
-the SBM's lambda scatter runs in blocks of DMUs, like full-width pricing.
+Both models end in arrays (`_Columns`), lambda as each DMU's basic entries;
+the CLI reads them, and the API's result objects are built from them.
 """
 
 from __future__ import annotations
@@ -131,9 +131,8 @@ def build_instance(d: Dataset, spec: ModelSpec, *,
 
 # lambda-columns that join a panel's frame per blocked DMU and pricing round
 FRAME_BATCH = 4
-# entries of one block of a DMUs-by-columns array: the full-width pricing
-# product and the SBM lambda scatter run in blocks of DMUs, so that neither
-# allocates an n x n array
+# entries of one block of the full-width pricing product, which runs in
+# blocks of DMUs so that it allocates no n x n array
 PRICE_BLOCK = 1 << 16
 # usable LPs from which a stage that starts at the DMUs' own points first
 # solves a wave of ceil(sqrt(n)) of them to grow the frame; on smaller
@@ -162,6 +161,7 @@ class _Template:
     """
 
     def __init__(self, roles: RoleSlice, spec: ModelSpec):
+        self.kind = spec.kind
         self.sbm = spec.kind is ModelKind.SBM_UNDESIRABLE
         self.n, self.m = roles.X.shape
         self.s1 = roles.Yg.shape[1]
@@ -267,19 +267,6 @@ def _clip_tiny(v: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     out = np.array(v, dtype=float)
     out[(out < 0.0) & (out > -tol)] = 0.0
     return out + 0.0  # normalizes -0.0 to +0.0
-
-
-def _scatter(tpl: _Template, basis: np.ndarray, v: np.ndarray):
-    """(lambda, slack) of LPs with basic columns `basis` and basic values
-    `v` (one row per LP): each is `v` at its basic positions, 0 elsewhere.
-    `slack` holds the data rows' slacks, in raw units."""
-    lam = np.zeros((len(basis), tpl.n))
-    li, ri = np.nonzero((basis > 0) & (basis <= tpl.n))
-    lam[li, basis[li, ri] - 1] = v[li, ri]
-    slack = np.zeros((len(basis), tpl.tail.size))
-    li, ri = np.nonzero(basis > tpl.n)
-    slack[li, basis[li, ri] - tpl.tail[0]] = v[li, ri]
-    return lam, slack[:, :tpl.unit.size] * tpl.unit
 
 
 def _cold(tpl: _Template, k: int, what: str, phi: Optional[float] = None):
@@ -393,30 +380,66 @@ def _snap(v):
     return np.where(np.abs(v - 1.0) <= 1e-9, 1.0, v)
 
 
-def _results(tpl: _Template, ks: np.ndarray, kind: ModelKind,
-             score: np.ndarray, phi: np.ndarray, lam,
-             slack: np.ndarray) -> list[EfficiencyResult]:
-    """One result per DMU of `ks` from per-DMU rows: scores (snapped to 1
-    within 1e-9), phi, lambda (an array or a sequence of rows) and the
-    data rows' slacks in raw units (see `_scatter`).  Each result holds
-    row views of the arrays."""
-    score = _snap(score)
-    raw = tpl.raw[:, ks].T
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """One model's results with one row per DMU: scores (snapped to 1
+    within 1e-9), phi and the data rows' slacks in raw units.  Solved ones
+    (`_solved`) also hold the template, the DMUs' rows `ks` in it, and
+    lambda as each DMU's basic entries: lambda_j is `x` where `basis` (its
+    final basis in template indices) is 1 + j."""
+
+    score: np.ndarray
+    phi: np.ndarray
+    slack_in: np.ndarray
+    slack_good: np.ndarray
+    slack_bad: np.ndarray
+    tpl: Optional[_Template] = None
+    ks: Optional[np.ndarray] = None
+    basis: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None
+
+    @classmethod
+    def stack(cls, results: Sequence[EfficiencyResult]) -> "_Columns":
+        return cls(*(np.array([getattr(r, f) for r in results]) for f in
+                     ("score", "phi", "slack_in", "slack_good", "slack_bad")))
+
+    def results(self) -> list[EfficiencyResult]:
+        """One result per DMU, with a dense lambda row; each result holds
+        row views of the arrays."""
+        tpl, ks, basis = self.tpl, self.ks, self.basis
+        lam = np.zeros((ks.size, tpl.n))
+        li, ri = np.nonzero((basis > 0) & (basis <= tpl.n))
+        lam[li, basis[li, ri] - 1] = self.x[li, ri]
+        raw = tpl.raw[:, ks].T
+        m, ms = tpl.m, tpl.m + tpl.s1
+        inputs = raw[:, :m] - self.slack_in
+        goods = self.phi[:, None] * raw[:, m:ms] + self.slack_good
+        bads = raw[:, ms:] - self.slack_bad
+        return [EfficiencyResult(
+            dmu=tpl.names[k], kind=tpl.kind, score=v, phi=f, lam=la,
+            slack_in=si, slack_good=sg, slack_bad=sb,
+            projection=Projection(inputs=pi, goods=pg, bads=pb))
+            for k, v, f, la, si, sg, sb, pi, pg, pb in zip(
+                ks.tolist(), self.score.tolist(), self.phi.tolist(), lam,
+                self.slack_in, self.slack_good, self.slack_bad, inputs,
+                goods, bads)]
+
+
+def _solved(tpl: _Template, ks: np.ndarray, score: np.ndarray,
+            phi: np.ndarray, basis: np.ndarray, x: np.ndarray) -> _Columns:
+    """The columns of LPs of DMUs `ks` with final bases `basis` and basic
+    values `x` (one row per LP): each slack is `x` at its basic position,
+    0 elsewhere."""
+    slack = np.zeros((ks.size, tpl.tail.size))
+    li, ri = np.nonzero(basis > tpl.n)
+    slack[li, basis[li, ri] - tpl.tail[0]] = x[li, ri]
+    slack = slack[:, :tpl.unit.size] * tpl.unit
     m, ms = tpl.m, tpl.m + tpl.s1
-    s_in, s_good, s_bad = slack[:, :m], slack[:, m:ms], slack[:, ms:]
-    inputs = raw[:, :m] - s_in
-    goods = phi[:, None] * raw[:, m:ms] + s_good
-    bads = raw[:, ms:] - s_bad
-    return [EfficiencyResult(
-        dmu=tpl.names[k], kind=kind, score=v, phi=f, lam=la, slack_in=si,
-        slack_good=sg, slack_bad=sb,
-        projection=Projection(inputs=pi, goods=pg, bads=pb))
-        for k, v, f, la, si, sg, sb, pi, pg, pb in zip(
-            ks.tolist(), score.tolist(), phi.tolist(), lam, s_in, s_good,
-            s_bad, inputs, goods, bads)]
+    return _Columns(_snap(score), phi, slack[:, :m], slack[:, m:ms],
+                    slack[:, ms:], tpl, ks, basis, x)
 
 
-def _ccr(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
+def _ccr(tpl: _Template, ks: np.ndarray) -> _Columns:
     one = _solve_stage(tpl, ks, "CCR stage 1")
     phi = _snap(-one.objective)
     for l in np.flatnonzero(~_valid_phi(tpl, phi)):
@@ -431,9 +454,7 @@ def _ccr(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
         one.adopt(l, basis, xb)
     two = _solve_stage(tpl, ks, "CCR stage 2", phi=phi,
                        start=_phi_out(one, tpl))
-    lam, slack = _scatter(tpl, two.basis, _clip_tiny(two.x))
-    return _results(tpl, ks, ModelKind.CCR_OUTPUT, 1.0 / phi, phi, lam,
-                    slack)
+    return _solved(tpl, ks, 1.0 / phi, phi, two.basis, _clip_tiny(two.x))
 
 
 def evaluate_ccr_output(d: Dataset, dmu: str, spec: ModelSpec) -> EfficiencyResult:
@@ -447,7 +468,7 @@ def evaluate_ccr_output(d: Dataset, dmu: str, spec: ModelSpec) -> EfficiencyResu
     if spec.kind is not ModelKind.CCR_OUTPUT:
         raise ModelError(f"evaluate_ccr_output got spec kind {spec.kind}")
     k = d.dmu_index(dmu)
-    return _ccr(build_instance(d, spec), np.array([k]))[0]
+    return _ccr(build_instance(d, spec), np.array([k])).results()[0]
 
 
 def linearize_sbm(tpl: _Template, k: int) -> StandardFormLP:
@@ -461,7 +482,7 @@ def linearize_sbm(tpl: _Template, k: int) -> StandardFormLP:
     return tpl.lp(k, tpl.columns(np.arange(tpl.n)))
 
 
-def _sbm(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
+def _sbm(tpl: _Template, ks: np.ndarray) -> _Columns:
     run = _solve_stage(tpl, ks, "SBM solve")
     t = np.where(run.basis == 0, run.x, 0.0).sum(axis=1)
     # The SBM LP's b is e_0 (normalization row), so the solver takes a
@@ -471,16 +492,8 @@ def _sbm(tpl: _Template, ks: np.ndarray) -> list[EfficiencyResult]:
     if low.any():
         raise ModelError("degenerate Charnes-Cooper scale "
                          f"(t = {float(t[low][0]):.3e})")
-    v = _clip_tiny(run.x / t[:, None])
-    lam, slack = [], []
-    per_block = max(1, PRICE_BLOCK // tpl.n)
-    for lo in range(0, ks.size, per_block):
-        block, s = _scatter(tpl, run.basis[lo:lo + per_block],
-                            v[lo:lo + per_block])
-        lam.extend(block)
-        slack.append(s)
-    return _results(tpl, ks, ModelKind.SBM_UNDESIRABLE, run.objective,
-                    np.ones(ks.size), lam, np.concatenate(slack))
+    return _solved(tpl, ks, run.objective, np.ones(ks.size), run.basis,
+                   _clip_tiny(run.x / t[:, None]))
 
 
 def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
@@ -493,28 +506,25 @@ def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
         raise ModelError(f"evaluate_sbm_undesirable got spec kind {spec.kind}")
     k = d.dmu_index(dmu)
     return _sbm(build_instance(d, spec, allow_plain_sbm=allow_plain_sbm),
-                np.array([k]))[0]
+                np.array([k])).results()[0]
 
 
-def _rates(results: Sequence[EfficiencyResult], roles: RoleSlice):
-    """Percent improvement rates of results scored on the panel `roles`.
+def _rates(res: _Columns, roles: RoleSlice, rows=slice(None)):
+    """Percent improvement rates of the results `res` scored on the panel
+    `roles`, whose DMUs are its `rows` (by default all, in order).
 
     Returns (names, rates) per kind: input reduction, undesirable-output
     reduction and desirable-output increase, with one row of `rates` per
     result.  A kind has as many columns as the results have slacks of it.
     """
-    try:
-        ks = [roles.rows[r.dmu] for r in results]
-    except KeyError as exc:
-        raise DataError(f"unknown DMU {exc.args[0]!r}") from None
-    radial = (np.array([r.phi for r in results]) - 1.0) * 100.0
+    radial = (res.phi - 1.0) * 100.0
     out = []
     for attr, names, values in (("slack_in", roles.input_names, roles.X),
                                 ("slack_bad", roles.bad_names, roles.Yb),
                                 ("slack_good", roles.good_names, roles.Yg)):
-        slack = np.array([getattr(r, attr) for r in results])
+        slack = getattr(res, attr)
         w = min(slack.shape[1], len(names))
-        v = 100.0 * slack[:, :w] / values[ks, :w]
+        v = 100.0 * slack[:, :w] / values[rows, :w]
         if attr == "slack_good":
             v = radial[:, None] + v
         out.append((names[:w], np.where(v < 1e-7, 0.0, v)))
@@ -540,7 +550,24 @@ def improvement_targets(r: EfficiencyResult, roles: RoleSlice) -> RateReport:
     in.  Rates below 1e-7 snap to exactly 0.  This is the batch of one of
     the rates that `compare_models` computes for a whole panel.
     """
-    return _rate_reports([r.dmu], _rates([r], roles))[0]
+    if r.dmu not in roles.rows:
+        raise DataError(f"unknown DMU {r.dmu!r}")
+    return _rate_reports([r.dmu], _rates(_Columns.stack([r]), roles,
+                                         [roles.rows[r.dmu]]))[0]
+
+
+def _evaluate(d: Dataset, spec: ModelSpec,
+              allow_plain_sbm: bool = False) -> Optional[_Columns]:
+    """`evaluate_all` as arrays (None for a panel of no DMUs)."""
+    problems = validate(d)
+    if problems:
+        detail = "; ".join(str(p) for p in problems)
+        raise DataError(f"invalid dataset: {detail}")
+    if not d.dmu_names:
+        return None
+    tpl = build_instance(d, spec, allow_plain_sbm=allow_plain_sbm)
+    evaluate = _ccr if spec.kind is ModelKind.CCR_OUTPUT else _sbm
+    return evaluate(tpl, np.arange(tpl.n))
 
 
 def evaluate_all(d: Dataset, spec: ModelSpec, *,
@@ -549,12 +576,5 @@ def evaluate_all(d: Dataset, spec: ModelSpec, *,
 
     All DMUs share one LP template and one candidate set of lambda-columns.
     """
-    problems = validate(d)
-    if problems:
-        detail = "; ".join(str(p) for p in problems)
-        raise DataError(f"invalid dataset: {detail}")
-    if not d.dmu_names:
-        return []
-    tpl = build_instance(d, spec, allow_plain_sbm=allow_plain_sbm)
-    evaluate = _ccr if spec.kind is ModelKind.CCR_OUTPUT else _sbm
-    return evaluate(tpl, np.arange(tpl.n))
+    res = _evaluate(d, spec, allow_plain_sbm)
+    return [] if res is None else res.results()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,8 +13,12 @@ import pytest
 
 import deakit
 import deakit.models as models
-from deakit import load_csv
+from deakit import (Column, ModelKind, ModelSpec, RoleSlice, Table,
+                    compare_models, evaluate_all, improvement_targets,
+                    load_csv, rank_scores)
 from deakit.cli import console_main, parse_args
+from oracles import table1_panel
+from test_acceptance import published_dataset
 
 PAIR = (b"dmu,in:x,out+:yg,out-:yb,meta:gdp\n"
         b"A,1,2,1,5.0\n"
@@ -341,3 +346,95 @@ def test_benchmark_span_targets_resolve():
     for module, name in spans.WRAPPED.values():
         assert callable(getattr(importlib.import_module(module), name, None)), \
             f"{module}.{name}"
+
+
+def api_tables(d, rts):
+    """{command args: Table} of `report`, `evaluate` under both models and
+    `rank` on the panel `d`, built cell by cell from the API's objects:
+    `compare_models` records, `evaluate_all` results and their
+    `improvement_targets`."""
+    roles = RoleSlice(d)
+
+    def rate_columns(prefix, bads):
+        reduced = roles.input_names + (roles.bad_names if bads else ())
+        return ([Column(f"{prefix}reduce {name} (%)", "rate")
+                 for name in reduced]
+                + [Column(f"{prefix}increase {name} (%)", "rate")
+                   for name in roles.good_names])
+
+    def cells(rates):
+        return (*rates.input_reduction_pct.values(),
+                *rates.bad_reduction_pct.values(),
+                *rates.good_increase_pct.values())
+
+    token = "vrs" if rts.upper == 1.0 else "crs"
+    results = {kind: evaluate_all(d, ModelSpec(kind, rts))
+               for kind in ModelKind}
+    records = compare_models(results[ModelKind.CCR_OUTPUT],
+                             results[ModelKind.SBM_UNDESIRABLE], d)
+    meta = sorted(records[0].meta)
+    tables = {("report", "--rts", token): Table(
+        (Column("dmu", "text"), Column("EE", "scorerank"),
+         Column("EPI", "scorerank"), *rate_columns("CCR ", False),
+         *rate_columns("SBM ", True), *(Column(name) for name in meta)),
+        [(rec.dmu, (rec.ee, rec.ee_rank), (rec.epi, rec.epi_rank),
+          *cells(rec.ccr_rates), *cells(rec.sbm_rates),
+          *(rec.meta[name] for name in meta)) for rec in records])}
+    for kind, rs in results.items():
+        args = ("--model", kind.value, "--rts", token)
+        tables[("evaluate", *args)] = Table(
+            (Column("dmu", "text"), Column("score", "score"),
+             *rate_columns("", kind is ModelKind.SBM_UNDESIRABLE)),
+            [(r.dmu, r.score, *cells(improvement_targets(r, roles)))
+             for r in rs])
+        tables[("rank", *args)] = Table(
+            (Column("dmu", "text"), Column("score", "score"),
+             Column("rank", "int")),
+            [(r.dmu, r.score, k)
+             for r, k in zip(rs, rank_scores([r.score for r in rs]))])
+    return tables
+
+
+def agreement_panel(name: str):
+    return {"golden": lambda: load_csv(golden_panel().encode()),
+            "paper11": published_dataset,
+            "table1-30": lambda: table1_panel(30, seed=1),
+            "table1-wave": lambda: table1_panel(models.WAVE_FROM + 44,
+                                                seed=1)}[name]()
+
+
+@pytest.mark.parametrize("name,rts", [
+    ("golden", "crs"), ("golden", "vrs"), ("paper11", "crs"),
+    ("table1-30", "vrs"), ("table1-wave", "crs"), ("table1-wave", "vrs")])
+def test_cli_matches_api_in_full_precision(capsys, tmp_path, name, rts):
+    # the CLI reads the models' arrays, not the API's objects; its json and
+    # csv carry 17 digits, so they show any difference the md goldens round
+    # away
+    d = agreement_panel(name)
+    path = tmp_path / f"{name}.csv"
+    path.write_text(deakit.render_csv(d))
+    tables = api_tables(d, getattr(deakit.ReturnsToScale, rts)())
+    for args, table in tables.items():
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, *args, "--input", str(path),
+                                     "--format", fmt)
+            assert code == 0, err
+            assert out == deakit.render_table(table, fmt), (args, fmt)
+
+
+def test_report_allocates_no_n_by_n_array(capsys, tmp_path):
+    # lambda is kept as each DMU's basic entries, and full-width pricing
+    # runs in blocks, so a report's traced peak stays well below one n x n
+    # array of floats
+    n = 2000
+    path = tmp_path / "panel.csv"
+    path.write_text(deakit.render_csv(table1_panel(n, seed=1)))
+    tracemalloc.start()
+    try:
+        code = console_main(["report", "--input", str(path), "--format",
+                             "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak < 8 * n * n, f"peak {peak / 2**20:.1f} MiB"

@@ -1,4 +1,5 @@
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ import deakit.linprog as linprog
 import deakit.models as models
 from deakit import (DataError, Dataset, Indicator, ModelError, ModelKind,
                     ModelSpec, ReturnsToScale, Role, RoleSlice, SolverError,
-                    evaluate_all, evaluate_ccr_output,
+                    compare_models, evaluate_all, evaluate_ccr_output,
                     evaluate_sbm_undesirable, improvement_targets, load_csv,
                     solve)
 from deakit.models import build_instance, linearize_sbm
@@ -292,8 +293,8 @@ def test_degenerate_scale_guard(monkeypatch):
 
 @pytest.mark.parametrize("n,seed", [(30, 1), (30, 2), (30, 3), (31, 1)])
 def test_results_do_not_depend_on_block_size(monkeypatch, n, seed):
-    # 2-DMU blocks for full-width pricing and the SBM lambda scatter, with
-    # a partial last block where n is odd
+    # 2-DMU blocks for full-width pricing, with a partial last block where
+    # n is odd
     d = table1_panel(n, seed=seed)
     specs = [ModelSpec(kind, rts) for kind in ModelKind
              for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())]
@@ -379,6 +380,66 @@ def test_waved_results_do_not_depend_on_block_size(monkeypatch):
                          (got.slack_good, r.slack_good),
                          (got.slack_bad, r.slack_bad)):
                 np.testing.assert_array_equal(a, b)
+
+
+def scatter(tpl, basis, v):
+    """Dense (lambda, raw-unit data-row slacks) of LPs with final bases
+    `basis` and basic values `v`, one row per LP: each is `v` at its basic
+    positions and 0 elsewhere.  The reference for rows built from the
+    basic entries."""
+    lam = np.zeros((len(basis), tpl.n))
+    li, ri = np.nonzero((basis > 0) & (basis <= tpl.n))
+    lam[li, basis[li, ri] - 1] = v[li, ri]
+    slack = np.zeros((len(basis), tpl.tail.size))
+    li, ri = np.nonzero(basis > tpl.n)
+    slack[li, basis[li, ri] - tpl.tail[0]] = v[li, ri]
+    return lam, slack[:, :tpl.unit.size] * tpl.unit
+
+
+@pytest.mark.parametrize("n", [30, models.WAVE_FROM + 44])
+def test_dense_lambda_from_basic_entries(n):
+    # the models keep lambda as each DMU's basic entries; the dense rows
+    # of evaluate_all are exactly the full scatter of the final bases
+    d = table1_panel(n, seed=1)
+    for spec in SPECS:
+        res = models._evaluate(d, spec)
+        lam, slack = scatter(res.tpl, res.basis, res.x)
+        got = evaluate_all(d, spec)
+        np.testing.assert_array_equal(np.array([r.lam for r in got]), lam)
+        np.testing.assert_array_equal(
+            np.hstack((res.slack_in, res.slack_good, res.slack_bad)), slack)
+        np.testing.assert_array_equal(np.array([np.concatenate(
+            (r.slack_in, r.slack_good, r.slack_bad)) for r in got]), slack)
+
+
+def same_result(a, b) -> bool:
+    """Field-by-field equality of two EfficiencyResults: equal values,
+    shapes and dtypes."""
+    def same(x, y):
+        if isinstance(x, np.ndarray):
+            return (x.dtype == y.dtype and x.shape == y.shape
+                    and np.array_equal(x, y))
+        return type(x) is type(y) and x == y
+    return (all(same(getattr(a, f), getattr(b, f))
+                for f in ("dmu", "kind", "score", "phi", "lam", "slack_in",
+                          "slack_good", "slack_bad"))
+            and all(same(getattr(a.projection, f), getattr(b.projection, f))
+                    for f in ("inputs", "goods", "bads")))
+
+
+def test_api_payloads_survive_pickle():
+    # API payloads are pickled (the benchmark hashes them); every result
+    # and record must come back equal
+    d = random_dataset(4, n=12, m=2, s1=1, s2=1, with_meta=True)
+    for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
+        ee = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT, rts))
+        epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts))
+        records = compare_models(ee, epi, d)
+        ee2, epi2, records2 = pickle.loads(pickle.dumps((ee, epi, records)))
+        assert len(ee2) == len(ee) and len(epi2) == len(epi)
+        assert all(same_result(a, b) for a, b in zip(ee + epi, ee2 + epi2))
+        assert records2 == records
+        assert all(r.lam.shape == (12,) for r in ee2 + epi2)
 
 
 def test_vrs_score_at_least_crs():
