@@ -207,12 +207,12 @@ class Lockstep:
     N columns of a block `S` that all LPs share at zero cost, then the rest
     of its own columns.  LP l's own columns are `O[l]` (rows x own), their
     costs `c[l]`, and its right-hand side is `b[l]`.  Each LP keeps an
-    explicit basis inverse `Binv[l]` and basic solution `x[l]` for the
-    column indices `basis[l]`.  `step` pivots every active LP at once:
-    Dantzig pricing, Bland's rule after `BLAND_AFTER` consecutive
-    degenerate pivots, ratio-test ties broken on the smaller column index.
-    Basic columns price at exactly zero.  An LP leaves the active set when
-    it stops.
+    explicit basis inverse `Binv[l]`, basic solution `x[l]` and basic costs
+    `c_B[l]` for the column indices `basis[l]`.  `step` pivots every active
+    LP at once: Dantzig pricing, Bland's rule after `BLAND_AFTER`
+    consecutive degenerate pivots, ratio-test ties broken on the smaller
+    column index.  Basic columns price at exactly zero.  An LP leaves the
+    active set when it stops.
 
     The start `basis` is usable for an LP when its columns are invertible
     and B^-1 b is feasible to within FEAS_TOL (`usable`); `Binv` may pass
@@ -239,6 +239,8 @@ class Lockstep:
             ok &= np.isfinite(x).all(axis=1) & (low >= -FEAS_TOL
                                                 * self.b_scale)
         self.Binv, self.x = Binv, np.maximum(x, 0.0)
+        shared, pos = self._own(self.basis)
+        self.c_B = np.where(shared, 0.0, np.take_along_axis(c, pos, axis=1))
         self.usable = ok
         self.status = np.full(n, None, dtype=object)
         self.iterations = np.zeros(n, dtype=np.int64)
@@ -258,19 +260,13 @@ class Lockstep:
         B[li, :, ri] = self.S[:, ids[li, ri] - 1].T
         return B
 
-    def _basic_costs(self, c: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        shared, pos = self._own(ids)
-        return np.where(shared, 0.0, np.take_along_axis(c, pos, axis=1))
-
     @property
     def objective(self) -> np.ndarray:
-        return (self._basic_costs(self.c, self.basis) * self.x).sum(axis=1)
+        return (self.c_B * self.x).sum(axis=1)
 
     def duals(self, ls: np.ndarray) -> np.ndarray:
         """Simplex multipliers y = c_B B^-1 of the LPs `ls`."""
-        return np.einsum("lr,lrs->ls",
-                         self._basic_costs(self.c[ls], self.basis[ls]),
-                         self.Binv[ls])
+        return np.einsum("lr,lrs->ls", self.c_B[ls], self.Binv[ls])
 
     def refine(self, ls: np.ndarray) -> None:
         """Recompute B^-1 and x_B = B^-1 b from the LP data, shedding the
@@ -290,6 +286,8 @@ class Lockstep:
         """Make an optimal basis found elsewhere, and its basic values, LP
         l's solution."""
         self.basis[l], self.x[l] = basis, x
+        shared, pos = self._own(self.basis[l])
+        self.c_B[l] = np.where(shared, 0.0, self.c[l, pos])
         self.status[l] = Status.OPTIMAL
         self.refine(np.array([l]))
 
@@ -300,36 +298,46 @@ class Lockstep:
 
         LP l's candidates are its own columns, the shared columns `cand`
         (indices into `S`) and the shared column `extra[l]`.
+
+        Each LP's own and extra columns are gathered once per step; a pass
+        prices them with one batched product and the shared ones with one
+        product, and takes each entering column with its cost and index in
+        one gather.  LPs that stop are written back and dropped.
         """
-        N = self.N
+        N, m = self.N, self.S.shape[0]
         ls = np.asarray(ls, dtype=np.int64)
         q, F = self.O.shape[2], cand.size
-        S_c = self.S[:, cand]
-        ids = np.concatenate(([0], np.arange(1 + N, N + q), 1 + cand))
+        # one block per LP: its own columns, then its extra column, which
+        # stays zero when it is also a candidate so that it cannot enter
+        # twice.  Rows m and m + 1 hold each column's cost and index, so
+        # one gather fetches an entering column with both.
+        ext = extra[ls]
+        fresh = (ext[:, None] != cand).all(axis=1)
+        G = np.zeros((ls.size, m + 2, q + 1))
+        G[:, :m, :q], G[:, m, :q] = self.O[ls], self.c[ls]
+        G[:, m + 1, 1:q] = np.arange(1 + N, N + q)
+        G[:, m + 1, q] = 1 + ext
+        G[fresh, :m, q] = self.S[:, ext[fresh]].T
+        frame = np.vstack((self.S[:, cand], np.zeros(F), 1 + cand))
+        minus_S = -frame[:m]
         big = N + q + 1
         Binv, x, basis = self.Binv[ls], self.x[ls], self.basis[ls]
-        O, c, it = self.O[ls], self.c[ls], self.iterations[ls]
-        ext = extra[ls]
-        S_e = self.S[:, ext].T
-        ext_in_cand = np.isin(ext, cand)
+        c_B, it = self.c_B[ls], self.iterations[ls]
         # each basic column's position in `red`; shared columns that are
         # not candidates go to one last position, outside `red`
         slot = np.full(N + q, q + F + 1)
         slot[0], slot[1 + N:] = 0, np.arange(1, q)
-        slot[1 + cand] = np.arange(q, q + F)
-        at = np.where((basis == 1 + ext[:, None]) & ~ext_in_cand[:, None],
-                      q + F, slot[basis])
+        slot[1 + cand] = np.arange(q + 1, q + 1 + F)
+        at = np.where((basis == 1 + ext[:, None]) & fresh[:, None], q,
+                      slot[basis])
         degenerate = np.zeros(ls.size, dtype=np.int64)
+        rows, full = np.arange(ls.size), np.empty((ls.size, q + F + 2))
         while ls.size:
-            rows = np.arange(ls.size)
-            y = np.einsum("lr,lrs->ls", self._basic_costs(c, basis), Binv)
-            full = np.empty((ls.size, q + F + 2))
+            y = np.einsum("lr,lrs->ls", c_B, Binv)
             red = full[:, :-1]
-            red[:, :q] = c - np.einsum("lr,lrq->lq", y, O)
-            np.matmul(y, S_c, out=red[:, q:q + F])
-            red[:, q:q + F] *= -1.0
-            red[:, -1] = np.where(ext_in_cand, 0.0,
-                                  -np.einsum("lr,lr->l", y, S_e))
+            np.einsum("lr,lrq->lq", y, G[:, :m], out=red[:, :q + 1])
+            np.subtract(G[:, m], red[:, :q + 1], out=red[:, :q + 1])
+            np.matmul(y, minus_S, out=red[:, q + 1:])
             # basic columns price at exactly zero, as on a tableau, so
             # that drift in B^-1 never lets one enter twice
             full[rows[:, None], at] = 0.0
@@ -337,55 +345,45 @@ class Lockstep:
             optimal = red[rows, enter] >= -OPT_TOL
             bland = degenerate >= BLAND_AFTER
             if bland.any():
-                all_ids = np.empty(red.shape, dtype=np.int64)
-                all_ids[:, :-1] = ids
-                all_ids[:, -1] = 1 + ext
-                first = np.where(red[bland] < -OPT_TOL, all_ids[bland],
-                                 big).argmin(axis=1)
-                enter[bland] = first
-            col = np.empty((ls.size, self.S.shape[0]))
-            own = enter < q
-            col[own] = O[rows[own], :, enter[own]]
-            shared = ~own & (enter < q + F)
-            col[shared] = S_c[:, enter[shared] - q].T
-            last = enter == q + F
-            col[last] = S_e[last]
-            d = np.einsum("lrs,ls->lr", Binv, col)
+                ids = np.hstack((G[bland, m + 1],
+                                 np.tile(frame[m + 1], (bland.sum(), 1))))
+                enter[bland] = np.where(red[bland] < -OPT_TOL, ids,
+                                        big).argmin(axis=1)
+            col = G[rows, :, np.minimum(enter, q)]
+            shared = enter > q
+            if shared.any():
+                col[shared] = frame[:, enter[shared] - q - 1].T
+            d = np.einsum("lrs,ls->lr", Binv, col[:, :m])
             positive = d > PIVOT_TOL
-            capped = ~optimal & (it >= ITER_CAP)
-            unbounded = ~optimal & ~capped & ~positive.any(axis=1)
-            done = optimal | capped | unbounded
+            done = optimal | (it >= ITER_CAP) | ~positive.any(axis=1)
             if done.any():
                 gone = ls[done]
                 self.Binv[gone], self.x[gone] = Binv[done], x[done]
-                self.basis[gone], self.iterations[gone] = basis[done], it[done]
+                self.basis[gone], self.c_B[gone] = basis[done], c_B[done]
+                self.iterations[gone] = it[done]
+                capped = ~optimal & (it >= ITER_CAP)
                 self.status[ls[optimal]] = Status.OPTIMAL
                 self.status[ls[capped]] = Status.ITERATION_LIMIT
-                self.status[ls[unbounded]] = Status.UNBOUNDED
+                self.status[ls[done & ~optimal & ~capped]] = Status.UNBOUNDED
                 go = ~done
-                ls, Binv, x, basis, O, c, it = (
-                    ls[go], Binv[go], x[go], basis[go], O[go], c[go], it[go])
-                ext, S_e, ext_in_cand, at = (
-                    ext[go], S_e[go], ext_in_cand[go], at[go])
-                degenerate, enter, d, positive = (
-                    degenerate[go], enter[go], d[go], positive[go])
-                if not ls.size:
+                if not go.any():
                     return
-                rows = np.arange(ls.size)
+                ls, Binv, x, basis, c_B, it, G, at, degenerate = (
+                    ls[go], Binv[go], x[go], basis[go], c_B[go], it[go],
+                    G[go], at[go], degenerate[go])
+                enter, col, d, positive = (
+                    enter[go], col[go], d[go], positive[go])
+                rows, full = np.arange(ls.size), full[go]
             ratio = np.full(d.shape, np.inf)
             np.divide(x, d, out=ratio, where=positive)
             np.maximum(ratio, 0.0, out=ratio)
             best = ratio.min(axis=1)
             row = np.where(ratio == best[:, None], basis, big).argmin(axis=1)
-            entering = np.where(enter == 0, 0, enter + N)
-            shared = (enter >= q) & (enter < q + F)
-            entering[shared] = 1 + cand[enter[shared] - q]
-            last = enter == q + F
-            entering[last] = 1 + ext[last]
             exchange(Binv, row, d)
             x -= best[:, None] * d
             x[rows, row] = best
-            basis[rows, row] = entering
+            c_B[rows, row] = col[:, m]
+            basis[rows, row] = col[:, m + 1]
             at[rows, row] = enter
             degenerate = np.where(best <= PIVOT_TOL, degenerate + 1, 0)
             it += 1

@@ -6,10 +6,10 @@ import pytest
 
 from deakit import (Dataset, Indicator, LPSolution, ModelKind, ModelSpec,
                     ReturnsToScale, Role, SolverError, StandardFormLP, Status,
-                    linprog, solve, verify_optimality)
+                    evaluate_all, linprog, solve, verify_optimality)
 from deakit.linprog import FEAS_TOL, OPT_TOL, Lockstep
 from deakit.models import build_instance
-from oracles import lp_enum_min, random_bounded_lp
+from oracles import lp_enum_min, random_bounded_lp, table1_panel
 
 
 def example_lp() -> StandardFormLP:
@@ -85,6 +85,26 @@ def test_enumeration_equivalence(seed):
     best, _ = lp_enum_min(lp)
     assert best is not None
     assert sol.objective == pytest.approx(best, abs=1e-7)
+
+
+def test_bland_fallback(monkeypatch):
+    # Bland's rule from the first pivot on: no tier-1 LP runs BLAND_AFTER
+    # degenerate pivots in a row, so this is the only path to it
+    d = table1_panel(30, seed=1)
+    specs = [ModelSpec(kind, rts) for kind in ModelKind
+             for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())]
+    dantzig = [evaluate_all(d, spec) for spec in specs]
+    monkeypatch.setattr(linprog, "BLAND_AFTER", 0)
+    for seed in range(60):
+        lp = random_bounded_lp(seed)
+        sol = solve(lp)
+        assert sol.status is Status.OPTIMAL
+        assert sol.objective == pytest.approx(lp_enum_min(lp)[0], abs=1e-7)
+    for spec, want in zip(specs, dantzig):
+        got = evaluate_all(d, spec)
+        np.testing.assert_allclose([r.score for r in got],
+                                   [r.score for r in want], rtol=0,
+                                   atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -654,3 +654,31 @@ def test_lockstep_matches_cold_and_single_dmu_solves(d, kind, rts):
         assert r.score == pytest.approx(want, abs=1e-9)
         assert single(d, r.dmu, spec).score == pytest.approx(r.score,
                                                              abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_batching_does_not_change_any_lp(kind):
+    # one lockstep step of every DMU on the template's starting frame gives
+    # each LP what a batch of that LP alone gives, bit for bit; some DMUs'
+    # own lambda-columns are also frame columns
+    in_frame = 0
+    for seed in range(20):
+        tpl = build_instance(table1_panel(30, seed=seed),
+                             ModelSpec(kind, ReturnsToScale.vrs()))
+        ks = np.arange(tpl.n)
+        O, c, b = tpl.stage(ks)
+        basis = tpl.own_bases(ks)
+        frame = np.flatnonzero(tpl.frame)
+        in_frame += frame.size
+        run = linprog.Lockstep(tpl.lam_block, O, c, b, basis)
+        assert run.usable.all()
+        run.step(ks, frame, ks)
+        for l in ks:
+            one = linprog.Lockstep(tpl.lam_block, O[l:l + 1], c[l:l + 1],
+                                   b[l:l + 1], basis[l:l + 1])
+            one.step(np.zeros(1, dtype=np.int64), frame, ks[l:l + 1])
+            assert one.status[0] is run.status[l]
+            assert one.iterations[0] == run.iterations[l]
+            assert np.array_equal(one.basis[0], run.basis[l])
+            assert np.array_equal(one.x[0], run.x[l])
+    assert in_frame > 0

@@ -19,6 +19,9 @@ RTS cold with `linprog.solve` (2,000 LPs) and counts the wrong ends: a
 status other than OPTIMAL, or an objective off HiGHS's by more than
 1e-6 (1 + |f|) where HiGHS solves the same LP.
 
+The counts are a ratchet: the script exits 1 when any of them is above
+its value in `CEILINGS`.  Lower a ceiling when a change lowers its count.
+
 Not collected by pytest (the name does not match `test_*.py`).  Needs
 scipy.  Run from the repository root:
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +44,10 @@ from deakit.models import build_instance
 from oracles import highs_ccr, highs_sbm
 
 SCORE_TOL = 1e-6
+# the most rows off HiGHS, raising calls and cold wrong ends allowed
+CEILINGS = {"6-decade rows off": 1, "6-decade raising calls": 0,
+            "9-decade rows off": 3, "9-decade raising calls": 2,
+            "9-decade cold wrong ends": 40}
 SPECS = [(kind, vrs) for kind in (ModelKind.CCR_OUTPUT,
                                   ModelKind.SBM_UNDESIRABLE)
          for vrs in (False, True)]
@@ -105,7 +113,7 @@ def exact_score(d: Dataset, kind: ModelKind, vrs: bool, k: int) -> float:
     return float(-1 / f if kind is ModelKind.CCR_OUTPUT else f)
 
 
-def sweep(name: str, panels) -> None:
+def sweep(name: str, panels) -> dict[str, int]:
     """Rows off HiGHS and raising calls of `evaluate_all` on `panels`."""
     off, raised, rows, no_ref, checked, right = [], [], 0, 0, 0, 0
     for tag, d in panels:
@@ -140,6 +148,8 @@ def sweep(name: str, panels) -> None:
           f"{len(raised)} raising calls; HiGHS fails on {no_ref} rows")
     for line in off + raised:
         print(f"  {line}")
+    return {f"{name} rows off": len(off),
+            f"{name} raising calls": len(raised)}
 
 
 def highs_objective(lp: linprog.StandardFormLP):
@@ -150,7 +160,7 @@ def highs_objective(lp: linprog.StandardFormLP):
     return float(res.fun) if res.status == 0 else None
 
 
-def cold_lps() -> None:
+def cold_lps() -> dict[str, int]:
     """Wrong ends of `linprog.solve` on the 9-decade n = 5 full-width LPs."""
     ends = collections.Counter()
     highs_failed = 0
@@ -172,14 +182,22 @@ def cold_lps() -> None:
     detail = ", ".join(f"{v} {k}" for k, v in sorted(ends.items()))
     print(f"9-decade cold LPs: {sum(ends.values())} of 2000 wrong ends "
           f"({detail or 'none'}); HiGHS fails on {highs_failed}")
+    return {"9-decade cold wrong ends": sum(ends.values())}
 
 
-def main() -> None:
-    sweep("6-decade", ((f"6dec-{s}", six_decade(s)) for s in range(40)))
-    sweep("9-decade", [(f"9dec-{s}", nine_decade(s)) for s in range(100)]
-          + [("9dec-30-89", nine_decade(89, 30))])
-    cold_lps()
+def main() -> int:
+    counts = sweep("6-decade",
+                   ((f"6dec-{s}", six_decade(s)) for s in range(40)))
+    counts |= sweep("9-decade",
+                    [(f"9dec-{s}", nine_decade(s)) for s in range(100)]
+                    + [("9dec-30-89", nine_decade(89, 30))])
+    counts |= cold_lps()
+    above = [f"{k}: {v} (ceiling {CEILINGS[k]})"
+             for k, v in counts.items() if v > CEILINGS[k]]
+    for line in above:
+        print(f"above its ceiling: {line}")
+    return 1 if above else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
