@@ -34,11 +34,10 @@ _ROLE_TOKENS = {r.value: r for r in Role}
 
 @dataclass(frozen=True)
 class Indicator:
-    """A named column with its model role; `units` is informational only."""
+    """A named column with its model role."""
 
     name: str
     role: Role
-    units: str = ""
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class CsvSchema:
     1e-6 x column max (and a warning is emitted) instead of being rejected.
     """
 
-    delimiter: str = ","
     epsilon_shift: bool = False
 
 
@@ -101,10 +99,6 @@ class Dataset:
     @property
     def n_dmus(self) -> int:
         return len(self.dmu_names)
-
-    @property
-    def n_indicators(self) -> int:
-        return len(self.indicators)
 
     def role_columns(self, role: Role) -> list[int]:
         return [j for j, ind in enumerate(self.indicators) if ind.role is role]
@@ -200,19 +194,22 @@ def _read_text(source: Union[str, Path, bytes, IO]) -> str:
         raw = source if isinstance(source, bytes) else source.read()
     if isinstance(raw, str):
         raw = raw.encode("utf-8")
-    return raw.decode("utf-8-sig")
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not UTF-8 text ({exc.reason} at offset "
+                        f"{exc.start})") from None
 
 
 def load_csv(source: Union[str, Path, bytes, IO],
              schema: CsvSchema = CsvSchema()) -> Dataset:
     """Parse a dataset CSV and return a validated Dataset.
 
-    Raises DataError on malformed headers, non-numeric cells, duplicate DMU
-    names, or non-positive values in non-meta columns, each with row/column
-    coordinates.
+    Raises DataError on bytes that are not UTF-8, and on malformed headers,
+    non-numeric cells, duplicate DMU names, or non-positive values in
+    non-meta columns, each with row/column coordinates.
     """
-    reader = csv.reader(io.StringIO(_read_text(source)),
-                        delimiter=schema.delimiter)
+    reader = csv.reader(io.StringIO(_read_text(source)))
     table = [row for row in reader if row]
     if not table:
         raise DataError("empty CSV")
@@ -385,6 +382,8 @@ def synthesize_matching(spec: Sequence[StatsRow], n: int, seed: int,
         raise SynthesisError("empty stats spec")
     if n < 1:
         raise SynthesisError(f"need n >= 1 DMUs, got {n}")
+    if seed < 0:
+        raise SynthesisError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     cols = []
     indicators = []

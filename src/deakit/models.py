@@ -557,14 +557,8 @@ def improvement_targets(r: EfficiencyResult, roles: RoleSlice) -> RateReport:
 
 
 def _evaluate(d: Dataset, spec: ModelSpec,
-              allow_plain_sbm: bool = False) -> Optional[_Columns]:
-    """`evaluate_all` as arrays (None for a panel of no DMUs)."""
-    problems = validate(d)
-    if problems:
-        detail = "; ".join(str(p) for p in problems)
-        raise DataError(f"invalid dataset: {detail}")
-    if not d.dmu_names:
-        return None
+              allow_plain_sbm: bool = False) -> _Columns:
+    """`evaluate_all` as arrays, on a valid panel of one DMU or more."""
     tpl = build_instance(d, spec, allow_plain_sbm=allow_plain_sbm)
     evaluate = _ccr if spec.kind is ModelKind.CCR_OUTPUT else _sbm
     return evaluate(tpl, np.arange(tpl.n))
@@ -576,5 +570,10 @@ def evaluate_all(d: Dataset, spec: ModelSpec, *,
 
     All DMUs share one LP template and one candidate set of lambda-columns.
     """
-    res = _evaluate(d, spec, allow_plain_sbm)
-    return [] if res is None else res.results()
+    problems = validate(d)
+    if problems:
+        detail = "; ".join(str(p) for p in problems)
+        raise DataError(f"invalid dataset: {detail}")
+    if not d.dmu_names:
+        return []
+    return _evaluate(d, spec, allow_plain_sbm).results()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import deakit
+import deakit.cli as cli
 import deakit.models as models
 from deakit import (Column, ModelKind, ModelSpec, RoleSlice, Table,
                     compare_models, evaluate_all, improvement_targets,
@@ -176,6 +177,55 @@ def test_data_error_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "stats", "--input", str(p))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (("stats", "--input", "{dir}"), "Is a directory"),
+    (("stats", "--input", "{latin1}"), "not UTF-8"),
+    (("synth", "--spec", "{latin1}", "--n", "4"), "not UTF-8"),
+    (("synth", "--spec", "{spec}", "--n", "4", "--seed", "-1"), "seed >= 0"),
+], ids=["directory", "latin1-input", "latin1-spec", "negative-seed"])
+def test_input_fault_exit_1(capsys, tmp_path, spec_csv, argv, fragment):
+    # each of these once ended in a traceback
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"dmu,in:caf\xe9,out+:y\nA,1,2\n")
+    paths = {"dir": tmp_path, "latin1": latin1, "spec": spec_csv}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_report_checks_thresholds_before_any_lp(capsys, pair_csv,
+                                                monkeypatch, fmt):
+    # only md prints the levels, but every format rejects the thresholds
+    monkeypatch.setattr(cli, "_evaluate",
+                        lambda *args: pytest.fail("an LP ran"))
+    code, out, err = run_cli(capsys, "report", "--input", pair_csv,
+                             "--t1", "5", "--t2", "7", "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == ("error: thresholds must satisfy 0 < t2 < t1 < 1, "
+                   "got (5.0, 7.0)\n")
+
+
+def test_report_validates_its_panel_once(capsys, pair_csv, monkeypatch):
+    # the spy replaces every module binding of `validate`, as the
+    # benchmark's spans do; evaluate_all's own check is
+    # test_evaluate_all_validates_dataset's
+    real, calls = deakit.dataset.validate, []
+
+    def spy(d):
+        calls.append(d)
+        return real(d)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("deakit") and getattr(mod, "validate",
+                                                 None) is real:
+            monkeypatch.setattr(mod, "validate", spy)
+    code, _, err = run_cli(capsys, "report", "--input", pair_csv)
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_usage_error_exit_2(capsys, pair_csv):

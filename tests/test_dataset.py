@@ -60,6 +60,7 @@ def test_values_read_only():
     (b"dmu,in:x,out+:y\nA,nan,1\n", "non-finite"),
     (b"dmu,out+:y\nA,1\n", "no input"),
     (b"dmu,in:x\nA,1\n", "no desirable"),
+    (b"\xff\xfedmu,in:x,out+:y\nA,1,2\n", "not UTF-8"),
 ])
 def test_load_csv_rejects(csv_text, fragment):
     with pytest.raises(DataError, match=fragment):
@@ -184,6 +185,12 @@ def test_synthesize_matching_needs_a_dmu(n):
     row = StatsRow("w", max=2.0, min=2.0, mean=2.0, sd=0.0, role=Role.INPUT)
     with pytest.raises(SynthesisError, match="n >= 1"):
         synthesize_matching([row], n=n, seed=0)
+
+
+def test_synthesize_matching_rejects_negative_seed():
+    row = StatsRow("w", max=2.0, min=2.0, mean=2.0, sd=0.0, role=Role.INPUT)
+    with pytest.raises(SynthesisError, match="seed >= 0"):
+        synthesize_matching([row], n=5, seed=-1)
 
 
 def test_synthesize_degenerate_column():
