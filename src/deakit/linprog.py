@@ -26,6 +26,10 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 ITER_CAP = 10_000
 BLAND_AFTER = 50
+# largest drift max|I - B X| that `Lockstep.refine` sheds by one Newton step
+# (sqrt of machine epsilon: the step squares it to about eps); a singular
+# basis cannot come this close
+NEWTON_GATE = float(np.sqrt(np.finfo(float).eps))
 
 
 class Status(enum.Enum):
@@ -255,10 +259,11 @@ class Lockstep:
     def _basis_matrix(self, ls: np.ndarray) -> np.ndarray:
         ids = self.basis[ls]
         shared, pos = self._own(ids)
-        B = np.take_along_axis(self.O[ls], pos[:, None, :], axis=2)
+        # gathered as rows, one per basic column: B transposed
+        Bt = self.O[ls[:, None], :, pos]
         li, ri = np.nonzero(shared)
-        B[li, :, ri] = self.S[:, ids[li, ri] - 1].T
-        return B
+        Bt[li, ri] = self.S[:, ids[li, ri] - 1].T
+        return Bt.transpose(0, 2, 1)
 
     @property
     def objective(self) -> np.ndarray:
@@ -269,12 +274,28 @@ class Lockstep:
         return np.einsum("lr,lrs->ls", self.c_B[ls], self.Binv[ls])
 
     def refine(self, ls: np.ndarray) -> None:
-        """Recompute B^-1 and x_B = B^-1 b from the LP data, shedding the
-        drift of the rank-1 updates.  x_B is kept where the recomputed one
-        is infeasible beyond PIVOT_TOL; an LP whose basis turns out
-        singular ends NUMERICAL_BREAKDOWN."""
-        Binv, ok = _inverses(self._basis_matrix(ls))
-        x = np.einsum("lrs,ls->lr", Binv, self.b[ls])
+        """Refine B^-1 against the LP data and recompute x_B = B^-1 b,
+        shedding the drift of the rank-1 updates.
+
+        With R = I - B X for the drifted inverse X, one Newton step
+        X + X R leaves the residual R^2.  It is taken where max|R| is at
+        most `NEWTON_GATE`; elsewhere B^-1 is inverted anew by LAPACK.
+        x_B takes one step of iterative refinement, which keeps it as close
+        to B^-1 b as a fresh inverse would on ill-conditioned bases.  x_B
+        is kept where the recomputed one is infeasible beyond PIVOT_TOL; an
+        LP whose basis turns out singular ends NUMERICAL_BREAKDOWN."""
+        B, Binv = self._basis_matrix(ls), self.Binv[ls]
+        R = np.eye(B.shape[1]) - B @ Binv
+        near = np.abs(R).max(axis=(1, 2), initial=0.0) <= NEWTON_GATE
+        ok = near.copy()
+        if near.all():
+            Binv += Binv @ R
+        else:
+            Binv[near] += Binv[near] @ R[near]
+            Binv[~near], ok[~near] = _inverses(B[~near])
+        b = self.b[ls]
+        x = np.einsum("lrs,ls->lr", Binv, b)
+        x += np.einsum("lrs,ls->lr", Binv, b - np.einsum("lrs,ls->lr", B, x))
         with np.errstate(invalid="ignore"):
             low = x.min(axis=1, initial=0.0)
             keep = ok & (low >= -PIVOT_TOL * self.b_scale[ls])

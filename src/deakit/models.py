@@ -224,6 +224,41 @@ class _Template:
         return np.column_stack((np.zeros_like(ks), 1 + ks,
                                 np.tile(self._own_tail, (ks.size, 1))))
 
+    def own_inverses(self, ks: np.ndarray, O: np.ndarray) -> np.ndarray:
+        """B^-1 of each DMU k's own-point basis (`own_bases`) in its LP
+        with own columns `O` (`stage`), in closed form.
+
+        Each basic slack is a signed unit column on its own row (and, in
+        the SBM, the goods and bads slacks have an entry on the
+        normalization row), so B^-1 follows from the 2 x 2 Schur
+        complement S on the two rows that no basic slack covers.  Where
+        cancellation leaves det S below `linprog.NEWTON_GATE` of its terms,
+        B is inverted by LAPACK instead; NaN marks a singular B."""
+        top = 1 if self.sbm else 0
+        free = [0, 1] if self.sbm else [0, self.m]
+        covered = np.delete(np.arange(O.shape[1]), free)
+        sign = self.signs[covered - top]
+        # basis columns: the lead and lambda_k, then the slacks of the
+        # covered rows; row r's slack is own column 1 + r - top
+        dense = np.stack((O[:, :, 0], self.lam_block[:, ks].T), axis=2)
+        slacks = O[:, :, 1 + covered - top]
+        W = sign[:, None] * dense[:, covered]
+        S = dense[:, free] - slacks[:, free] @ W
+        p, q = S[:, 0, 0] * S[:, 1, 1], S[:, 0, 1] * S[:, 1, 0]
+        safe = np.abs(p - q) > linprog.NEWTON_GATE * (np.abs(p) + np.abs(q))
+        adjugate = np.stack((S[:, 1, 1], -S[:, 0, 1], -S[:, 1, 0], S[:, 0, 0]),
+                            axis=1).reshape(-1, 2, 2)
+        Sinv = adjugate / np.where(safe, p - q, 1.0)[:, None, None]
+        upper = -Sinv @ (slacks[:, free] * sign)
+        Binv = np.empty((ks.size, O.shape[1], O.shape[1]))
+        Binv[:, :2, free], Binv[:, :2, covered] = Sinv, upper
+        Binv[:, 2:, free] = -W @ Sinv
+        Binv[:, 2:, covered] = np.diag(sign) - W @ upper
+        if not safe.all():
+            Binv[~safe] = linprog._inverses(np.concatenate(
+                (dense[~safe], slacks[~safe]), axis=2))[0]
+        return Binv
+
     def stage(self, ks: np.ndarray, phi: Optional[np.ndarray] = None):
         """The per-DMU part of the LPs of DMUs `ks`: own columns (the lead,
         then the tail) with their costs, and b.
@@ -293,7 +328,8 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
        wave grew.  Smaller stages skip the wave, whose extra rounds cost
        more than they save there.
     1. Every LP starts at `start` (bases in template indices and their
-       inverses), by default its DMU's own point.
+       inverses), by default its DMU's own point, whose inverse comes in
+       closed form (`_Template.own_inverses`).
     2. The active LPs step in lockstep on the frame's lambda-columns plus
        their own DMU's (`linprog.Lockstep`).
     3. A restricted optimum is accepted only when every lambda-column of
@@ -307,7 +343,8 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
     cold (`_cold`).  Returns the solved batch, one LP per DMU of `ks`.
     """
     O, c, b = tpl.stage(ks, phi)
-    basis, Binv = (tpl.own_bases(ks), None) if start is None else start
+    basis, Binv = ((tpl.own_bases(ks), tpl.own_inverses(ks, O))
+                   if start is None else start)
     run = linprog.Lockstep(tpl.lam_block, O, c, b, basis, Binv)
     active = np.flatnonzero(run.usable)
     rest = active[:0]

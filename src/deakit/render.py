@@ -71,10 +71,6 @@ def _md_cell(kind: str, v) -> str:
     return f"{v:.10g}"
 
 
-def _full(v) -> str:
-    return f"{v:.17g}"
-
-
 def _flat_columns(table: Table) -> list[tuple[str, str, list]]:
     """The table's columns as (header, kind, values), each scorerank column
     split in two, so that csv/json carry score and rank separately."""
@@ -108,20 +104,19 @@ def _render_md(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_cell(kind: str, v) -> str:
-    if v is None:
-        return ""
+def _csv_column(kind: str, values: list) -> list[str]:
+    """One flat column's csv cells, in one pass: None is empty, numbers
+    carry 17 significant digits."""
     if kind == "text":
-        return str(v)
+        return ["" if v is None else str(v) for v in values]
     if kind == "int":
-        return str(int(v))
-    return _full(float(v))
+        return ["" if v is None else str(int(v)) for v in values]
+    return ["" if v is None else "%.17g" % float(v) for v in values]
 
 
 def _render_csv(table: Table) -> str:
     columns = _flat_columns(table)
-    cells = [[_csv_cell(kind, v) for v in values]
-             for _, kind, values in columns]
+    cells = [_csv_column(kind, values) for _, kind, values in columns]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([h for h, _, _ in columns])

@@ -333,3 +333,91 @@ def test_redundant_row_is_dropped():
         assert reduced.min() >= -OPT_TOL
         np.testing.assert_allclose(reduced[list(sol.basis)], 0.0,
                                    atol=1e-12)
+
+
+def count_inverses(monkeypatch) -> list:
+    """The shapes `np.linalg.inv` is called on from now on."""
+    calls = []
+    inv = np.linalg.inv
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    return calls
+
+
+def drift(run: Lockstep, ls: np.ndarray, size: float, seed: int = 0):
+    """Give B^-1 of the LPs `ls` a residual max|I - B X| of about `size`."""
+    m = run.Binv.shape[1]
+    E = np.random.default_rng(seed).uniform(-size, size, (ls.size, m, m))
+    run.Binv[ls] += run.Binv[ls] @ E
+
+
+def refines_like_lapack(run: Lockstep, ls: np.ndarray, monkeypatch) -> list:
+    """Refine the LPs `ls` of `run`, check that B^-1 and x_B come out as
+    LAPACK's inverse gives them to 1e-12 relative, and return the shapes
+    that refine inverted by LAPACK."""
+    want = np.linalg.inv(run._basis_matrix(ls))
+    want_x = np.einsum("lrs,ls->lr", want, run.b[ls])
+    calls = count_inverses(monkeypatch)
+    run.refine(ls)
+    for got, ref in ((run.Binv[ls], want), (run.x[ls], want_x)):
+        axes = tuple(range(1, ref.ndim))
+        err = np.abs(got - ref).max(axis=axes)
+        assert (err <= 1e-12 * np.abs(ref).max(axis=axes)).all()
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_newton_refine_matches_lapack_on_random_bases(monkeypatch, seed):
+    lp = random_bounded_lp(seed)
+    run = lockstep(lp, itertools.combinations(range(lp.n_vars),
+                                              lp.n_constraints))
+    ls = step_all(run)
+    drift(run, ls, 1e-10)
+    assert refines_like_lapack(run, ls, monkeypatch) == []
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()])
+def test_newton_refine_matches_lapack_on_own_point_bases(monkeypatch, kind,
+                                                         rts):
+    # own-point starts as they are, and after one step on the frame
+    tpl = build_instance(table1_panel(30, seed=5), ModelSpec(kind, rts))
+    ks = np.arange(tpl.n)
+    O, c, b = tpl.stage(ks)
+    run = Lockstep(tpl.lam_block, O, c, b, tpl.own_bases(ks),
+                   tpl.own_inverses(ks, O))
+    drift(run, ks, 1e-10)
+    assert refines_like_lapack(run, ks, monkeypatch) == []
+    run.step(ks, np.flatnonzero(tpl.frame), ks)
+    drift(run, ks, 1e-10, seed=1)
+    assert refines_like_lapack(run, ks, monkeypatch) == []
+
+
+def test_refine_past_the_newton_gate_falls_back_to_lapack(monkeypatch):
+    # every other LP drifts past the gate: those, and only those, are
+    # inverted anew
+    lp = random_bounded_lp(7)
+    run = lockstep(lp, itertools.combinations(range(lp.n_vars),
+                                              lp.n_constraints))
+    ls = np.flatnonzero(run.usable)
+    far = ls[::2]
+    assert 0 < far.size < ls.size
+    drift(run, ls, 1e-10)
+    drift(run, far, 1e3 * linprog.NEWTON_GATE, seed=1)
+    m = lp.n_constraints
+    assert refines_like_lapack(run, ls, monkeypatch) == [(far.size, m, m)]
+
+
+def test_refine_of_a_singular_basis_breaks_down():
+    # LP 1's basis takes one column twice; LP 0 is untouched
+    run = lockstep(example_lp(), [(0, 1), (0, 1)])
+    before = run.Binv.copy()
+    run.basis[1, 1] = run.basis[1, 0]
+    run.refine(np.array([0, 1]))
+    assert run.status.tolist() == [None, Status.NUMERICAL_BREAKDOWN]
+    np.testing.assert_array_equal(run.Binv[1], before[1])
+    np.testing.assert_allclose(run.x[0], [1.0, 1.0], rtol=1e-15)

@@ -18,6 +18,7 @@ from deakit.models import build_instance, linearize_sbm
 from oracles import (ccr_phi_enum, random_dataset, sbm_enum_oracle, sbm_rho,
                      table1_panel)
 from test_acceptance import certifying_stage
+from test_linprog import count_inverses
 
 CANONICAL = load_csv(b"dmu,in:x,out+:yg,out-:yb\nA,1,2,1\nB,1,1,2\n")
 CCR = ModelSpec(ModelKind.CCR_OUTPUT)
@@ -682,3 +683,67 @@ def test_batching_does_not_change_any_lp(kind):
             assert np.array_equal(one.basis[0], run.basis[l])
             assert np.array_equal(one.x[0], run.x[l])
     assert in_frame > 0
+
+
+def own_start(d: Dataset, spec: ModelSpec, allow_plain_sbm: bool = False):
+    """The own-point start of every DMU of `d`: the batch, the closed-form
+    inverses and the DMUs."""
+    tpl = build_instance(d, spec, allow_plain_sbm=allow_plain_sbm)
+    ks = np.arange(tpl.n)
+    O, c, b = tpl.stage(ks)
+    run = linprog.Lockstep(tpl.lam_block, O, c, b, tpl.own_bases(ks))
+    return run, tpl.own_inverses(ks, O), ks
+
+
+def without_bads(d: Dataset) -> Dataset:
+    keep = [j for j, ind in enumerate(d.indicators)
+            if ind.role is not Role.UNDESIRABLE]
+    return Dataset(d.dmu_names, tuple(d.indicators[j] for j in keep),
+                   d.values[:, keep])
+
+
+@pytest.mark.parametrize("n", [1, 30, 1000])
+@pytest.mark.parametrize("spec,plain", [
+    (ModelSpec(kind, rts), False) for kind in ModelKind
+    for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())] + [
+    (ModelSpec(ModelKind.SBM_UNDESIRABLE, rts), True)
+    for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())])
+def test_own_inverses_match_lapack(n, spec, plain):
+    # the closed-form start inverses are those LAPACK finds for the same
+    # basis matrices
+    d = table1_panel(n, seed=n)
+    run, Binv, ks = own_start(without_bads(d) if plain else d, spec, plain)
+    want = np.linalg.inv(run._basis_matrix(ks))
+    err = np.abs(Binv - want).max(axis=(1, 2))
+    assert (err <= 1e-12 * np.abs(want).max(axis=(1, 2))).all()
+
+
+def test_own_inverses_fall_back_where_the_schur_complement_is_singular():
+    # DMU 1's desirable output is 0 (no valid panel has one), so its CCR
+    # own-point basis is singular: LAPACK finds no inverse either, and the
+    # LP is not usable; the others keep their closed-form inverses
+    d = table1_panel(5, seed=1)
+    values = d.values.copy()
+    values[1, d.role_columns(Role.DESIRABLE)] = 0.0
+    run, Binv, ks = own_start(Dataset(d.dmu_names, d.indicators, values), CCR)
+    assert np.isnan(Binv[1]).all()
+    np.testing.assert_allclose(
+        np.delete(Binv, 1, axis=0),
+        np.linalg.inv(np.delete(run._basis_matrix(ks), 1, axis=0)),
+        rtol=0, atol=1e-12)
+    started = linprog.Lockstep(run.S, run.O, run.c, run.b, run.basis, Binv)
+    assert started.usable.tolist() == [True, False, True, True, True]
+
+
+@pytest.mark.parametrize("d,rts", [
+    (table1_panel(1000, seed=3), ReturnsToScale.crs()),
+    (table1_panel(30, seed=4), ReturnsToScale.vrs())])
+def test_evaluate_all_calls_no_lapack_inverse(monkeypatch, d, rts):
+    # start inverses come in closed form and refine takes a Newton step,
+    # so on valid panels LAPACK is only the fallback
+    calls = count_inverses(monkeypatch)
+    for kind in ModelKind:
+        assert len(evaluate_all(d, ModelSpec(kind, rts))) == len(d.dmu_names)
+    assert calls == []
+    linprog._inverses(np.eye(2)[None])
+    assert calls == [(1, 2, 2)]

@@ -134,6 +134,42 @@ def test_json_matches_json_dumps(table):
     assert render_table(table, "json") == reference_json(table)
 
 
+def reference_csv(table: Table) -> str:
+    """The csv format cell by cell: scorerank split in two, None empty,
+    text as str, ints as int, other numbers as float with 17 significant
+    digits.  The renderer formats a column at a time."""
+    header, rows = [], [[] for _ in table.rows]
+    for j, col in enumerate(table.columns):
+        kinds = [(col.header, col.kind)]
+        if col.kind == "scorerank":
+            kinds = [(col.header, "score"), (f"{col.header} rank", "int")]
+        header += [h for h, _ in kinds]
+        for row, cells in zip(table.rows, rows):
+            values = [row[j]]
+            if col.kind == "scorerank":
+                values = [None, None] if row[j] is None else list(row[j])
+            for (_, kind), v in zip(kinds, values):
+                if v is None:
+                    cells.append("")
+                elif kind == "text":
+                    cells.append(str(v))
+                elif kind == "int":
+                    cells.append(str(int(v)))
+                else:
+                    cells.append(f"{float(v):.17g}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_csv_matches_per_cell_formatting(table):
+    assert render_table(table, "csv") == reference_csv(table)
+
+
 @pytest.mark.parametrize("table", [
     Table((), ()), Table((), ((),)), Table((Column("a", "text"),), ()),
     Table((Column("a", "scorerank"),), ((None,), ((None, None),)))])
