@@ -2,7 +2,8 @@
 
 Commands: stats, corr, rank, evaluate, synth, report.  The argparse
 namespace is the whole configuration: each subcommand's parser sets `run`
-to the function that builds its output.  Results go to stdout;
+to the function that builds its output.  `synth` always writes CSV, and
+only `evaluate` and `report` take `--verbose`.  Results go to stdout;
 diagnostics to stderr.  Exit codes: 0 success, 1 data/model errors and
 unreadable files, 2 usage errors.
 """
@@ -36,7 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt_p = argparse.ArgumentParser(add_help=False)
     fmt_p.add_argument("--format", choices=("csv", "json", "md"),
                        default="md", dest="fmt")
-    fmt_p.add_argument("--verbose", action="store_true")
+
+    verbose_p = argparse.ArgumentParser(add_help=False)
+    verbose_p.add_argument("--verbose", action="store_true")
 
     in_p = argparse.ArgumentParser(add_help=False)
     in_p.add_argument("--input", required=True, help="dataset CSV path")
@@ -62,10 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("rank", parents=[in_p, model_p, rts_p, fmt_p],
                    help="scores with competition ranks"
                    ).set_defaults(run=_cmd_rank)
-    sub.add_parser("evaluate", parents=[in_p, model_p, rts_p, fmt_p],
+    sub.add_parser("evaluate", parents=[in_p, model_p, rts_p, fmt_p,
+                                        verbose_p],
                    help="scores and improvement rates for one model"
                    ).set_defaults(run=_cmd_evaluate)
-    synth = sub.add_parser("synth", parents=[fmt_p],
+    synth = sub.add_parser("synth",
                            help="synthesize a dataset matching a stats spec")
     synth.add_argument("--spec", required=True,
                        help="stats spec CSV (name,role,min,max,mean,sd)")
@@ -73,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of DMUs")
     synth.add_argument("--seed", type=int, default=0)
     synth.set_defaults(run=_cmd_synth)
-    report = sub.add_parser("report", parents=[in_p, fmt_p, rts_p],
+    report = sub.add_parser("report", parents=[in_p, fmt_p, verbose_p, rts_p],
                             help="joint CCR and SBM report with mean row")
     report.add_argument("--t1", type=float, default=0.999,
                         help="level-1 score threshold")

@@ -143,11 +143,11 @@ def validate(d: Dataset) -> list[Violation]:
         seen[ind.name] = j
 
     for j, ind in enumerate(d.indicators):
-        if ind.role is Role.META:
-            continue
         col = d.values[:, j]
-        # one mask per column; a Violation is built only for a bad cell
-        for i in np.flatnonzero(~(np.isfinite(col) & (col > 0.0))).tolist():
+        # one mask per column; a Violation is built only for a bad cell.
+        # Every value must be finite, and a model column's positive too
+        ok = np.isfinite(col) & ((col > 0.0) | (ind.role is Role.META))
+        for i in np.flatnonzero(~ok).tolist():
             v = col[i]
             where = f"row {i + 1} ({d.dmu_names[i]}), column {ind.name!r}"
             if not math.isfinite(v):
@@ -206,8 +206,9 @@ def load_csv(source: Union[str, Path, bytes, IO],
     """Parse a dataset CSV and return a validated Dataset.
 
     Raises DataError on bytes that are not UTF-8, and on malformed headers,
-    non-numeric cells, duplicate DMU names, or non-positive values in
-    non-meta columns, each with row/column coordinates.
+    non-numeric cells, duplicate DMU names, non-finite values, or
+    non-positive values in non-meta columns, each with row/column
+    coordinates.
     """
     reader = csv.reader(io.StringIO(_read_text(source)))
     table = [row for row in reader if row]

@@ -95,7 +95,8 @@ def _failed(status: Status, n_vars: int, iterations: int) -> LPSolution:
 
 
 def solve(lp: StandardFormLP) -> LPSolution:
-    """Two-phase revised simplex: a `Lockstep` batch of one LP.
+    """Two-phase revised simplex: a `Lockstep` batch of one LP, with no
+    shared block.
 
     Phase 1 starts from one artificial column per row (cost 1, identity
     basis) and minimizes their sum; once it stops, it steps on from a
@@ -110,21 +111,19 @@ def solve(lp: StandardFormLP) -> LPSolution:
     m, n = lp.n_constraints, lp.n_vars
     sign = np.where(lp.b < 0, -1.0, 1.0)
     A, b = lp.A * sign[:, None], lp.b * sign
-    # LP column j is the batch's column j + (j > 0): one zero column stands
-    # in for the shared block
-    S = np.zeros((m, 1))
+    # a batch with no shared block: LP column j is the batch's column j
+    S = np.zeros((m, 0))
     none, one = np.zeros(0, np.int64), np.zeros(1, np.int64)
-    art = np.arange(n, n + m)
     run = Lockstep(S, np.hstack((A, np.eye(m)))[None],
                    np.concatenate((np.zeros(n), np.ones(m)))[None], b[None],
-                   (art + (art > 0))[None], np.eye(m)[None])
-    run.step(one, none, one)
+                   np.arange(n, n + m)[None], np.eye(m)[None])
+    run.step(one, none)
     if run.status[0] is Status.OPTIMAL:
         # the drift of the rank-1 updates can make a basis look optimal, or
         # infeasible, when it is not
         run.refine(one)
         if run.status[0] is Status.OPTIMAL:
-            run.step(one, none, one)
+            run.step(one, none)
     it = int(run.iterations[0])
     if run.status[0] is Status.UNBOUNDED:
         # the phase-1 objective is bounded below by zero; only numerical
@@ -139,7 +138,7 @@ def solve(lp: StandardFormLP) -> LPSolution:
     # first nonbasic column with a nonzero entry in its row of B^-1 A
     # (basic columns' entries there are zero only up to drift)
     Binv = run.Binv[0]
-    basis = run.basis[0] - (run.basis[0] > 0)
+    basis = run.basis[0].copy()
     drop = []
     for p in np.flatnonzero(basis >= n):
         row = Binv[p] @ A
@@ -158,16 +157,16 @@ def solve(lp: StandardFormLP) -> LPSolution:
     # Phase 2 on the LP's columns and the artificials of redundant rows
     run = Lockstep(S, np.hstack((A, np.eye(m)[:, drop]))[None],
                    np.concatenate((lp.c, np.zeros(drop.size)))[None], b[None],
-                   (basis + (basis > 0))[None])
+                   basis[None])
     run.iterations[0] = it
     if run.usable[0]:
-        run.step(one, none, one)
+        run.step(one, none)
         it = int(run.iterations[0])
         if run.status[0] is Status.OPTIMAL:
             run.refine(one)
     if run.status[0] is not Status.OPTIMAL:
         return _failed(run.status[0] or Status.NUMERICAL_BREAKDOWN, n, it)
-    basis = run.basis[0] - (run.basis[0] > 0)
+    basis = run.basis[0]
     art = basis >= n
     primal = np.zeros(n)
     primal[basis[~art]] = run.x[0, ~art]
@@ -213,7 +212,9 @@ class Lockstep:
     costs `c[l]`, and its right-hand side is `b[l]`.  Each LP keeps an
     explicit basis inverse `Binv[l]`, basic solution `x[l]` and basic costs
     `c_B[l]` for the column indices `basis[l]`.  `step` pivots every active
-    LP at once: Dantzig pricing, Bland's rule after `BLAND_AFTER`
+    LP at once on its own columns and the shared columns it is given; a
+    shared column outside them may stay basic but cannot enter.  It uses
+    Dantzig pricing, Bland's rule after `BLAND_AFTER`
     consecutive degenerate pivots, ratio-test ties broken on the smaller
     column index.  Basic columns price at exactly zero.  An LP leaves the
     active set when it stops.
@@ -281,7 +282,7 @@ class Lockstep:
         X + X R leaves the residual R^2.  It is taken where max|R| is at
         most `NEWTON_GATE`; elsewhere B^-1 is inverted anew by LAPACK.
         x_B takes one step of iterative refinement, which keeps it as close
-        to B^-1 b as a fresh inverse would on ill-conditioned bases.  x_B
+        to B^-1 b as a new inverse would on ill-conditioned bases.  x_B
         is kept where the recomputed one is infeasible beyond PIVOT_TOL; an
         LP whose basis turns out singular ends NUMERICAL_BREAKDOWN."""
         B, Binv = self._basis_matrix(ls), self.Binv[ls]
@@ -312,53 +313,46 @@ class Lockstep:
         self.status[l] = Status.OPTIMAL
         self.refine(np.array([l]))
 
-    def step(self, ls: np.ndarray, cand: np.ndarray,
-             extra: np.ndarray) -> None:
+    def step(self, ls: np.ndarray, cand: np.ndarray) -> None:
         """Pivot the LPs `ls` until each is OPTIMAL on its candidate columns,
         UNBOUNDED, or at `ITER_CAP` pivots (ITERATION_LIMIT).
 
-        LP l's candidates are its own columns, the shared columns `cand`
-        (indices into `S`) and the shared column `extra[l]`.
+        LP l's candidates are its own columns and the shared columns `cand`
+        (indices into `S`).
 
-        Each LP's own and extra columns are gathered once per step; a pass
-        prices them with one batched product and the shared ones with one
-        product, and takes each entering column with its cost and index in
-        one gather.  LPs that stop are written back and dropped.
+        Each LP's own columns are gathered once per step; a pass prices them
+        with one batched product and the shared ones with one product, and
+        takes each entering column with its cost and index in one gather.
+        LPs that stop are written back and dropped.
         """
         N, m = self.N, self.S.shape[0]
         ls = np.asarray(ls, dtype=np.int64)
         q, F = self.O.shape[2], cand.size
-        # one block per LP: its own columns, then its extra column, which
-        # stays zero when it is also a candidate so that it cannot enter
-        # twice.  Rows m and m + 1 hold each column's cost and index, so
-        # one gather fetches an entering column with both.
-        ext = extra[ls]
-        fresh = (ext[:, None] != cand).all(axis=1)
-        G = np.zeros((ls.size, m + 2, q + 1))
-        G[:, :m, :q], G[:, m, :q] = self.O[ls], self.c[ls]
-        G[:, m + 1, 1:q] = np.arange(1 + N, N + q)
-        G[:, m + 1, q] = 1 + ext
-        G[fresh, :m, q] = self.S[:, ext[fresh]].T
+        # one block per LP of its own columns; rows m and m + 1 hold each
+        # column's cost and index, so one gather fetches an entering column
+        # with both
+        G = np.empty((ls.size, m + 2, q))
+        G[:, :m], G[:, m] = self.O[ls], self.c[ls]
+        G[:, m + 1, 0], G[:, m + 1, 1:] = 0, np.arange(1 + N, N + q)
         frame = np.vstack((self.S[:, cand], np.zeros(F), 1 + cand))
         minus_S = -frame[:m]
-        big = N + q + 1
+        big = N + q
         Binv, x, basis = self.Binv[ls], self.x[ls], self.basis[ls]
         c_B, it = self.c_B[ls], self.iterations[ls]
         # each basic column's position in `red`; shared columns that are
         # not candidates go to one last position, outside `red`
-        slot = np.full(N + q, q + F + 1)
+        slot = np.full(N + q, q + F)
         slot[0], slot[1 + N:] = 0, np.arange(1, q)
-        slot[1 + cand] = np.arange(q + 1, q + 1 + F)
-        at = np.where((basis == 1 + ext[:, None]) & fresh[:, None], q,
-                      slot[basis])
+        slot[1 + cand] = np.arange(q, q + F)
+        at = slot[basis]
         degenerate = np.zeros(ls.size, dtype=np.int64)
-        rows, full = np.arange(ls.size), np.empty((ls.size, q + F + 2))
+        rows, full = np.arange(ls.size), np.empty((ls.size, q + F + 1))
         while ls.size:
             y = np.einsum("lr,lrs->ls", c_B, Binv)
             red = full[:, :-1]
-            np.einsum("lr,lrq->lq", y, G[:, :m], out=red[:, :q + 1])
-            np.subtract(G[:, m], red[:, :q + 1], out=red[:, :q + 1])
-            np.matmul(y, minus_S, out=red[:, q + 1:])
+            np.einsum("lr,lrq->lq", y, G[:, :m], out=red[:, :q])
+            np.subtract(G[:, m], red[:, :q], out=red[:, :q])
+            np.matmul(y, minus_S, out=red[:, q:])
             # basic columns price at exactly zero, as on a tableau, so
             # that drift in B^-1 never lets one enter twice
             full[rows[:, None], at] = 0.0
@@ -370,10 +364,10 @@ class Lockstep:
                                  np.tile(frame[m + 1], (bland.sum(), 1))))
                 enter[bland] = np.where(red[bland] < -OPT_TOL, ids,
                                         big).argmin(axis=1)
-            col = G[rows, :, np.minimum(enter, q)]
-            shared = enter > q
+            col = G[rows, :, np.minimum(enter, q - 1)]
+            shared = enter >= q
             if shared.any():
-                col[shared] = frame[:, enter[shared] - q - 1].T
+                col[shared] = frame[:, enter[shared] - q].T
             d = np.einsum("lrs,ls->lr", Binv, col[:, :m])
             positive = d > PIVOT_TOL
             done = optimal | (it >= ITER_CAP) | ~positive.any(axis=1)

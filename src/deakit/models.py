@@ -136,7 +136,7 @@ FRAME_BATCH = 4
 PRICE_BLOCK = 1 << 16
 # usable LPs from which a stage that starts at the DMUs' own points first
 # solves a wave of ceil(sqrt(n)) of them to grow the frame; on smaller
-# stages the wave's extra rounds cost more than they save
+# stages the wave's added rounds cost more than they save
 WAVE_FROM = 500
 
 
@@ -325,19 +325,19 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
        `WAVE_FROM` usable LPs first runs steps 2-4 on a wave of
        ceil(sqrt(n)) of them, at an even stride over `ks`, until the
        wave's pricing blocks none.  The rest then join on the frame the
-       wave grew.  Smaller stages skip the wave, whose extra rounds cost
+       wave grew.  Smaller stages skip the wave, whose added rounds cost
        more than they save there.
     1. Every LP starts at `start` (bases in template indices and their
        inverses), by default its DMU's own point, whose inverse comes in
        closed form (`_Template.own_inverses`).
-    2. The active LPs step in lockstep on the frame's lambda-columns plus
-       their own DMU's (`linprog.Lockstep`).
+    2. The active LPs step in lockstep on the frame's lambda-columns
+       (`linprog.Lockstep`).
     3. A restricted optimum is accepted only when every lambda-column of
-       the panel prices out (reduced cost >= -OPT_TOL under its refined
-       basis), which makes it optimal on all columns (Ali 1993; Dula
-       2011).  This full-width pricing runs in blocks of DMUs against a
-       snapshot of the frame; a blocked DMU's `FRAME_BATCH` most negative
-       columns join the frame.
+       the panel, its own DMU's among them, prices out (reduced cost >=
+       -OPT_TOL under its refined basis), which makes it optimal on all
+       columns (Ali 1993; Dula 2011).  This full-width pricing runs in
+       blocks of DMUs against a snapshot of the frame; a blocked DMU's
+       `FRAME_BATCH` most negative columns join the frame.
     4. The blocked DMUs step again from their current basis.
     An LP whose start is unusable, or that does not end OPTIMAL, is solved
     cold (`_cold`).  Returns the solved batch, one LP per DMU of `ks`.
@@ -355,7 +355,7 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
     per_block = max(1, PRICE_BLOCK // tpl.n)
     batch = min(FRAME_BATCH, tpl.n)
     while active.size:
-        run.step(active, np.flatnonzero(tpl.frame), ks)
+        run.step(active, np.flatnonzero(tpl.frame))
         active = active[run.status[active] == Status.OPTIMAL]
         run.refine(active)
         active = active[run.status[active] == Status.OPTIMAL]
@@ -366,7 +366,6 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
             reduced = run.duals(part) @ tpl.lam_block
             reduced *= -1.0
             reduced[:, member] = 0.0
-            reduced[np.arange(part.size), ks[part]] = 0.0
             hit = np.flatnonzero(reduced.min(axis=1) < -linprog.OPT_TOL)
             if hit.size:
                 reduced = reduced[hit]

@@ -184,12 +184,20 @@ def test_data_error_exit_1(capsys, tmp_path):
     (("stats", "--input", "{latin1}"), "not UTF-8"),
     (("synth", "--spec", "{latin1}", "--n", "4"), "not UTF-8"),
     (("synth", "--spec", "{spec}", "--n", "4", "--seed", "-1"), "seed >= 0"),
-], ids=["directory", "latin1-input", "latin1-spec", "negative-seed"])
+    *((("report", "--input", "{meta}", "--format", fmt), "non-finite value")
+      for fmt in ("md", "csv", "json")),
+], ids=["directory", "latin1-input", "latin1-spec", "negative-seed",
+        "non-finite-meta-md", "non-finite-meta-csv", "non-finite-meta-json"])
 def test_input_fault_exit_1(capsys, tmp_path, spec_csv, argv, fragment):
-    # each of these once ended in a traceback
+    # each of these once ended in a traceback, or (non-finite meta cells,
+    # in csv and md) in a report that printed nan and inf
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes(b"dmu,in:caf\xe9,out+:y\nA,1,2\n")
-    paths = {"dir": tmp_path, "latin1": latin1, "spec": spec_csv}
+    meta = tmp_path / "meta.csv"
+    meta.write_bytes(b"dmu,in:x,out+:y,out-:b,meta:z\n"
+                     b"A,1,2,1,nan\nB,1,1,2,inf\n")
+    paths = {"dir": tmp_path, "latin1": latin1, "spec": spec_csv,
+             "meta": meta}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error:") and fragment in err
@@ -228,13 +236,16 @@ def test_report_validates_its_panel_once(capsys, pair_csv, monkeypatch):
     assert len(calls) == 1
 
 
-def test_usage_error_exit_2(capsys, pair_csv):
-    with pytest.raises(SystemExit) as exc:
-        console_main(["evaluate", "--input", pair_csv])  # --model missing
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        console_main(["frobnicate"])
-    assert exc.value.code == 2
+def test_usage_error_exit_2(capsys, pair_csv, spec_csv):
+    # synth always writes CSV, and only evaluate and report take --verbose
+    for argv in (["evaluate", "--input", pair_csv],  # --model missing
+                 ["frobnicate"],
+                 ["synth", "--spec", spec_csv, "--n", "4", "--format", "json"],
+                 ["rank", "--input", pair_csv, "--model", "ccr", "--verbose"]):
+        with pytest.raises(SystemExit) as exc:
+            console_main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_epsilon_shift_flag(capsys, tmp_path):

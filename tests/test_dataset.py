@@ -58,6 +58,7 @@ def test_values_read_only():
     (b"dmu,in:x,out+:y\nA,0,1\n", "non-positive"),
     (b"dmu,in:x,out+:y\nA,-2,1\n", "non-positive"),
     (b"dmu,in:x,out+:y\nA,nan,1\n", "non-finite"),
+    (b"dmu,in:x,out+:y,meta:z\nA,1,1,inf\n", "non-finite"),
     (b"dmu,out+:y\nA,1\n", "no input"),
     (b"dmu,in:x\nA,1\n", "no desirable"),
     (b"\xff\xfedmu,in:x,out+:y\nA,1,2\n", "not UTF-8"),

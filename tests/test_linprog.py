@@ -135,12 +135,11 @@ def test_every_optimal_passes_certificate(seed):
 
 
 def lockstep(lp: StandardFormLP, bases) -> Lockstep:
-    """A `Lockstep` batch of copies of `lp`, one per start basis: column 0
-    leads, one zero column stands in for the shared block, and the LP's
-    other columns follow it (column j is the batch's j + 1)."""
-    bases = [[j + (j > 0) for j in basis] for basis in bases]
+    """A `Lockstep` batch of copies of `lp`, one per start basis, with no
+    shared block: LP column j is the batch's column j."""
+    bases = list(bases)
     k = len(bases)
-    return Lockstep(np.zeros((lp.n_constraints, 1)),
+    return Lockstep(np.zeros((lp.n_constraints, 0)),
                     np.repeat(lp.A[None], k, axis=0),
                     np.repeat(lp.c[None], k, axis=0),
                     np.repeat(lp.b[None], k, axis=0), bases)
@@ -149,7 +148,7 @@ def lockstep(lp: StandardFormLP, bases) -> Lockstep:
 def step_all(run: Lockstep) -> np.ndarray:
     """Step every LP of `run` with a usable start; their indices."""
     ls = np.flatnonzero(run.usable)
-    run.step(ls, np.zeros(1, dtype=np.int64), np.zeros(len(run.b), np.int64))
+    run.step(ls, np.zeros(0, dtype=np.int64))
     return ls
 
 
@@ -172,7 +171,7 @@ def test_any_start_basis_reaches_the_optimum(seed):
     for l in step_all(run):
         assert run.status[l] is Status.OPTIMAL
         assert run.objective[l] == pytest.approx(best, abs=1e-7)
-        basis = run.basis[l] - (run.basis[l] > 0)
+        basis = run.basis[l]
         primal = np.zeros(lp.n_vars)
         primal[basis] = run.x[l]
         sol = LPSolution(Status.OPTIMAL, float(lp.c @ primal), primal,
@@ -392,7 +391,7 @@ def test_newton_refine_matches_lapack_on_own_point_bases(monkeypatch, kind,
                    tpl.own_inverses(ks, O))
     drift(run, ks, 1e-10)
     assert refines_like_lapack(run, ks, monkeypatch) == []
-    run.step(ks, np.flatnonzero(tpl.frame), ks)
+    run.step(ks, np.flatnonzero(tpl.frame))
     drift(run, ks, 1e-10, seed=1)
     assert refines_like_lapack(run, ks, monkeypatch) == []
 

@@ -324,10 +324,10 @@ def first_steps(monkeypatch) -> list:
         firsts.append([what, None])
         return real_stage(tpl, ks, what, *args, **kwargs)
 
-    def step(self, ls, cand, extra):
+    def step(self, ls, cand):
         if firsts[-1][1] is None:
             firsts[-1][1] = len(ls)
-        return real_step(self, ls, cand, extra)
+        return real_step(self, ls, cand)
 
     monkeypatch.setattr(models, "_solve_stage", stage)
     monkeypatch.setattr(linprog.Lockstep, "step", step)
@@ -660,8 +660,10 @@ def test_lockstep_matches_cold_and_single_dmu_solves(d, kind, rts):
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_batching_does_not_change_any_lp(kind):
     # one lockstep step of every DMU on the template's starting frame gives
-    # each LP what a batch of that LP alone gives, bit for bit; some DMUs'
-    # own lambda-columns are also frame columns
+    # each LP what a batch of that LP alone gives, bit for bit.  Each LP
+    # starts with its own DMU's lambda-column basic; that column is a
+    # candidate only for the DMUs in the frame, and for the others it can
+    # leave the basis but not enter it
     in_frame = 0
     for seed in range(20):
         tpl = build_instance(table1_panel(30, seed=seed),
@@ -673,16 +675,40 @@ def test_batching_does_not_change_any_lp(kind):
         in_frame += frame.size
         run = linprog.Lockstep(tpl.lam_block, O, c, b, basis)
         assert run.usable.all()
-        run.step(ks, frame, ks)
+        run.step(ks, frame)
         for l in ks:
             one = linprog.Lockstep(tpl.lam_block, O[l:l + 1], c[l:l + 1],
                                    b[l:l + 1], basis[l:l + 1])
-            one.step(np.zeros(1, dtype=np.int64), frame, ks[l:l + 1])
+            one.step(np.zeros(1, dtype=np.int64), frame)
             assert one.status[0] is run.status[l]
             assert one.iterations[0] == run.iterations[l]
             assert np.array_equal(one.basis[0], run.basis[l])
             assert np.array_equal(one.x[0], run.x[l])
-    assert in_frame > 0
+    assert 0 < in_frame < 20 * 30
+
+
+def test_an_own_column_that_prices_negative_joins_the_frame(monkeypatch):
+    # DMU 26's own lambda-column is outside the frame and prices below
+    # -OPT_TOL at its LP's restricted optimum (it is basic there, and the
+    # duals of that ill-conditioned basis carry a rounding error of about
+    # 1e-7), so full-width pricing blocks the LP and the column joins the
+    # frame like any other.  Every final basis must still be optimal on
+    # all columns, with a cold solve's score
+    d = table1_panel(30, seed=65)
+    tpl = build_instance(d, ModelSpec(ModelKind.SBM_UNDESIRABLE,
+                                      ReturnsToScale.vrs()))
+    ks = np.arange(tpl.n)
+    assert not tpl.frame[26]
+    certified = {"n": 0}
+    monkeypatch.setattr(models, "_solve_stage", certifying_stage(certified))
+    got = models._sbm(tpl, ks)
+    assert certified["n"] == tpl.n
+    assert tpl.frame[26]
+    cols = tpl.columns(ks)
+    for k in ks:
+        cold = solve(tpl.lp(k, cols))
+        assert cold.status is linprog.Status.OPTIMAL
+        assert got.score[k] == pytest.approx(cold.objective, abs=1e-9)
 
 
 def own_start(d: Dataset, spec: ModelSpec, allow_plain_sbm: bool = False):
