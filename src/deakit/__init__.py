@@ -9,8 +9,8 @@ two-phase batch of one is `solve`.
 
 from .analysis import (ComparisonRecord, CorrelationMatrix, compare_models,
                        correlation_matrix, efficiency_bands, rank_scores)
-from .dataset import (CsvSchema, Dataset, Indicator, Role, StatsRow,
-                      Violation, descriptive_stats, load_csv, load_stats_spec,
+from .dataset import (Dataset, Indicator, Role, StatsRow, Violation,
+                      descriptive_stats, load_csv, load_stats_spec,
                       render_csv, synthesize_matching, validate)
 from .errors import DataError, DeaError, ModelError, SolverError, \
     SynthesisError
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonRecord", "CorrelationMatrix", "compare_models",
     "correlation_matrix", "efficiency_bands", "rank_scores",
-    "CsvSchema", "Dataset", "Indicator", "Role", "StatsRow", "Violation",
+    "Dataset", "Indicator", "Role", "StatsRow", "Violation",
     "descriptive_stats", "load_csv", "load_stats_spec", "render_csv",
     "synthesize_matching", "validate",
     "DataError", "DeaError", "ModelError", "SolverError", "SynthesisError",

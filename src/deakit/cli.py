@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import _bands, _meta, _summary, correlation_matrix
-from .dataset import CsvSchema, Dataset, Role, descriptive_stats, load_csv, \
+from .dataset import Dataset, Role, descriptive_stats, load_csv, \
     load_stats_spec, render_csv, synthesize_matching
 from .errors import DeaError
 from .models import ModelKind, ModelSpec, ReturnsToScale, RoleSlice, _evaluate
@@ -92,7 +92,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 
 
 def _load(args: argparse.Namespace) -> Dataset:
-    return load_csv(args.input, CsvSchema(epsilon_shift=args.epsilon_shift))
+    return load_csv(args.input, epsilon_shift=args.epsilon_shift)
 
 
 def _model_spec(args: argparse.Namespace) -> ModelSpec:

@@ -3,7 +3,8 @@
 The on-disk format is a plain CSV whose first header cell is the literal
 ``dmu``; every other header reads ``<role>:<name>`` with role one of ``in``,
 ``out+``, ``out-`` or ``meta``.  Values use ``.`` as the decimal separator,
-no thousands separators.
+no thousands separators.  A `Dataset` checks its invariants (`validate`)
+when it is built, whether from a CSV, by synthesis or by hand.
 """
 
 from __future__ import annotations
@@ -66,23 +67,13 @@ class Violation:
         return f"{self.invariant} at {self.location}: {self.message}"
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Parsing options for `load_csv`.
-
-    With `epsilon_shift`, zeros in non-meta columns are replaced by
-    1e-6 x column max (and a warning is emitted) instead of being rejected.
-    """
-
-    epsilon_shift: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable DMU-by-indicator value matrix.
 
-    Rows follow `dmu_names`, columns follow `indicators`.  Construction is
-    permissive; `validate` reports invariant violations as data.
+    Rows follow `dmu_names`, columns follow `indicators`.  Construction
+    checks every invariant (`validate`) and raises DataError listing each
+    violation, so a Dataset that exists is valid.
     """
 
     dmu_names: tuple[str, ...]
@@ -95,6 +86,10 @@ class Dataset:
         vals = np.array(self.values, dtype=float)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        problems = validate(self)
+        if problems:
+            detail = "; ".join(str(p) for p in problems)
+            raise DataError(f"invalid dataset: {detail}")
 
     @property
     def n_dmus(self) -> int:
@@ -116,7 +111,8 @@ class Dataset:
 
 
 def validate(d: Dataset) -> list[Violation]:
-    """Check every Dataset invariant; an empty list means the data is valid."""
+    """Check every Dataset invariant, as `Dataset` does when built; an
+    empty list means the data is valid."""
     out: list[Violation] = []
     rows, cols = d.values.shape if d.values.ndim == 2 else (-1, -1)
     if (rows, cols) != (len(d.dmu_names), len(d.indicators)):
@@ -148,7 +144,7 @@ def validate(d: Dataset) -> list[Violation]:
         # Every value must be finite, and a model column's positive too
         ok = np.isfinite(col) & ((col > 0.0) | (ind.role is Role.META))
         for i in np.flatnonzero(~ok).tolist():
-            v = col[i]
+            v = float(col[i])
             where = f"row {i + 1} ({d.dmu_names[i]}), column {ind.name!r}"
             if not math.isfinite(v):
                 out.append(Violation("non-finite value", where, f"value {v!r}"))
@@ -201,14 +197,16 @@ def _read_text(source: Union[str, Path, bytes, IO]) -> str:
                         f"{exc.start})") from None
 
 
-def load_csv(source: Union[str, Path, bytes, IO],
-             schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Parse a dataset CSV and return a validated Dataset.
+def load_csv(source: Union[str, Path, bytes, IO], *,
+             epsilon_shift: bool = False) -> Dataset:
+    """Parse a dataset CSV into a Dataset.
 
-    Raises DataError on bytes that are not UTF-8, and on malformed headers,
-    non-numeric cells, duplicate DMU names, non-finite values, or
-    non-positive values in non-meta columns, each with row/column
-    coordinates.
+    Raises DataError on bytes that are not UTF-8, on malformed headers and
+    non-numeric cells, and (from `Dataset`) on duplicate DMU names,
+    non-finite values, or non-positive values in non-meta columns, each
+    with row/column coordinates.  With `epsilon_shift`, zeros in non-meta
+    columns are replaced by 1e-6 x column max (and a warning is emitted)
+    instead of being rejected.
     """
     reader = csv.reader(io.StringIO(_read_text(source)))
     table = [row for row in reader if row]
@@ -236,7 +234,7 @@ def load_csv(source: Union[str, Path, bytes, IO],
         raise DataError("no data rows")
 
     values = np.asarray(rows, dtype=float)
-    if schema.epsilon_shift:
+    if epsilon_shift:
         for j, ind in enumerate(indicators):
             if ind.role is Role.META:
                 continue
@@ -248,12 +246,7 @@ def load_csv(source: Union[str, Path, bytes, IO],
                     f"epsilon-shift: replaced {int(zeros.sum())} zero(s) in "
                     f"column {ind.name!r} with {shift:g}")
 
-    d = Dataset(tuple(names), tuple(indicators), values)
-    problems = validate(d)
-    if problems:
-        detail = "; ".join(str(p) for p in problems)
-        raise DataError(f"invalid dataset: {detail}")
-    return d
+    return Dataset(tuple(names), tuple(indicators), values)
 
 
 def render_csv(d: Dataset) -> str:
@@ -377,7 +370,8 @@ def synthesize_matching(spec: Sequence[StatsRow], n: int, seed: int,
     """Build an n-DMU dataset whose column stats match `spec`.
 
     Min and max are hit exactly; mean and sd within `rtol` (default 0.5%).
-    Deterministic for a fixed seed.  Each spec row must carry a role.
+    Deterministic for a fixed seed.  Each spec row must carry a role.  A
+    spec whose panel is not a valid Dataset raises DataError.
     """
     if not spec:
         raise SynthesisError("empty stats spec")

@@ -14,6 +14,8 @@ On a panel of `WAVE_FROM` DMUs or more, a first wave of about sqrt(n) of
 them grows the frame before the rest step.
 Both models end in arrays (`_Columns`), lambda as each DMU's basic entries;
 the CLI reads them, and the API's result objects are built from them.
+A `Dataset` is valid once built, so the models check only what a model
+adds: the SBM's undesirable-output column (`build_instance`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linprog
-from .dataset import Dataset, Role, validate
+from .dataset import Dataset, Role
 from .errors import DataError, ModelError, SolverError
 from .linprog import StandardFormLP, Status
 
@@ -118,14 +120,11 @@ def build_instance(d: Dataset, spec: ModelSpec, *,
     one undesirable column; `allow_plain_sbm` waives that (plain SBM).
     """
     roles = RoleSlice(d)
-    if not roles.input_names:
-        raise ModelError("no input columns in dataset")
-    if not roles.good_names:
-        raise ModelError("no desirable-output columns in dataset")
     if (spec.kind is ModelKind.SBM_UNDESIRABLE and not roles.bad_names
             and not allow_plain_sbm):
-        raise ModelError("no undesirable-output columns; pass "
-                         "allow_plain_sbm=True to run plain SBM")
+        raise ModelError("no 'out-' column: the SBM with undesirable "
+                         "outputs needs one (from the API, "
+                         "allow_plain_sbm=True runs plain SBM)")
     return _Template(roles, spec)
 
 
@@ -209,10 +208,11 @@ class _Template:
         self.frame = np.zeros(n, dtype=bool)
         self.frame[ratios.argmax(axis=2)] = True
 
-    def columns(self, lam: np.ndarray, lead: bool = True) -> np.ndarray:
-        """Sorted template indices of an LP on the lambda-columns `lam`."""
-        head = [0] if lead else []
-        return np.concatenate((head, 1 + lam, self.tail)).astype(np.int64)
+    def columns(self, lam: np.ndarray) -> np.ndarray:
+        """Sorted template indices of an LP on the lambda-columns `lam`:
+        the lead, `lam` and the tail.  In CCR stage 2 the lead column is
+        zero at zero cost, so it never enters."""
+        return np.concatenate(([0], 1 + lam, self.tail)).astype(np.int64)
 
     def own_bases(self, ks: np.ndarray) -> np.ndarray:
         """Each DMU k's own point, phi = 1 or t = 1 with lambda = e_k.
@@ -307,7 +307,7 @@ def _clip_tiny(v: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 def _cold(tpl: _Template, k: int, what: str, phi: Optional[float] = None):
     """DMU k's LP solved by `linprog.solve` on all columns from no start
     basis: its objective, basis in template indices and basic values."""
-    cols = tpl.columns(np.arange(tpl.n), lead=phi is None)
+    cols = tpl.columns(np.arange(tpl.n))
     sol = linprog.solve(tpl.lp(k, cols, phi))
     if sol.status is not Status.OPTIMAL:
         raise SolverError(f"{what} for DMU {tpl.names[k]!r}: LP ended "
@@ -499,7 +499,6 @@ def evaluate_ccr_output(d: Dataset, dmu: str, spec: ModelSpec) -> EfficiencyResu
     Stage 1 maximizes the radial output expansion phi; stage 2 fixes phi*
     and maximizes total slack so reported slacks are frontier projections,
     not arbitrary alternate optima.  Undesirable columns are ignored.
-    Assumes a valid dataset (see `dataset.validate`).
     """
     if spec.kind is not ModelKind.CCR_OUTPUT:
         raise ModelError(f"evaluate_ccr_output got spec kind {spec.kind}")
@@ -534,10 +533,7 @@ def _sbm(tpl: _Template, ks: np.ndarray) -> _Columns:
 
 def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
                              allow_plain_sbm: bool = False) -> EfficiencyResult:
-    """SBM with undesirable outputs; score = rho* in (0, 1].
-
-    Assumes a valid dataset (see `dataset.validate`).
-    """
+    """SBM with undesirable outputs; score = rho* in (0, 1]."""
     if spec.kind is not ModelKind.SBM_UNDESIRABLE:
         raise ModelError(f"evaluate_sbm_undesirable got spec kind {spec.kind}")
     k = d.dmu_index(dmu)
@@ -594,7 +590,7 @@ def improvement_targets(r: EfficiencyResult, roles: RoleSlice) -> RateReport:
 
 def _evaluate(d: Dataset, spec: ModelSpec,
               allow_plain_sbm: bool = False) -> _Columns:
-    """`evaluate_all` as arrays, on a valid panel of one DMU or more."""
+    """`evaluate_all` as arrays, on a panel of one DMU or more."""
     tpl = build_instance(d, spec, allow_plain_sbm=allow_plain_sbm)
     evaluate = _ccr if spec.kind is ModelKind.CCR_OUTPUT else _sbm
     return evaluate(tpl, np.arange(tpl.n))
@@ -602,14 +598,10 @@ def _evaluate(d: Dataset, spec: ModelSpec,
 
 def evaluate_all(d: Dataset, spec: ModelSpec, *,
                  allow_plain_sbm: bool = False) -> list[EfficiencyResult]:
-    """Evaluate every DMU, validating the dataset once; dataset order.
+    """Evaluate every DMU, in dataset order.
 
     All DMUs share one LP template and one candidate set of lambda-columns.
     """
-    problems = validate(d)
-    if problems:
-        detail = "; ".join(str(p) for p in problems)
-        raise DataError(f"invalid dataset: {detail}")
     if not d.dmu_names:
         return []
     return _evaluate(d, spec, allow_plain_sbm).results()

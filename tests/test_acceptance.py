@@ -232,7 +232,7 @@ def certifying_stage(count: dict):
 
     def certified(tpl, ks, what, phi=None, start=None):
         run = real_stage(tpl, ks, what, phi, start)
-        full = tpl.columns(np.arange(tpl.n), lead=phi is None)
+        full = tpl.columns(np.arange(tpl.n))
         for l, k in enumerate(ks):
             basis = run.basis[l]
             assert np.isin(basis, full).all(), what

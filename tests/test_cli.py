@@ -186,18 +186,33 @@ def test_data_error_exit_1(capsys, tmp_path):
     (("synth", "--spec", "{spec}", "--n", "4", "--seed", "-1"), "seed >= 0"),
     *((("report", "--input", "{meta}", "--format", fmt), "non-finite value")
       for fmt in ("md", "csv", "json")),
+    (("synth", "--spec", "{zero_in}", "--n", "11"), "non-positive value"),
+    (("synth", "--spec", "{dup_name}", "--n", "11"), "duplicate indicator"),
+    (("synth", "--spec", "{no_good}", "--n", "11"), "no desirable output"),
+    (("report", "--input", "{no_bads}"), "no 'out-' column"),
+    (("evaluate", "--model", "sbm-u", "--input", "{no_bads}"),
+     "no 'out-' column"),
 ], ids=["directory", "latin1-input", "latin1-spec", "negative-seed",
-        "non-finite-meta-md", "non-finite-meta-csv", "non-finite-meta-json"])
+        "non-finite-meta-md", "non-finite-meta-csv", "non-finite-meta-json",
+        "synth-zero-input", "synth-duplicate-name", "synth-no-good",
+        "report-no-bads", "evaluate-sbm-no-bads"])
 def test_input_fault_exit_1(capsys, tmp_path, spec_csv, argv, fragment):
-    # each of these once ended in a traceback, or (non-finite meta cells,
-    # in csv and md) in a report that printed nan and inf
-    latin1 = tmp_path / "latin1.csv"
-    latin1.write_bytes(b"dmu,in:caf\xe9,out+:y\nA,1,2\n")
-    meta = tmp_path / "meta.csv"
-    meta.write_bytes(b"dmu,in:x,out+:y,out-:b,meta:z\n"
-                     b"A,1,2,1,nan\nB,1,1,2,inf\n")
-    paths = {"dir": tmp_path, "latin1": latin1, "spec": spec_csv,
-             "meta": meta}
+    # each of these once ended in a traceback; or (non-finite meta cells,
+    # in csv and md) in a report that printed nan and inf; or (synth) in a
+    # panel that load_csv rejects, and exit 0; or (no 'out-' column) in an
+    # error naming an API keyword the CLI cannot pass
+    head = b"name,role,min,max,mean,sd\n"
+    files = {
+        "latin1": b"dmu,in:caf\xe9,out+:y\nA,1,2\n",
+        "meta": b"dmu,in:x,out+:y,out-:b,meta:z\nA,1,2,1,nan\nB,1,1,2,inf\n",
+        "zero_in": head + b"x,in,0,9,4,2.5\ny,out+,5,50,20,14\n",
+        "dup_name": head + b"x,in,1,9,4,2.5\nx,out+,5,50,20,14\n",
+        "no_good": head + b"x,in,1,9,4,2.5\nb,out-,2,30,10,8\n",
+        "no_bads": b"dmu,in:x,out+:y\nA,1,2\nB,1,1\n"}
+    paths = {"dir": tmp_path, "spec": spec_csv}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_bytes(text)
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error:") and fragment in err
@@ -217,10 +232,10 @@ def test_report_checks_thresholds_before_any_lp(capsys, pair_csv,
                    "got (5.0, 7.0)\n")
 
 
-def test_report_validates_its_panel_once(capsys, pair_csv, monkeypatch):
-    # the spy replaces every module binding of `validate`, as the
-    # benchmark's spans do; evaluate_all's own check is
-    # test_evaluate_all_validates_dataset's
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The panels `validate` is called on; the spy replaces every module
+    binding of `validate`, as the benchmark's spans do."""
     real, calls = deakit.dataset.validate, []
 
     def spy(d):
@@ -231,9 +246,23 @@ def test_report_validates_its_panel_once(capsys, pair_csv, monkeypatch):
         if name.startswith("deakit") and getattr(mod, "validate",
                                                  None) is real:
             monkeypatch.setattr(mod, "validate", spy)
+    return calls
+
+
+def test_report_validates_its_panel_once(capsys, pair_csv, validate_calls):
     code, _, err = run_cli(capsys, "report", "--input", pair_csv)
     assert code == 0, err
-    assert len(calls) == 1
+    assert len(validate_calls) == 1
+
+
+def test_api_path_validates_its_panel_once(pair_csv, validate_calls):
+    # the Dataset checks itself when load_csv builds it; neither model
+    # nor the comparison checks it again
+    d = load_csv(pair_csv)
+    ee = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT))
+    epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE))
+    assert len(compare_models(ee, epi, d)) == 3
+    assert validate_calls == [d]
 
 
 def test_usage_error_exit_2(capsys, pair_csv, spec_csv):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deakit import (CsvSchema, DataError, Dataset, Indicator, Role, StatsRow,
+from deakit import (DataError, Dataset, Indicator, Role, StatsRow,
                     SynthesisError, descriptive_stats, load_csv,
                     load_stats_spec, render_csv, synthesize_matching,
                     validate)
@@ -64,8 +64,10 @@ def test_values_read_only():
     (b"\xff\xfedmu,in:x,out+:y\nA,1,2\n", "not UTF-8"),
 ])
 def test_load_csv_rejects(csv_text, fragment):
-    with pytest.raises(DataError, match=fragment):
+    with pytest.raises(DataError, match=fragment) as err:
         load_csv(csv_text)
+    # values read as Python floats, not numpy reprs
+    assert "np.float64" not in str(err.value)
 
 
 def test_error_names_row_and_column():
@@ -74,34 +76,37 @@ def test_error_names_row_and_column():
         load_csv(bad)
     msg = str(err.value)
     assert "row 2" in msg and "'y'" in msg and "B" in msg
+    assert "value 0.0 " in msg and "np.float64" not in msg
 
 
 def test_epsilon_shift_replaces_zeros():
     bad = b"dmu,in:x,out+:y\nA,1,2\nB,1,0\n"
     with pytest.warns(UserWarning, match="epsilon-shift"):
-        d = load_csv(bad, CsvSchema(epsilon_shift=True))
+        d = load_csv(bad, epsilon_shift=True)
     assert d.values[1, 1] == pytest.approx(2e-6)
     # meta zeros are untouched and allowed
     ok = b"dmu,in:x,out+:y,meta:z\nA,1,2,0\n"
-    d2 = load_csv(ok, CsvSchema(epsilon_shift=True))
+    d2 = load_csv(ok, epsilon_shift=True)
     assert d2.values[0, 2] == 0.0
 
 
 def test_validate_reports_violations():
-    d = Dataset(("A", "A"), (Indicator("x", Role.INPUT),
+    # building the Dataset runs `validate` and lists every violation
+    with pytest.raises(DataError, match="^invalid dataset: ") as err:
+        Dataset(("A", "A"), (Indicator("x", Role.INPUT),
                              Indicator("y", Role.DESIRABLE)),
                 np.array([[1.0, 2.0], [3.0, -1.0]]))
-    problems = validate(d)
-    kinds = {p.invariant for p in problems}
-    assert "duplicate dmu" in kinds
-    assert "non-positive value" in kinds
-    assert all(isinstance(str(p), str) for p in problems)
+    problems = str(err.value).removeprefix("invalid dataset: ").split("; ")
+    assert len(problems) == 2
+    assert problems[0].startswith("duplicate dmu at row 2")
+    assert problems[1].startswith("non-positive value at row 2 (A)")
+    assert validate(load_csv(GOOD_CSV)) == []
 
 
 def test_validate_dimension_mismatch():
-    d = Dataset(("A",), (Indicator("x", Role.INPUT),), np.ones((2, 2)))
-    problems = validate(d)
-    assert problems and problems[0].invariant == "dimension mismatch"
+    with pytest.raises(DataError,
+                       match="^invalid dataset: dimension mismatch at values"):
+        Dataset(("A",), (Indicator("x", Role.INPUT),), np.ones((2, 2)))
 
 
 def test_descriptive_stats_matches_numpy():
@@ -196,8 +201,11 @@ def test_synthesize_matching_rejects_negative_seed():
 
 def test_synthesize_degenerate_column():
     row = StatsRow("w", max=2.0, min=2.0, mean=2.0, sd=0.0, role=Role.INPUT)
-    d = synthesize_matching([row], n=5, seed=0)
-    assert np.all(d.values == 2.0)
+    good = StatsRow("y", max=3.0, min=3.0, mean=3.0, sd=0.0,
+                    role=Role.DESIRABLE)
+    d = synthesize_matching([row, good], n=5, seed=0)
+    assert np.all(d.values[:, 0] == 2.0)
+
 
 
 def test_load_stats_spec():

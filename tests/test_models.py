@@ -202,11 +202,11 @@ def test_evaluate_all_order_and_values():
 
 
 def test_evaluate_all_validates_dataset():
-    d = Dataset(("A", "B"), (Indicator("x", Role.INPUT),
+    # an invalid panel never reaches evaluate_all: building it raises
+    with pytest.raises(DataError, match="invalid dataset"):
+        Dataset(("A", "B"), (Indicator("x", Role.INPUT),
                              Indicator("y", Role.DESIRABLE)),
                 np.array([[1.0, 2.0], [1.0, -1.0]]))
-    with pytest.raises(DataError, match="invalid dataset"):
-        evaluate_all(d, CCR)
 
 
 def test_infeasible_bounds_name_dmu():
@@ -711,10 +711,9 @@ def test_an_own_column_that_prices_negative_joins_the_frame(monkeypatch):
         assert got.score[k] == pytest.approx(cold.objective, abs=1e-9)
 
 
-def own_start(d: Dataset, spec: ModelSpec, allow_plain_sbm: bool = False):
-    """The own-point start of every DMU of `d`: the batch, the closed-form
-    inverses and the DMUs."""
-    tpl = build_instance(d, spec, allow_plain_sbm=allow_plain_sbm)
+def own_start(tpl):
+    """The own-point start of every DMU of the template `tpl`: the batch,
+    the closed-form inverses and the DMUs."""
     ks = np.arange(tpl.n)
     O, c, b = tpl.stage(ks)
     run = linprog.Lockstep(tpl.lam_block, O, c, b, tpl.own_bases(ks))
@@ -738,20 +737,21 @@ def test_own_inverses_match_lapack(n, spec, plain):
     # the closed-form start inverses are those LAPACK finds for the same
     # basis matrices
     d = table1_panel(n, seed=n)
-    run, Binv, ks = own_start(without_bads(d) if plain else d, spec, plain)
+    run, Binv, ks = own_start(build_instance(without_bads(d) if plain else d,
+                                             spec, allow_plain_sbm=plain))
     want = np.linalg.inv(run._basis_matrix(ks))
     err = np.abs(Binv - want).max(axis=(1, 2))
     assert (err <= 1e-12 * np.abs(want).max(axis=(1, 2))).all()
 
 
 def test_own_inverses_fall_back_where_the_schur_complement_is_singular():
-    # DMU 1's desirable output is 0 (no valid panel has one), so its CCR
-    # own-point basis is singular: LAPACK finds no inverse either, and the
-    # LP is not usable; the others keep their closed-form inverses
-    d = table1_panel(5, seed=1)
-    values = d.values.copy()
-    values[1, d.role_columns(Role.DESIRABLE)] = 0.0
-    run, Binv, ks = own_start(Dataset(d.dmu_names, d.indicators, values), CCR)
+    # DMU 1's desirable output is 0 (no valid Dataset has one, so it is set
+    # in the template's own copy of the data), so its CCR own-point basis
+    # is singular: LAPACK finds no inverse either, and the LP is not
+    # usable; the others keep their closed-form inverses
+    roles = RoleSlice(table1_panel(5, seed=1))
+    roles.Yg[1] = 0.0
+    run, Binv, ks = own_start(models._Template(roles, CCR))
     assert np.isnan(Binv[1]).all()
     np.testing.assert_allclose(
         np.delete(Binv, 1, axis=0),
