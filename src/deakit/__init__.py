@@ -20,7 +20,7 @@ from .models import (EfficiencyResult, ModelKind, ModelSpec, Projection,
                      RateReport, ReturnsToScale, RoleSlice, evaluate_all,
                      evaluate_ccr_output, evaluate_sbm_undesirable,
                      improvement_targets)
-from .render import Column, Table, render_table
+from .render import Column, render_table
 
 __version__ = "0.1.0"
 
@@ -35,6 +35,6 @@ __all__ = [
     "EfficiencyResult", "ModelKind", "ModelSpec", "Projection", "RateReport",
     "ReturnsToScale", "RoleSlice", "evaluate_all", "evaluate_ccr_output",
     "evaluate_sbm_undesirable", "improvement_targets",
-    "Column", "Table", "render_table",
+    "Column", "render_table",
     "__version__",
 ]

@@ -1,7 +1,8 @@
 """Statistics over model results: correlations, ranking, bands, comparison.
 
 `_summary` computes one model's ranks, improvement rates and Mean row for
-a whole panel in array passes, for the CLI and for `compare_models`.
+a whole panel in array passes, for `deakit report` and for
+`compare_models`.
 """
 
 from __future__ import annotations

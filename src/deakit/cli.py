@@ -3,9 +3,11 @@
 Commands: stats, corr, rank, evaluate, synth, report.  The argparse
 namespace is the whole configuration: each subcommand's parser sets `run`
 to the function that builds its output.  `synth` always writes CSV, and
-only `evaluate` and `report` take `--verbose`.  Results go to stdout;
-diagnostics to stderr.  Exit codes: 0 success, 1 data/model errors and
-unreadable files, 2 usage errors.
+only `evaluate` and `report` take `--verbose`.  Each table goes to
+`render_table` as columns, each one list taken from the models' arrays
+or the panel's.  Results go to stdout; diagnostics to stderr.  Exit
+codes: 0 success, 1 data/model errors and unreadable files, 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .analysis import _bands, _meta, _summary, correlation_matrix
+from .analysis import _bands, _summary, correlation_matrix, rank_scores
 from .dataset import Dataset, Role, descriptive_stats, load_csv, \
     load_stats_spec, render_csv, synthesize_matching
 from .errors import DeaError
-from .models import ModelKind, ModelSpec, ReturnsToScale, RoleSlice, _evaluate
-from .render import Column, Table, render_table
+from .models import ModelKind, ModelSpec, ReturnsToScale, RoleSlice, \
+    _evaluate, _rates
+from .render import Column, render_table
 
 _MODEL_TOKENS = {k.value: k for k in ModelKind}
 _RTS_TOKENS = {"crs": ReturnsToScale.crs, "vrs": ReturnsToScale.vrs}
@@ -105,62 +106,52 @@ def _note(args: argparse.Namespace, msg: str) -> None:
 
 
 def _rate_columns(rates, prefix: str = "") -> list[Column]:
-    """The headers of `rates` (`analysis._summary`), one per column."""
-    (ins, _), (bads, _), (goods, _) = rates
-    return ([Column(f"{prefix}reduce {name} (%)", "rate")
-             for name in ins + bads]
-            + [Column(f"{prefix}increase {name} (%)", "rate")
-               for name in goods])
+    """One column per rate of `rates` (`models._rates`, or
+    `analysis._summary`'s with the Mean row)."""
+    (ins, x), (bads, yb), (goods, yg) = rates
+    return ([Column(f"{prefix}reduce {name} (%)", "rate", v)
+             for name, v in zip(ins + bads, x.T.tolist() + yb.T.tolist())]
+            + [Column(f"{prefix}increase {name} (%)", "rate", v)
+               for name, v in zip(goods, yg.T.tolist())])
 
 
 def _cmd_stats(args: argparse.Namespace) -> str:
-    d = _load(args)
-    rows = descriptive_stats(d)
-    table = Table(
-        columns=(Column("indicator", "text"), Column("role", "text"),
-                 Column("max"), Column("min"), Column("mean"),
-                 Column("sd")),
-        rows=tuple((r.indicator, r.role.value, r.max, r.min, r.mean, r.sd)
-                   for r in rows))
-    return render_table(table, args.fmt)
+    rows = descriptive_stats(_load(args))
+    columns = [Column("name", "text", [r.indicator for r in rows]),
+               Column("role", "text", [r.role.value for r in rows])]
+    columns += [Column(h, "num", [getattr(r, h) for r in rows])
+                for h in ("max", "min", "mean", "sd")]
+    return render_table(columns, args.fmt)
 
 
 def _cmd_corr(args: argparse.Namespace) -> str:
-    d = _load(args)
-    cm = correlation_matrix(d, args.method)
-    columns = [Column("indicator", "text")]
-    columns += [Column(lbl, "score") for lbl in cm.labels]
-    rows = tuple((lbl, *cm.values[i]) for i, lbl in enumerate(cm.labels))
-    return render_table(Table(tuple(columns), rows), args.fmt)
+    cm = correlation_matrix(_load(args), args.method)
+    columns = [Column("indicator", "text", cm.labels)]
+    columns += [Column(lbl, "score", v)
+                for lbl, v in zip(cm.labels, cm.values.T.tolist())]
+    return render_table(columns, args.fmt)
 
 
 def _cmd_rank(args: argparse.Namespace) -> str:
     d = _load(args)
-    res = _evaluate(d, _model_spec(args))
-    _, ranks, _ = _summary(res, RoleSlice(d))
-    # zipped with the scores, the ranks drop their Mean row
-    table = Table(
-        columns=(Column("dmu", "text"), Column("score", "score"),
-                 Column("rank", "int")),
-        rows=tuple(zip(d.dmu_names, res.score.tolist(), ranks)))
-    return render_table(table, args.fmt)
+    score = _evaluate(d, _model_spec(args)).score.tolist()
+    return render_table([Column("dmu", "text", d.dmu_names),
+                         Column("score", "score", score),
+                         Column("rank", "int", rank_scores(score))],
+                        args.fmt)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> str:
     d = _load(args)
     res = _evaluate(d, _model_spec(args))
+    score = res.score.tolist()
     if args.verbose:
-        for dmu, score in zip(d.dmu_names, res.score.tolist()):
-            _note(args, f"evaluated {dmu}: score {score:.6f}")
-    _, _, rates = _summary(res, RoleSlice(d))
-    # zipped with the scores, the rates drop their Mean row
-    table = Table(
-        columns=(Column("dmu", "text"), Column("score", "score"),
-                 *_rate_columns(rates)),
-        rows=tuple((dmu, s, *r) for dmu, s, r in zip(
-            d.dmu_names, res.score.tolist(),
-            np.hstack([v for _, v in rates]).tolist())))
-    return render_table(table, args.fmt)
+        for dmu, s in zip(d.dmu_names, score):
+            _note(args, f"evaluated {dmu}: score {s:.6f}")
+    return render_table([Column("dmu", "text", d.dmu_names),
+                         Column("score", "score", score),
+                         *_rate_columns(_rates(res, RoleSlice(d)))],
+                        args.fmt)
 
 
 def _cmd_synth(args: argparse.Namespace) -> str:
@@ -182,21 +173,18 @@ def _cmd_report(args: argparse.Namespace) -> str:
     (ee_mean, ee_ranks, ccr), (epi_mean, epi_ranks, sbm) = (
         _summary(res, roles) for res in (ee, epi))
 
-    meta_cols = sorted(d.role_columns(Role.META),
-                       key=lambda j: d.indicators[j].name)
-    columns = [Column("dmu", "text"), Column("EE", "scorerank"),
-               Column("EPI", "scorerank")]
-    columns += _rate_columns(ccr, prefix="CCR ")
-    columns += _rate_columns(sbm, prefix="SBM ")
-    columns += [Column(d.indicators[j].name) for j in meta_cols]
     epi_score = epi.score.tolist()
-    rows = tuple((dmu, (a, ra), (b, rb), *rates, *meta)
-                 for dmu, a, ra, b, rb, rates, meta in zip(
-                     (*d.dmu_names, "Mean"), ee.score.tolist() + [ee_mean],
-                     ee_ranks, epi_score + [epi_mean], epi_ranks,
-                     np.hstack([v for _, v in ccr + sbm]).tolist(),
-                     _meta(d, meta_cols)))
-    out = render_table(Table(tuple(columns), rows), args.fmt)
+    columns = [Column("dmu", "text", [*d.dmu_names, "Mean"]),
+               Column("EE", "score", ee.score.tolist() + [ee_mean], ee_ranks),
+               Column("EPI", "score", epi_score + [epi_mean], epi_ranks),
+               *_rate_columns(ccr, prefix="CCR "),
+               *_rate_columns(sbm, prefix="SBM ")]
+    for j in sorted(d.role_columns(Role.META),
+                    key=lambda j: d.indicators[j].name):
+        v = d.values[:, j]
+        columns.append(Column(d.indicators[j].name, "num",
+                              v.tolist() + [float(v.mean())]))
+    out = render_table(columns, args.fmt)
     if args.fmt == "md":
         bands = _bands(d.dmu_names, epi_score, thresholds)
         lines = ["", f"Levels by EPI (t1={args.t1:g}, t2={args.t2:g}):"]

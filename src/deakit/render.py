@@ -1,15 +1,17 @@
 """Table rendering: markdown (report rounding), CSV, and JSON.
 
-Rounding lives only in the markdown renderer; csv and json always carry
-full precision.  Column kinds:
+A table is a sequence of `Column`s, each carrying its header, its kind and
+its cells from top to bottom.  Rounding lives only in the markdown
+renderer; csv and json always carry full precision.  Column kinds:
 
 - text: rendered as-is
 - score: efficiency score, md rounds to 2 decimals
 - rate: percent rate, md rounds to 1 decimal and prints exact zeros as "0"
 - int: integer (None allowed, rendered empty/null)
 - num: general numeric, md uses up to 10 significant digits
-- scorerank: (score, rank) pair; md prints "0.49/6" ("1.00" if rank is
-  None), csv/json split it into two fields
+
+A column with `ranks` prints "0.49/6" in md ("1.00" where the rank is
+None); csv/json write its ranks as one more int column, `<header> rank`.
 
 The json text is that of `json.dumps(rows, indent=2, allow_nan=False)`
 with one object per row, but each column is encoded in one call of the C
@@ -23,34 +25,26 @@ import io
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import Optional, Sequence
 
 from .errors import DataError
 
-KINDS = ("text", "score", "rate", "int", "num", "scorerank")
+KINDS = ("text", "score", "rate", "int", "num")
 
 
 @dataclass(frozen=True)
 class Column:
+    """One column of a table: its header, its kind (one of `KINDS`), its
+    cells from top to bottom and, if ranked, each cell's rank or None."""
+
     header: str
-    kind: str = "num"
+    kind: str
+    values: Sequence
+    ranks: Optional[Sequence] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DataError(f"unknown column kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class Table:
-    columns: tuple[Column, ...]
-    rows: tuple[tuple, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise DataError(f"row {i} has {len(row)} cells, expected "
-                                f"{len(self.columns)}")
 
 
 def _md_cell(kind: str, v) -> str:
@@ -64,47 +58,50 @@ def _md_cell(kind: str, v) -> str:
         return "0" if v == 0 else f"{v:.1f}"
     if kind == "int":
         return str(int(v))
-    if kind == "scorerank":
-        score, rank = v
-        cell = f"{score:.2f}"
-        return cell if rank is None else f"{cell}/{int(rank)}"
     return f"{v:.10g}"
 
 
-def _flat_columns(table: Table) -> list[tuple[str, str, list]]:
-    """The table's columns as (header, kind, values), each scorerank column
-    split in two, so that csv/json carry score and rank separately."""
-    out = []
-    for j, col in enumerate(table.columns):
-        values = [row[j] for row in table.rows]
-        if col.kind == "scorerank":
-            pairs = [(None, None) if v is None else v for v in values]
-            out += [(col.header, "score", [p[0] for p in pairs]),
-                    (f"{col.header} rank", "int", [p[1] for p in pairs])]
-        else:
-            out.append((col.header, col.kind, values))
-    return out
+def _flat_columns(columns: Sequence[Column]) -> list[tuple]:
+    """The columns as (header, kind, values), each ranked column followed by
+    its ranks, as csv/json write them.  Raises DataError unless every one
+    has as many cells as the first and a header of its own."""
+    flat = []
+    for col in columns:
+        flat.append((col.header, col.kind, col.values))
+        if col.ranks is not None:
+            flat.append((f"{col.header} rank", "int", col.ranks))
+    seen = set()
+    for header, _, values in flat:
+        if header in seen:
+            raise DataError(f"repeated column header {header!r}")
+        seen.add(header)
+        if len(values) != len(flat[0][2]):
+            raise DataError(f"column {header!r} has {len(values)} cells, "
+                            f"expected {len(flat[0][2])}")
+    return flat
 
 
-def _render_md(table: Table) -> str:
-    grid = [[c.header for c in table.columns]]
-    for row in table.rows:
-        grid.append([_md_cell(c.kind, v) for c, v in zip(table.columns, row)])
-    widths = [max(len(r[j]) for r in grid) for j in range(len(table.columns))]
-    lines = []
+def _render_md(columns: Sequence[Column]) -> str:
+    grid = []
+    for col in columns:
+        cells = [_md_cell(col.kind, v) for v in col.values]
+        if col.ranks is not None:
+            cells = [c if r is None else f"{c}/{int(r)}"
+                     for c, r in zip(cells, col.ranks)]
+        grid.append([col.header, *cells])
+    widths = [max(map(len, cells)) for cells in grid]
 
     def fmt(cells):
         return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) \
             + " |"
 
-    lines.append(fmt(grid[0]))
-    lines.append(fmt(["-" * w for w in widths]))
-    for r in grid[1:]:
-        lines.append(fmt(r))
+    header, *rows = list(zip(*grid)) or [()]
+    lines = [fmt(header), fmt(["-" * w for w in widths])]
+    lines += [fmt(r) for r in rows]
     return "\n".join(lines) + "\n"
 
 
-def _csv_column(kind: str, values: list) -> list[str]:
+def _csv_column(kind: str, values: Sequence) -> list[str]:
     """One flat column's csv cells, in one pass: None is empty, numbers
     carry 17 significant digits."""
     if kind == "text":
@@ -114,17 +111,16 @@ def _csv_column(kind: str, values: list) -> list[str]:
     return ["" if v is None else "%.17g" % float(v) for v in values]
 
 
-def _render_csv(table: Table) -> str:
-    columns = _flat_columns(table)
-    cells = [_csv_column(kind, values) for _, kind, values in columns]
+def _render_csv(flat: list[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([h for h, _, _ in columns])
-    writer.writerows(zip(*cells) if cells else [()] * len(table.rows))
+    writer.writerow([h for h, _, _ in flat])
+    writer.writerows(zip(*(_csv_column(kind, values)
+                           for _, kind, values in flat)))
     return buf.getvalue()
 
 
-def _json_column(kind: str, values: list) -> list[str]:
+def _json_column(kind: str, values: Sequence) -> list[str]:
     """One flat column's JSON values, as `json.dumps` writes them."""
     if kind == "text":
         return ["null" if v is None else encode_basestring_ascii(str(v))
@@ -137,30 +133,25 @@ def _json_column(kind: str, values: list) -> list[str]:
     return text[1:-1].split(", ")
 
 
-def _render_json(table: Table) -> str:
+def _render_json(flat: list[tuple]) -> str:
     """The text of json.dumps(rows as objects, indent=2, allow_nan=False),
     built from per-table key prefixes and per-column encoded values: with
     `indent` set, json.dumps runs its pure-Python encoder."""
-    if not table.rows:
+    if not flat or not len(flat[0][2]):
         return "[]\n"
-    if not table.columns:
-        return "[\n" + ",\n".join(["  {}"] * len(table.rows)) + "\n]\n"
-    columns = _flat_columns(table)
-    # as in a dict: a repeated key keeps its first place and last value
-    last = {h: i for i, (h, _, _) in enumerate(columns)}
-    columns = [columns[i] for i in last.values()]
     obj = "  {\n" + ",\n".join(
         "    " + encode_basestring_ascii(h).replace("%", "%%") + ": %s"
-        for h, _, _ in columns) + "\n  }"
-    cells = zip(*(_json_column(kind, values) for _, kind, values in columns))
+        for h, _, _ in flat) + "\n  }"
+    cells = zip(*(_json_column(kind, values) for _, kind, values in flat))
     return "[\n" + ",\n".join(obj % row for row in cells) + "\n]\n"
 
 
-def render_table(table: Table, fmt: str = "md") -> str:
+def render_table(columns: Sequence[Column], fmt: str = "md") -> str:
+    flat = _flat_columns(columns)
     if fmt == "md":
-        return _render_md(table)
+        return _render_md(columns)
     if fmt == "csv":
-        return _render_csv(table)
+        return _render_csv(flat)
     if fmt == "json":
-        return _render_json(table)
+        return _render_json(flat)
     raise DataError(f"unknown output format {fmt!r}")

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import os
@@ -14,9 +15,9 @@ import pytest
 import deakit
 import deakit.cli as cli
 import deakit.models as models
-from deakit import (Column, ModelKind, ModelSpec, RoleSlice, Table,
-                    compare_models, evaluate_all, improvement_targets,
-                    load_csv, rank_scores)
+from deakit import (Column, ModelKind, ModelSpec, RoleSlice, compare_models,
+                    descriptive_stats, evaluate_all, improvement_targets,
+                    load_csv, rank_scores, synthesize_matching)
 from deakit.cli import console_main, parse_args
 from oracles import table1_panel
 from test_acceptance import published_dataset
@@ -90,9 +91,51 @@ def test_stats_roundtrip(capsys, pair_csv):
                            "--format", "json")
     assert code == 0
     objs = json.loads(out)
-    assert [o["indicator"] for o in objs] == ["x", "yg", "yb"]
-    x = next(o for o in objs if o["indicator"] == "x")
+    assert [o["name"] for o in objs] == ["x", "yg", "yb"]
+    x = next(o for o in objs if o["name"] == "x")
     assert x["max"] == 1.0 and x["sd"] == 0.0
+
+
+def test_stats_csv_is_a_synth_spec(capsys, tmp_path):
+    # the stats csv of a panel is a synth spec, and the panel synthesized
+    # from it has the panel's min and max, and its mean and sd within
+    # synthesize_matching's tolerance
+    d = table1_panel(30, seed=1)
+    panel, spec = tmp_path / "panel.csv", tmp_path / "stats.csv"
+    panel.write_text(deakit.render_csv(d))
+    code, out, err = run_cli(capsys, "stats", "--input", str(panel),
+                             "--format", "csv")
+    assert code == 0, err
+    spec.write_text(out)
+    code, out, err = run_cli(capsys, "synth", "--spec", str(spec),
+                             "--n", "50")
+    assert code == 0, err
+    rtol = inspect.signature(synthesize_matching).parameters["rtol"].default
+    want, got = descriptive_stats(d), descriptive_stats(load_csv(out.encode()))
+    assert [(r.indicator, r.role) for r in got] == \
+        [(r.indicator, r.role) for r in want]
+    for w, g in zip(want, got):
+        assert (g.min, g.max) == (w.min, w.max)
+        assert g.mean == pytest.approx(w.mean, rel=rtol)
+        assert g.sd == pytest.approx(w.sd, rel=rtol)
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+@pytest.mark.parametrize("command,column,header", [
+    ("report", "meta:dmu", "dmu"), ("report", "meta:EE", "EE"),
+    ("report", "meta:EE rank", "EE rank"),
+    ("corr", "in:indicator", "indicator")])
+def test_repeated_header_exit_1(capsys, tmp_path, command, column, header,
+                                fmt):
+    # a panel column whose header the table already has: json once printed
+    # one of the two under it, and csv both
+    p = tmp_path / "panel.csv"
+    p.write_text(f"dmu,in:x,out+:yg,out-:yb,{column}\n"
+                 "A,1,2,1,10\nB,1,1,2,3\nC,2,3,1,4\n")
+    code, out, err = run_cli(capsys, command, "--input", str(p),
+                             "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == f"error: repeated column header {header!r}\n"
 
 
 def test_corr_command(capsys, tmp_path):
@@ -439,23 +482,26 @@ def test_benchmark_span_targets_resolve():
 
 
 def api_tables(d, rts):
-    """{command args: Table} of `report`, `evaluate` under both models and
+    """{command args: columns} of `report`, `evaluate` under both models and
     `rank` on the panel `d`, built cell by cell from the API's objects:
     `compare_models` records, `evaluate_all` results and their
     `improvement_targets`."""
     roles = RoleSlice(d)
 
-    def rate_columns(prefix, bads):
-        reduced = roles.input_names + (roles.bad_names if bads else ())
-        return ([Column(f"{prefix}reduce {name} (%)", "rate")
-                 for name in reduced]
-                + [Column(f"{prefix}increase {name} (%)", "rate")
-                   for name in roles.good_names])
-
-    def cells(rates):
-        return (*rates.input_reduction_pct.values(),
-                *rates.bad_reduction_pct.values(),
-                *rates.good_increase_pct.values())
+    def rate_columns(prefix, reports, bads):
+        """One column per rate of the RateReports `reports`, each of which
+        holds exactly the panel's rates in the panel's order."""
+        columns = []
+        for verb, attr, names in (
+                ("reduce", "input_reduction_pct", roles.input_names),
+                ("reduce", "bad_reduction_pct",
+                 roles.bad_names if bads else ()),
+                ("increase", "good_increase_pct", roles.good_names)):
+            cells = [getattr(rep, attr) for rep in reports]
+            assert all(list(c) == list(names) for c in cells)
+            columns += [Column(f"{prefix}{verb} {name} (%)", "rate",
+                               [c[name] for c in cells]) for name in names]
+        return columns
 
     token = "vrs" if rts.upper == 1.0 else "crs"
     results = {kind: evaluate_all(d, ModelSpec(kind, rts))
@@ -463,25 +509,25 @@ def api_tables(d, rts):
     records = compare_models(results[ModelKind.CCR_OUTPUT],
                              results[ModelKind.SBM_UNDESIRABLE], d)
     meta = sorted(records[0].meta)
-    tables = {("report", "--rts", token): Table(
-        (Column("dmu", "text"), Column("EE", "scorerank"),
-         Column("EPI", "scorerank"), *rate_columns("CCR ", False),
-         *rate_columns("SBM ", True), *(Column(name) for name in meta)),
-        [(rec.dmu, (rec.ee, rec.ee_rank), (rec.epi, rec.epi_rank),
-          *cells(rec.ccr_rates), *cells(rec.sbm_rates),
-          *(rec.meta[name] for name in meta)) for rec in records])}
+    tables = {("report", "--rts", token): [
+        Column("dmu", "text", [rec.dmu for rec in records]),
+        Column("EE", "score", [rec.ee for rec in records],
+               [rec.ee_rank for rec in records]),
+        Column("EPI", "score", [rec.epi for rec in records],
+               [rec.epi_rank for rec in records]),
+        *rate_columns("CCR ", [rec.ccr_rates for rec in records], False),
+        *rate_columns("SBM ", [rec.sbm_rates for rec in records], True),
+        *(Column(name, "num", [rec.meta[name] for rec in records])
+          for name in meta)]}
     for kind, rs in results.items():
         args = ("--model", kind.value, "--rts", token)
-        tables[("evaluate", *args)] = Table(
-            (Column("dmu", "text"), Column("score", "score"),
-             *rate_columns("", kind is ModelKind.SBM_UNDESIRABLE)),
-            [(r.dmu, r.score, *cells(improvement_targets(r, roles)))
-             for r in rs])
-        tables[("rank", *args)] = Table(
-            (Column("dmu", "text"), Column("score", "score"),
-             Column("rank", "int")),
-            [(r.dmu, r.score, k)
-             for r, k in zip(rs, rank_scores([r.score for r in rs]))])
+        dmu = Column("dmu", "text", [r.dmu for r in rs])
+        score = Column("score", "score", [r.score for r in rs])
+        tables[("evaluate", *args)] = [dmu, score, *rate_columns(
+            "", [improvement_targets(r, roles) for r in rs],
+            kind is ModelKind.SBM_UNDESIRABLE)]
+        tables[("rank", *args)] = [dmu, score, Column(
+            "rank", "int", rank_scores(score.values))]
     return tables
 
 
@@ -504,12 +550,12 @@ def test_cli_matches_api_in_full_precision(capsys, tmp_path, name, rts):
     path = tmp_path / f"{name}.csv"
     path.write_text(deakit.render_csv(d))
     tables = api_tables(d, getattr(deakit.ReturnsToScale, rts)())
-    for args, table in tables.items():
+    for args, columns in tables.items():
         for fmt in ("json", "csv"):
             code, out, err = run_cli(capsys, *args, "--input", str(path),
                                      "--format", fmt)
             assert code == 0, err
-            assert out == deakit.render_table(table, fmt), (args, fmt)
+            assert out == deakit.render_table(columns, fmt), (args, fmt)
 
 
 def test_report_allocates_no_n_by_n_array(capsys, tmp_path):

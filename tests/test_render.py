@@ -6,24 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deakit import Column, DataError, Table, render_table
+from deakit import Column, DataError, render_table
 
 
-def sample_table() -> Table:
-    return Table(
-        columns=(Column("dmu", "text"), Column("EE", "scorerank"),
-                 Column("waste (%)", "rate"), Column("gdp", "num"),
-                 Column("year", "int")),
-        rows=((("Tian,jin"), (1.0, 1), 0.0, 8.34, 2011),
-              ("Hebei", (0.3636, 2), 26.44, 3.39, 2011),
-              ("Mean", (0.6818, None), 13.22, 5.865, None)))
+def sample_table() -> list[Column]:
+    return [Column("dmu", "text", ["Tian,jin", "Hebei", "Mean"]),
+            Column("EE", "score", [1.0, 0.3636, 0.6818], ranks=[1, 2, None]),
+            Column("waste (%)", "rate", [0.0, 26.44, 13.22]),
+            Column("gdp", "num", [8.34, 3.39, 5.865]),
+            Column("year", "int", [2011, 2011, None])]
 
 
 def test_md_rounding_conventions():
     out = render_table(sample_table(), "md")
     lines = out.splitlines()
     assert lines[0].startswith("| dmu")
-    assert "1.00/1" in out          # scorerank pair
+    assert "1.00/1" in out          # score with its rank
     assert "0.36/2" in out          # 2-decimal score
     assert "| 0 " in out            # literal zero rate
     assert "26.4" in out and "26.44" not in out
@@ -34,6 +32,11 @@ def test_md_mean_row_has_no_rank():
     out = render_table(sample_table(), "md")
     mean_line = [ln for ln in out.splitlines() if "Mean" in ln][0]
     assert "0.68 " in mean_line and "0.68/" not in mean_line
+
+
+def test_md_empty_tables():
+    assert render_table([], "md") == "|  |\n|  |\n"
+    assert render_table([Column("a", "text", [])], "md") == "| a |\n| - |\n"
 
 
 def test_csv_full_precision_and_quoting():
@@ -65,38 +68,62 @@ def test_unknown_format_and_kind():
     with pytest.raises(DataError, match="format"):
         render_table(sample_table(), "xml")
     with pytest.raises(DataError, match="kind"):
-        Column("x", "complex")
+        Column("x", "complex", [])
 
 
 def test_row_width_checked():
-    with pytest.raises(DataError, match="cells"):
-        Table(columns=(Column("a", "num"),), rows=((1.0, 2.0),))
+    for fmt in ("md", "csv", "json"):
+        with pytest.raises(DataError, match="'b' has 2 cells, expected 1"):
+            render_table([Column("a", "num", [1.0]),
+                          Column("b", "num", [1.0, 2.0])], fmt)
+        with pytest.raises(DataError,
+                           match="'a rank' has 1 cells, expected 2"):
+            render_table([Column("a", "score", [1.0, 2.0], ranks=[1])], fmt)
 
 
-def reference_json(table: Table) -> str:
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+@pytest.mark.parametrize("columns,header", [
+    ([Column("a", "num", [1.0]), Column("a", "text", ["x"])], "a"),
+    ([Column("a", "score", [1.0], ranks=[1]), Column("a rank", "num", [2.0])],
+     "a rank"),
+    ([Column("a rank", "num", [2.0]), Column("a", "score", [1.0], ranks=[1])],
+     "a rank")])
+def test_repeated_header_raises(columns, header, fmt):
+    # json would keep one value per key, and csv could not be read back
+    with pytest.raises(DataError, match=f"repeated column header '{header}'"):
+        render_table(columns, fmt)
+
+
+def flat(columns: list[Column]) -> list[tuple[str, str, list]]:
+    """(header, kind, values) per csv/json column: a ranked column's ranks
+    follow it as an int column headed '<header> rank'."""
+    out = []
+    for col in columns:
+        out.append((col.header, col.kind, col.values))
+        if col.ranks is not None:
+            out.append((f"{col.header} rank", "int", col.ranks))
+    return out
+
+
+def reference_json(columns: list[Column]) -> str:
     """The json format as json.dumps writes it: one dict per row, indent 2.
 
     The renderer builds the same text without the pure-Python encoder that
     `indent` selects; this is the definition it is checked against.
     """
+    heads = flat(columns)
     objs = []
-    for row in table.rows:
+    for row in zip(*(values for _, _, values in heads)):
         obj = {}
-        for col, v in zip(table.columns, row):
-            cells = [(col.header, col.kind, v)]
-            if col.kind == "scorerank":
-                score, rank = (None, None) if v is None else v
-                cells = [(col.header, "score", score),
-                         (f"{col.header} rank", "int", rank)]
-            for h, kind, v in cells:
-                if v is None:
-                    obj[h] = None
-                elif kind == "text":
-                    obj[h] = str(v)
-                elif kind == "int":
-                    obj[h] = int(v)
-                else:
-                    obj[h] = float(v)
+        for (h, kind, _), v in zip(heads, row):
+            if v is None:
+                obj[h] = None
+            elif kind == "text":
+                obj[h] = str(v)
+            elif kind == "int":
+                obj[h] = int(v)
+            else:
+                obj[h] = float(v)
         objs.append(obj)
     return json.dumps(objs, indent=2, allow_nan=False) + "\n"
 
@@ -111,21 +138,28 @@ FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-2 ** 60, 2 ** 60))
 CELLS = {"text": st.one_of(st.none(), TEXT, st.integers()),
-         "int": INTS, "score": FLOATS, "rate": FLOATS, "num": FLOATS,
-         "scorerank": st.one_of(st.none(), st.tuples(FLOATS, INTS))}
+         "int": INTS, "score": FLOATS, "rate": FLOATS, "num": FLOATS}
 
 
 @st.composite
 def tables(draw):
-    # short headers from a small alphabet repeat often, also as "x rank"
+    # short headers from a small alphabet, also "a rank" next to a ranked
+    # "a"; a column whose flat header is taken is not drawn
     header = st.one_of(st.text("ab %\"\u00e9", max_size=3),
                        st.sampled_from(["a rank", "dmu"]))
-    columns = draw(st.lists(st.builds(Column, header,
-                                      st.sampled_from(sorted(CELLS))),
-                            max_size=6))
-    rows = draw(st.lists(st.tuples(*(CELLS[c.kind] for c in columns)),
-                         max_size=6))
-    return Table(tuple(columns), tuple(rows))
+    n = draw(st.integers(0, 6))
+    columns, taken = [], set()
+    for _ in range(draw(st.integers(0, 6))):
+        h, kind = draw(header), draw(st.sampled_from(sorted(CELLS)))
+        ranks = draw(st.one_of(st.none(),
+                               st.lists(INTS, min_size=n, max_size=n)))
+        heads = {h} if ranks is None else {h, f"{h} rank"}
+        if heads & taken:
+            continue
+        taken |= heads
+        values = draw(st.lists(CELLS[kind], min_size=n, max_size=n))
+        columns.append(Column(h, kind, values, ranks))
+    return columns
 
 
 @settings(max_examples=300, deadline=None)
@@ -134,32 +168,27 @@ def test_json_matches_json_dumps(table):
     assert render_table(table, "json") == reference_json(table)
 
 
-def reference_csv(table: Table) -> str:
-    """The csv format cell by cell: scorerank split in two, None empty,
+def reference_csv(columns: list[Column]) -> str:
+    """The csv format cell by cell: ranks after their column, None empty,
     text as str, ints as int, other numbers as float with 17 significant
     digits.  The renderer formats a column at a time."""
-    header, rows = [], [[] for _ in table.rows]
-    for j, col in enumerate(table.columns):
-        kinds = [(col.header, col.kind)]
-        if col.kind == "scorerank":
-            kinds = [(col.header, "score"), (f"{col.header} rank", "int")]
-        header += [h for h, _ in kinds]
-        for row, cells in zip(table.rows, rows):
-            values = [row[j]]
-            if col.kind == "scorerank":
-                values = [None, None] if row[j] is None else list(row[j])
-            for (_, kind), v in zip(kinds, values):
-                if v is None:
-                    cells.append("")
-                elif kind == "text":
-                    cells.append(str(v))
-                elif kind == "int":
-                    cells.append(str(int(v)))
-                else:
-                    cells.append(f"{float(v):.17g}")
+    heads = flat(columns)
+    rows = []
+    for row in zip(*(values for _, _, values in heads)):
+        cells = []
+        for (_, kind, _), v in zip(heads, row):
+            if v is None:
+                cells.append("")
+            elif kind == "text":
+                cells.append(str(v))
+            elif kind == "int":
+                cells.append(str(int(v)))
+            else:
+                cells.append(f"{float(v):.17g}")
+        rows.append(cells)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow([h for h, _, _ in heads])
     writer.writerows(rows)
     return buf.getvalue()
 
@@ -171,8 +200,8 @@ def test_csv_matches_per_cell_formatting(table):
 
 
 @pytest.mark.parametrize("table", [
-    Table((), ()), Table((), ((),)), Table((Column("a", "text"),), ()),
-    Table((Column("a", "scorerank"),), ((None,), ((None, None),)))])
+    [], [Column("a", "text", [])],
+    [Column("a", "score", [None, None], ranks=[None, None])]])
 def test_json_edge_tables(table):
     assert render_table(table, "json") == reference_json(table)
 
@@ -180,9 +209,9 @@ def test_json_edge_tables(table):
 @pytest.mark.parametrize("kind", ["score", "rate", "num", "scorerank"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_json_rejects_non_finite(kind, bad):
-    table = Table((Column("a", kind),),
-                  ((1.0 if kind != "scorerank" else (1.0, 1),),
-                   (bad if kind != "scorerank" else (bad, 2),)))
+    # "scorerank": a score column with ranks
+    ranks = [1, 2] if kind == "scorerank" else None
+    table = [Column("a", "score" if ranks else kind, [1.0, bad], ranks)]
     for render in (lambda t: render_table(t, "json"), reference_json):
         with pytest.raises(ValueError):
             render(table)
