@@ -1,8 +1,8 @@
 """Statistics over model results: correlations, ranking, bands, comparison.
 
-`_summary` computes one model's ranks, improvement rates and Mean row for
-a whole panel in array passes, for `deakit report` and for
-`compare_models`.
+`_summary` computes one model's scores, ranks and improvement rates with
+their Mean row for a whole panel in array passes, from the panel's role
+slices, for `deakit report` and for `compare_models`.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import numpy as np
 
 from .dataset import Dataset, Role
 from .errors import DataError
-from .models import (EfficiencyResult, RateReport, RoleSlice, _Columns,
-                     _rate_reports, _rates)
+from .models import (EfficiencyResult, RateReport, _Columns, _rate_reports,
+                     _rates)
 
 RANK_TOL = 5e-3
 
@@ -140,16 +140,16 @@ def _bands(dmus: Sequence[str], scores: Sequence[float],
     return levels
 
 
-def _summary(res: _Columns, roles: RoleSlice):
-    """The mean score, the ranks and the rates (`models._rates`) of one
-    model's results on every DMU of `roles` in order, the last two with
-    the Mean row: rank None, and `np.mean` of each column as a contiguous
-    1-D array in DMU order (a mean along an axis of a 2-D array sums in
-    another order)."""
-    ranks = rank_scores(res.score) + [None]
-    return float(np.mean(res.score)), ranks, [
-        (names, np.vstack((v, [np.mean(col) for col in np.array(v.T)])))
-        for names, v in _rates(res, roles)]
+def _summary(res: _Columns, d: Dataset):
+    """The scores, the ranks and the rates (`models._rates`) of one model's
+    results on every DMU of the panel `d` in order, each with the Mean row:
+    rank None, and `np.mean` of each column as a contiguous 1-D array in
+    DMU order (a mean along an axis of a 2-D array sums in another
+    order)."""
+    return (res.score.tolist() + [float(np.mean(res.score))],
+            rank_scores(res.score) + [None],
+            [(names, np.vstack((v, [np.mean(col) for col in np.array(v.T)])))
+             for names, v in _rates(res, d)])
 
 
 def _meta(d: Dataset, cols: Sequence[int]) -> list[list[float]]:
@@ -172,9 +172,8 @@ def compare_models(ee: Sequence[EfficiencyResult],
     if names != [r.dmu for r in epi] or names != list(d.dmu_names):
         raise DataError("compare_models: DMU sets/order differ between "
                         "result lists and dataset")
-    roles = RoleSlice(d)
-    (ee_mean, ee_ranks, ccr_rates), (epi_mean, epi_ranks, sbm_rates) = (
-        _summary(_Columns.stack(res), roles) for res in (ee, epi))
+    (ee_score, ee_ranks, ccr_rates), (epi_score, epi_ranks, sbm_rates) = (
+        _summary(_Columns.stack(res), d) for res in (ee, epi))
     meta_cols = d.role_columns(Role.META)
     meta_names = [d.indicators[j].name for j in meta_cols]
     names.append("Mean")
@@ -182,7 +181,6 @@ def compare_models(ee: Sequence[EfficiencyResult],
         dmu=dmu, ee=a, epi=b, ee_rank=ra, epi_rank=rb, ccr_rates=ca,
         sbm_rates=cb, meta=dict(zip(meta_names, meta)), is_mean=ra is None)
         for dmu, a, b, ra, rb, ca, cb, meta in zip(
-            names, [r.score for r in ee] + [ee_mean],
-            [r.score for r in epi] + [epi_mean], ee_ranks,
-            epi_ranks, _rate_reports(names, ccr_rates),
-            _rate_reports(names, sbm_rates), _meta(d, meta_cols))]
+            names, ee_score, epi_score, ee_ranks, epi_ranks,
+            _rate_reports(names, ccr_rates), _rate_reports(names, sbm_rates),
+            _meta(d, meta_cols))]

@@ -20,9 +20,8 @@ from .analysis import _bands, _summary, correlation_matrix, rank_scores
 from .dataset import Dataset, Role, descriptive_stats, load_csv, \
     load_stats_spec, render_csv, synthesize_matching
 from .errors import DeaError
-from .models import ModelKind, ModelSpec, ReturnsToScale, RoleSlice, \
-    _evaluate, _rates
-from .render import Column, render_table
+from .models import ModelKind, ModelSpec, ReturnsToScale, _evaluate, _rates
+from .render import Column, _flat_columns, render_table
 
 _MODEL_TOKENS = {k.value: k for k in ModelKind}
 _RTS_TOKENS = {"crs": ReturnsToScale.crs, "vrs": ReturnsToScale.vrs}
@@ -150,7 +149,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> str:
             _note(args, f"evaluated {dmu}: score {s:.6f}")
     return render_table([Column("dmu", "text", d.dmu_names),
                          Column("score", "score", score),
-                         *_rate_columns(_rates(res, RoleSlice(d)))],
+                         *_rate_columns(_rates(res, d))],
                         args.fmt)
 
 
@@ -160,33 +159,42 @@ def _cmd_synth(args: argparse.Namespace) -> str:
     return render_csv(d)
 
 
-def _cmd_report(args: argparse.Namespace) -> str:
-    d = _load(args)
-    thresholds = (args.t1, args.t2)
-    _bands((), (), thresholds)  # checks them before any LP runs
-    rts = _RTS_TOKENS[args.rts]()
-    roles = RoleSlice(d)
-    _note(args, "running CCR (EE)")
-    ee = _evaluate(d, ModelSpec(ModelKind.CCR_OUTPUT, rts))
-    _note(args, "running SBM with undesirable outputs (EPI)")
-    epi = _evaluate(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts))
-    (ee_mean, ee_ranks, ccr), (epi_mean, epi_ranks, sbm) = (
-        _summary(res, roles) for res in (ee, epi))
-
-    epi_score = epi.score.tolist()
-    columns = [Column("dmu", "text", [*d.dmu_names, "Mean"]),
-               Column("EE", "score", ee.score.tolist() + [ee_mean], ee_ranks),
-               Column("EPI", "score", epi_score + [epi_mean], epi_ranks),
+def _report_columns(d: Dataset, ee, epi) -> list[Column]:
+    """The report's columns from CCR's (EE) and the SBM's (EPI) summaries
+    (`analysis._summary`); the dmu and meta columns keep as many cells as
+    `ee` has scores, so the summaries of no DMU give the headers alone."""
+    (ee_score, ee_ranks, ccr), (epi_score, epi_ranks, sbm) = ee, epi
+    cells = slice(len(ee_score))
+    columns = [Column("dmu", "text", [*d.dmu_names, "Mean"][cells]),
+               Column("EE", "score", ee_score, ee_ranks),
+               Column("EPI", "score", epi_score, epi_ranks),
                *_rate_columns(ccr, prefix="CCR "),
                *_rate_columns(sbm, prefix="SBM ")]
     for j in sorted(d.role_columns(Role.META),
                     key=lambda j: d.indicators[j].name):
         v = d.values[:, j]
         columns.append(Column(d.indicators[j].name, "num",
-                              v.tolist() + [float(v.mean())]))
-    out = render_table(columns, args.fmt)
+                              (v.tolist() + [float(v.mean())])[cells]))
+    return columns
+
+
+def _cmd_report(args: argparse.Namespace) -> str:
+    d = _load(args)
+    thresholds = (args.t1, args.t2)
+    _bands((), (), thresholds)  # checks them before any LP runs
+    # and the headers, which depend on the panel only: the summaries of no
+    # DMU, CCR's with no undesirable-output rate
+    _flat_columns(_report_columns(d, *(
+        ([], [], [(d.input_names, d.X[:0]), (bads, d.Yb[:0, :len(bads)]),
+                  (d.good_names, d.Yg[:0])]) for bads in ((), d.bad_names))))
+    rts = _RTS_TOKENS[args.rts]()
+    _note(args, "running CCR (EE)")
+    ee = _summary(_evaluate(d, ModelSpec(ModelKind.CCR_OUTPUT, rts)), d)
+    _note(args, "running SBM with undesirable outputs (EPI)")
+    epi = _summary(_evaluate(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts)), d)
+    out = render_table(_report_columns(d, ee, epi), args.fmt)
     if args.fmt == "md":
-        bands = _bands(d.dmu_names, epi_score, thresholds)
+        bands = _bands(d.dmu_names, epi[0], thresholds)
         lines = ["", f"Levels by EPI (t1={args.t1:g}, t2={args.t2:g}):"]
         for level in (1, 2, 3):
             members = ", ".join(bands[level]) if bands[level] else "-"

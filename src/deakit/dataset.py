@@ -4,7 +4,8 @@ The on-disk format is a plain CSV whose first header cell is the literal
 ``dmu``; every other header reads ``<role>:<name>`` with role one of ``in``,
 ``out+``, ``out-`` or ``meta``.  Values use ``.`` as the decimal separator,
 no thousands separators.  A `Dataset` checks its invariants (`validate`)
-when it is built, whether from a CSV, by synthesis or by hand.
+and slices its model columns by role when it is built, whether from a CSV,
+by synthesis or by hand.
 """
 
 from __future__ import annotations
@@ -57,28 +58,26 @@ class StatsRow:
     role: Optional[Role] = None
 
 
-@dataclass(frozen=True)
-class Violation:
-    invariant: str
-    location: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.invariant} at {self.location}: {self.message}"
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable DMU-by-indicator value matrix.
 
     Rows follow `dmu_names`, columns follow `indicators`.  Construction
     checks every invariant (`validate`) and raises DataError listing each
-    violation, so a Dataset that exists is valid.
+    violation, so a Dataset that exists is valid.  It then slices its model
+    columns by role: `X`, `Yg`, `Yb` (read-only; `Yb` is (n, 0) with no
+    'out-' column) with their names.
     """
 
     dmu_names: tuple[str, ...]
     indicators: tuple[Indicator, ...]
     values: np.ndarray
+    X: np.ndarray = field(init=False, repr=False)
+    Yg: np.ndarray = field(init=False, repr=False)
+    Yb: np.ndarray = field(init=False, repr=False)
+    input_names: tuple[str, ...] = field(init=False, repr=False)
+    good_names: tuple[str, ...] = field(init=False, repr=False)
+    bad_names: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dmu_names", tuple(self.dmu_names))
@@ -88,8 +87,15 @@ class Dataset:
         object.__setattr__(self, "values", vals)
         problems = validate(self)
         if problems:
-            detail = "; ".join(str(p) for p in problems)
-            raise DataError(f"invalid dataset: {detail}")
+            raise DataError(f"invalid dataset: {'; '.join(problems)}")
+        for role, v, names in ((Role.INPUT, "X", "input_names"),
+                               (Role.DESIRABLE, "Yg", "good_names"),
+                               (Role.UNDESIRABLE, "Yb", "bad_names")):
+            cols = self.role_columns(role)
+            object.__setattr__(self, v, vals[:, cols])
+            getattr(self, v).flags.writeable = False
+            object.__setattr__(self, names, tuple(
+                self.indicators[j].name for j in cols))
 
     @property
     def n_dmus(self) -> int:
@@ -110,55 +116,51 @@ class Dataset:
             raise DataError(f"unknown DMU {dmu!r}") from None
 
 
-def validate(d: Dataset) -> list[Violation]:
-    """Check every Dataset invariant, as `Dataset` does when built; an
-    empty list means the data is valid."""
-    out: list[Violation] = []
+def validate(d: Dataset) -> list[str]:
+    """Check every Dataset invariant, as `Dataset` does when built: one
+    "<invariant> at <location>: <detail>" per violation, or none."""
+    out: list[str] = []
     rows, cols = d.values.shape if d.values.ndim == 2 else (-1, -1)
     if (rows, cols) != (len(d.dmu_names), len(d.indicators)):
-        out.append(Violation(
-            "dimension mismatch", "values",
-            f"matrix is {d.values.shape}, expected "
-            f"({len(d.dmu_names)}, {len(d.indicators)})"))
-        return out
+        return [f"dimension mismatch at values: matrix is {d.values.shape}, "
+                f"expected ({len(d.dmu_names)}, {len(d.indicators)})"]
 
     seen: dict[str, int] = {}
     for i, name in enumerate(d.dmu_names):
         if name in seen:
-            out.append(Violation("duplicate dmu", f"row {i + 1}",
-                                 f"DMU name {name!r} already used"))
+            out.append(f"duplicate dmu at row {i + 1}: DMU name {name!r} "
+                       "already used")
         seen[name] = i
     seen.clear()
     for j, ind in enumerate(d.indicators):
         if not ind.name:
-            out.append(Violation("empty indicator name", f"column {j + 1}",
-                                 "indicator name must be nonempty"))
+            out.append(f"empty indicator name at column {j + 1}: indicator "
+                       "name must be nonempty")
         if ind.name in seen:
-            out.append(Violation("duplicate indicator", f"column {j + 1}",
-                                 f"indicator {ind.name!r} already used"))
+            out.append(f"duplicate indicator at column {j + 1}: indicator "
+                       f"{ind.name!r} already used")
         seen[ind.name] = j
 
     for j, ind in enumerate(d.indicators):
         col = d.values[:, j]
-        # one mask per column; a Violation is built only for a bad cell.
+        # one mask per column; a message is built only for a bad cell.
         # Every value must be finite, and a model column's positive too
         ok = np.isfinite(col) & ((col > 0.0) | (ind.role is Role.META))
         for i in np.flatnonzero(~ok).tolist():
             v = float(col[i])
             where = f"row {i + 1} ({d.dmu_names[i]}), column {ind.name!r}"
             if not math.isfinite(v):
-                out.append(Violation("non-finite value", where, f"value {v!r}"))
+                out.append(f"non-finite value at {where}: value {v!r}")
             elif v <= 0.0:
-                out.append(Violation("non-positive value", where,
-                                     f"value {v!r} (non-meta columns must be "
-                                     "strictly positive)"))
+                out.append(f"non-positive value at {where}: value {v!r} "
+                           "(non-meta columns must be strictly positive)")
 
     if not d.role_columns(Role.INPUT):
-        out.append(Violation("no input indicator", "header",
-                             "at least one 'in' column is required"))
+        out.append("no input indicator at header: at least one 'in' column "
+                   "is required")
     if not d.role_columns(Role.DESIRABLE):
-        out.append(Violation("no desirable output", "header",
-                             "at least one 'out+' column is required"))
+        out.append("no desirable output at header: at least one 'out+' "
+                   "column is required")
     return out
 
 

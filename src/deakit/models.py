@@ -14,8 +14,8 @@ On a panel of `WAVE_FROM` DMUs or more, a first wave of about sqrt(n) of
 them grows the frame before the rest step.
 Both models end in arrays (`_Columns`), lambda as each DMU's basic entries;
 the CLI reads them, and the API's result objects are built from them.
-A `Dataset` is valid once built, so the models check only what a model
-adds: the SBM's undesirable-output column (`build_instance`).
+A `Dataset` is valid and sliced by role once built, so the models read its
+slices and check only what a model adds: the SBM's 'out-' column.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linprog
-from .dataset import Dataset, Role
-from .errors import DataError, ModelError, SolverError
+from .dataset import Dataset
+from .errors import ModelError, SolverError
 from .linprog import StandardFormLP, Status
 
 
@@ -98,20 +98,6 @@ class RateReport:
     good_increase_pct: dict[str, float]
 
 
-class RoleSlice:
-    """A panel's model indicators by role, sliced once per panel: their
-    names, and raw values with one row per DMU in dataset order."""
-
-    def __init__(self, d: Dataset):
-        cols = [d.role_columns(role) for role in
-                (Role.INPUT, Role.DESIRABLE, Role.UNDESIRABLE)]
-        self.input_names, self.good_names, self.bad_names = (
-            tuple(d.indicators[j].name for j in c) for c in cols)
-        self.X, self.Yg, self.Yb = (d.values[:, c] for c in cols)
-        self.dmu_names = d.dmu_names
-        self.rows = {dmu: k for k, dmu in enumerate(d.dmu_names)}
-
-
 def build_instance(d: Dataset, spec: ModelSpec, *,
                    allow_plain_sbm: bool = False) -> "_Template":
     """The LP template of the model `spec` on the panel `d`.
@@ -119,13 +105,12 @@ def build_instance(d: Dataset, spec: ModelSpec, *,
     Meta columns are dropped.  SbmUndesirable normally requires at least
     one undesirable column; `allow_plain_sbm` waives that (plain SBM).
     """
-    roles = RoleSlice(d)
-    if (spec.kind is ModelKind.SBM_UNDESIRABLE and not roles.bad_names
+    if (spec.kind is ModelKind.SBM_UNDESIRABLE and not d.bad_names
             and not allow_plain_sbm):
         raise ModelError("no 'out-' column: the SBM with undesirable "
                          "outputs needs one (from the API, "
                          "allow_plain_sbm=True runs plain SBM)")
-    return _Template(roles, spec)
+    return _Template(d, spec)
 
 
 # lambda-columns that join a panel's frame per blocked DMU and pricing round
@@ -159,17 +144,17 @@ class _Template:
     on the CRS frontier (Dula & Lopez 2009).
     """
 
-    def __init__(self, roles: RoleSlice, spec: ModelSpec):
+    def __init__(self, d: Dataset, spec: ModelSpec):
         self.kind = spec.kind
         self.sbm = spec.kind is ModelKind.SBM_UNDESIRABLE
-        self.n, self.m = roles.X.shape
-        self.s1 = roles.Yg.shape[1]
-        self.s2 = roles.Yb.shape[1] if self.sbm else 0
+        self.n, self.m = d.X.shape
+        self.s1 = d.Yg.shape[1]
+        self.s2 = d.Yb.shape[1] if self.sbm else 0
         rts = spec.returns_to_scale
         self.L, self.U = rts.lower, rts.upper
-        self.names = roles.dmu_names
-        self.raw = np.vstack((roles.X.T, roles.Yg.T, roles.Yb.T) if self.sbm
-                             else (roles.X.T, roles.Yg.T))
+        self.names = d.dmu_names
+        self.raw = np.vstack((d.X.T, d.Yg.T, d.Yb.T) if self.sbm
+                             else (d.X.T, d.Yg.T))
         self.unit = self.raw.mean(axis=1)
         self.Z = self.raw / self.unit[:, None]
         k, n = self.Z.shape
@@ -207,12 +192,6 @@ class _Template:
             self.Z, np.s_[m:m + s1], axis=0)[None]
         self.frame = np.zeros(n, dtype=bool)
         self.frame[ratios.argmax(axis=2)] = True
-
-    def columns(self, lam: np.ndarray) -> np.ndarray:
-        """Sorted template indices of an LP on the lambda-columns `lam`:
-        the lead, `lam` and the tail.  In CCR stage 2 the lead column is
-        zero at zero cost, so it never enters."""
-        return np.concatenate(([0], 1 + lam, self.tail)).astype(np.int64)
 
     def own_bases(self, ks: np.ndarray) -> np.ndarray:
         """Each DMU k's own point, phi = 1 or t = 1 with lambda = e_k.
@@ -288,32 +267,30 @@ class _Template:
                 c[:, 1:1 + m + s1] = -self.unit
         return O, c, b
 
-    def lp(self, k: int, cols: np.ndarray,
-           phi: Optional[float] = None) -> StandardFormLP:
-        """DMU k's LP on the template columns `cols` (see `columns`)."""
+    def lp(self, k: int, phi: Optional[float] = None) -> StandardFormLP:
+        """DMU k's LP on every template column (`stage` for `phi`)."""
         O, c, b = self.stage(np.array([k]),
                              None if phi is None else np.array([phi]))
         A = np.hstack((O[0, :, :1], self.lam_block, O[0, :, 1:]))
         cost = np.concatenate((c[0, :1], np.zeros(self.n), c[0, 1:]))
-        return StandardFormLP(cost[cols], A[:, cols], b[0])
+        return StandardFormLP(cost, A, b[0])
 
 
-def _clip_tiny(v: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def _clip_tiny(v: np.ndarray) -> np.ndarray:
     out = np.array(v, dtype=float)
-    out[(out < 0.0) & (out > -tol)] = 0.0
+    out[(out < 0.0) & (out > -1e-6)] = 0.0
     return out + 0.0  # normalizes -0.0 to +0.0
 
 
 def _cold(tpl: _Template, k: int, what: str, phi: Optional[float] = None):
     """DMU k's LP solved by `linprog.solve` on all columns from no start
     basis: its objective, basis in template indices and basic values."""
-    cols = tpl.columns(np.arange(tpl.n))
-    sol = linprog.solve(tpl.lp(k, cols, phi))
+    sol = linprog.solve(tpl.lp(k, phi))
     if sol.status is not Status.OPTIMAL:
         raise SolverError(f"{what} for DMU {tpl.names[k]!r}: LP ended "
                           f"{sol.status.name}")
     basis = list(sol.basis)
-    return sol.objective, cols[basis], sol.primal[basis]
+    return sol.objective, basis, sol.primal[basis]
 
 
 def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
@@ -514,7 +491,7 @@ def linearize_sbm(tpl: _Template, k: int) -> StandardFormLP:
     panel mean (`tpl.unit`).  The normalization row pins the denominator to
     1; the objective then equals the original ratio.
     """
-    return tpl.lp(k, tpl.columns(np.arange(tpl.n)))
+    return tpl.lp(k)
 
 
 def _sbm(tpl: _Template, ks: np.ndarray) -> _Columns:
@@ -541,9 +518,9 @@ def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
                 np.array([k])).results()[0]
 
 
-def _rates(res: _Columns, roles: RoleSlice, rows=slice(None)):
+def _rates(res: _Columns, d: Dataset, rows=slice(None)):
     """Percent improvement rates of the results `res` scored on the panel
-    `roles`, whose DMUs are its `rows` (by default all, in order).
+    `d`, whose DMUs are the `rows` of its role slices (by default all).
 
     Returns (names, rates) per kind: input reduction, undesirable-output
     reduction and desirable-output increase, with one row of `rates` per
@@ -551,9 +528,9 @@ def _rates(res: _Columns, roles: RoleSlice, rows=slice(None)):
     """
     radial = (res.phi - 1.0) * 100.0
     out = []
-    for attr, names, values in (("slack_in", roles.input_names, roles.X),
-                                ("slack_bad", roles.bad_names, roles.Yb),
-                                ("slack_good", roles.good_names, roles.Yg)):
+    for attr, names, values in (("slack_in", d.input_names, d.X),
+                                ("slack_bad", d.bad_names, d.Yb),
+                                ("slack_good", d.good_names, d.Yg)):
         slack = getattr(res, attr)
         w = min(slack.shape[1], len(names))
         v = 100.0 * slack[:, :w] / values[rows, :w]
@@ -573,19 +550,17 @@ def _rate_reports(dmus: Sequence[str], rates) -> list[RateReport]:
                                     yg.tolist())]
 
 
-def improvement_targets(r: EfficiencyResult, roles: RoleSlice) -> RateReport:
+def improvement_targets(r: EfficiencyResult, d: Dataset) -> RateReport:
     """Percent improvement rates implied by a result's slacks.
 
-    `roles` is the slice of the panel `r` was scored on.  Inputs and
-    undesirable outputs report reduction rates 100*s/value; the desirable
-    outputs report 100*((phi-1) + s/value), folding the radial expansion
-    in.  Rates below 1e-7 snap to exactly 0.  This is the batch of one of
-    the rates that `compare_models` computes for a whole panel.
+    `d` is the panel `r` was scored on; a DMU it lacks raises DataError.
+    Inputs and undesirable outputs report reduction rates 100*s/value; the
+    desirable outputs report 100*((phi-1) + s/value), folding the radial
+    expansion in.  Rates below 1e-7 snap to exactly 0.  This is the batch
+    of one of the rates that `compare_models` computes for a whole panel.
     """
-    if r.dmu not in roles.rows:
-        raise DataError(f"unknown DMU {r.dmu!r}")
-    return _rate_reports([r.dmu], _rates(_Columns.stack([r]), roles,
-                                         [roles.rows[r.dmu]]))[0]
+    return _rate_reports([r.dmu], _rates(_Columns.stack([r]), d,
+                                         [d.dmu_index(r.dmu)]))[0]
 
 
 def _evaluate(d: Dataset, spec: ModelSpec,

@@ -22,7 +22,7 @@ import pytest
 
 import reference_2011 as ref
 from deakit import (Dataset, EfficiencyResult, LPSolution, ModelKind,
-                    ModelSpec, Projection, ReturnsToScale, Role, RoleSlice,
+                    ModelSpec, Projection, ReturnsToScale, Role,
                     StatsRow, compare_models, descriptive_stats,
                     efficiency_bands, evaluate_all, evaluate_ccr_output,
                     evaluate_sbm_undesirable, improvement_targets, load_csv,
@@ -232,7 +232,7 @@ def certifying_stage(count: dict):
 
     def certified(tpl, ks, what, phi=None, start=None):
         run = real_stage(tpl, ks, what, phi, start)
-        full = tpl.columns(np.arange(tpl.n))
+        full = np.arange(tpl.width)
         for l, k in enumerate(ks):
             basis = run.basis[l]
             assert np.isin(basis, full).all(), what
@@ -242,7 +242,7 @@ def certifying_stage(count: dict):
                              primal[full],
                              tuple(np.searchsorted(full, basis).tolist()),
                              int(run.iterations[l]))
-            lp = tpl.lp(k, full, None if phi is None else phi[l])
+            lp = tpl.lp(k, None if phi is None else phi[l])
             assert verify_optimality(lp, sol), (what, tpl.names[k])
             count["n"] += 1
         return run
@@ -256,37 +256,35 @@ def test_c6_invariant_suites(monkeypatch):
     base = random_dataset(42, n=6, m=2)
     base_scores = {}
     observations = []
-    roles = RoleSlice(base)
     for dmu in base.dmu_names:
         for tag, ev, spec in (("ccr", evaluate_ccr_output, CCR),
                               ("sbm", evaluate_sbm_undesirable, SBM)):
             r = ev(base, dmu, spec)
             base_scores[tag, dmu] = r.score
-            observations.append((tag, r, roles))
+            observations.append((tag, r, base))
 
     rng = np.random.default_rng(7)
     drift = 0.0
     for _ in range(100):
         f = 10.0 ** rng.uniform(-1.0, 1.0, size=len(base.indicators))
         ds = Dataset(base.dmu_names, base.indicators, base.values * f)
-        roles = RoleSlice(ds)
         for dmu in ds.dmu_names:
             for tag, ev, spec in (("ccr", evaluate_ccr_output, CCR),
                                   ("sbm", evaluate_sbm_undesirable, SBM)):
                 r = ev(ds, dmu, spec)
                 drift = max(drift, abs(r.score - base_scores[tag, dmu]))
-                observations.append((tag, r, roles))
+                observations.append((tag, r, ds))
     assert drift <= 1e-7, f"score drift {drift:.2e} under column scaling"
 
     # efficiency characterization over every instance evaluated above
-    for tag, r, roles in observations:
+    for tag, r, panel in observations:
         slack = max(float(np.max(np.abs(a), initial=0.0))
                     for a in (r.slack_in, r.slack_good, r.slack_bad))
         if tag == "sbm":
             assert (r.score >= 1.0 - 1e-9) == (slack <= 1e-7), (
                 f"sbm {r.dmu}: score {r.score!r} vs max slack {slack:.2e}")
         else:
-            rates = improvement_targets(r, roles)
+            rates = improvement_targets(r, panel)
             worst = max((v for d_ in (rates.input_reduction_pct,
                                       rates.bad_reduction_pct,
                                       rates.good_increase_pct)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import reference_2011 as ref
 from deakit import (ComparisonRecord, DataError, ModelKind, ModelSpec,
-                    RateReport, ReturnsToScale, RoleSlice, compare_models,
+                    RateReport, ReturnsToScale, compare_models,
                     correlation_matrix, efficiency_bands, evaluate_all,
                     improvement_targets, load_csv, rank_scores)
 from oracles import random_dataset
@@ -224,11 +224,10 @@ def test_compare_models_rates_and_mean_row_exact(seed, rts):
     ee = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT, rts))
     epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts))
     *records, mean = compare_models(ee, epi, d)
-    roles = RoleSlice(d)
     # the panel's batch gives each DMU exactly its batch of one
     for rec, r_ee, r_epi in zip(records, ee, epi):
-        assert rec.ccr_rates == improvement_targets(r_ee, roles)
-        assert rec.sbm_rates == improvement_targets(r_epi, roles)
+        assert rec.ccr_rates == improvement_targets(r_ee, d)
+        assert rec.sbm_rates == improvement_targets(r_epi, d)
     # every Mean column is np.mean of the column's list, to the last bit
     assert mean.ee == float(np.mean([rec.ee for rec in records]))
     assert mean.epi == float(np.mean([rec.epi for rec in records]))
@@ -244,6 +243,6 @@ def test_compare_models_rates_and_mean_row_exact(seed, rts):
     other = evaluate_all(three_point([1.0, 2.0, 3.0], [2.0, 3.0, 3.5]),
                          ModelSpec(ModelKind.CCR_OUTPUT, rts))
     with pytest.raises(DataError, match="unknown DMU"):
-        improvement_targets(other[1], roles)
+        improvement_targets(other[1], d)
     with pytest.raises(DataError):
         compare_models(other, epi, d)

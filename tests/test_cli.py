@@ -15,7 +15,7 @@ import pytest
 import deakit
 import deakit.cli as cli
 import deakit.models as models
-from deakit import (Column, ModelKind, ModelSpec, RoleSlice, compare_models,
+from deakit import (Column, ModelKind, ModelSpec, compare_models,
                     descriptive_stats, evaluate_all, improvement_targets,
                     load_csv, rank_scores, synthesize_matching)
 from deakit.cli import console_main, parse_args
@@ -125,10 +125,13 @@ def test_stats_csv_is_a_synth_spec(capsys, tmp_path):
     ("report", "meta:dmu", "dmu"), ("report", "meta:EE", "EE"),
     ("report", "meta:EE rank", "EE rank"),
     ("corr", "in:indicator", "indicator")])
-def test_repeated_header_exit_1(capsys, tmp_path, command, column, header,
-                                fmt):
+def test_repeated_header_exit_1(capsys, monkeypatch, tmp_path, command,
+                                column, header, fmt):
     # a panel column whose header the table already has: json once printed
-    # one of the two under it, and csv both
+    # one of the two under it, and csv both.  The headers depend on the
+    # panel only, so no model runs
+    monkeypatch.setattr(cli, "_evaluate",
+                        lambda *args: pytest.fail("a model ran"))
     p = tmp_path / "panel.csv"
     p.write_text(f"dmu,in:x,out+:yg,out-:yb,{column}\n"
                  "A,1,2,1,10\nB,1,1,2,3\nC,2,3,1,4\n")
@@ -486,17 +489,16 @@ def api_tables(d, rts):
     `rank` on the panel `d`, built cell by cell from the API's objects:
     `compare_models` records, `evaluate_all` results and their
     `improvement_targets`."""
-    roles = RoleSlice(d)
 
     def rate_columns(prefix, reports, bads):
         """One column per rate of the RateReports `reports`, each of which
         holds exactly the panel's rates in the panel's order."""
         columns = []
         for verb, attr, names in (
-                ("reduce", "input_reduction_pct", roles.input_names),
+                ("reduce", "input_reduction_pct", d.input_names),
                 ("reduce", "bad_reduction_pct",
-                 roles.bad_names if bads else ()),
-                ("increase", "good_increase_pct", roles.good_names)):
+                 d.bad_names if bads else ()),
+                ("increase", "good_increase_pct", d.good_names)):
             cells = [getattr(rep, attr) for rep in reports]
             assert all(list(c) == list(names) for c in cells)
             columns += [Column(f"{prefix}{verb} {name} (%)", "rate",
@@ -524,7 +526,7 @@ def api_tables(d, rts):
         dmu = Column("dmu", "text", [r.dmu for r in rs])
         score = Column("score", "score", [r.score for r in rs])
         tables[("evaluate", *args)] = [dmu, score, *rate_columns(
-            "", [improvement_targets(r, roles) for r in rs],
+            "", [improvement_targets(r, d) for r in rs],
             kind is ModelKind.SBM_UNDESIRABLE)]
         tables[("rank", *args)] = [dmu, score, Column(
             "rank", "int", rank_scores(score.values))]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from deakit import (DataError, Dataset, Indicator, Role, StatsRow,
                     SynthesisError, descriptive_stats, load_csv,
-                    load_stats_spec, render_csv, synthesize_matching,
-                    validate)
+                    load_stats_spec, render_csv, synthesize_matching)
+from deakit.dataset import validate
 
 GOOD_CSV = (b"dmu,in:x,out+:yg,out-:yb,meta:gdp\n"
             b"A,1,2,1,5.0\n"
@@ -101,6 +101,24 @@ def test_validate_reports_violations():
     assert problems[0].startswith("duplicate dmu at row 2")
     assert problems[1].startswith("non-positive value at row 2 (A)")
     assert validate(load_csv(GOOD_CSV)) == []
+
+
+def test_role_slices_are_the_role_columns():
+    # meta columns sit between the model columns; each slice is its role's
+    # columns in order, read-only like `values`
+    d = load_csv(b"dmu,out-:b,meta:m1,in:x1,out+:y,meta:m2,in:x2\n"
+                 b"A,1,-1,2,3,0,4\nB,5,7,6,7,1,8\nC,9,0,10,11,2,12\n")
+    for role, v, names in ((Role.INPUT, d.X, d.input_names),
+                           (Role.DESIRABLE, d.Yg, d.good_names),
+                           (Role.UNDESIRABLE, d.Yb, d.bad_names)):
+        cols = d.role_columns(role)
+        assert np.array_equal(v, d.values[:, cols])
+        assert names == tuple(d.indicators[j].name for j in cols)
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
+    assert d.input_names == ("x1", "x2") and d.bad_names == ("b",)
+    plain = load_csv(b"dmu,in:x,meta:m,out+:y\nA,1,0,2\nB,3,4,5\n")
+    assert plain.Yb.shape == (2, 0) and plain.bad_names == ()
 
 
 def test_validate_dimension_mismatch():

@@ -220,7 +220,7 @@ def test_a_basic_column_never_enters_twice(seed, k):
                 10 ** np.random.default_rng(seed).uniform(-3, 6, (5, 6)))
     spec = ModelSpec(ModelKind.CCR_OUTPUT, ReturnsToScale.vrs())
     tpl = build_instance(d, spec)
-    lp = tpl.lp(k, tpl.columns(np.arange(5)))
+    lp = tpl.lp(k)
     sol = solve(lp)
     assert sol.status is Status.OPTIMAL
     assert len(set(sol.basis)) == lp.n_constraints

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import deakit.linprog as linprog
 import deakit.models as models
 from deakit import (DataError, Dataset, Indicator, ModelError, ModelKind,
-                    ModelSpec, ReturnsToScale, Role, RoleSlice, SolverError,
+                    ModelSpec, ReturnsToScale, Role, SolverError,
                     compare_models, evaluate_all, evaluate_ccr_output,
                     evaluate_sbm_undesirable, improvement_targets, load_csv,
                     solve)
@@ -165,28 +165,27 @@ def test_identical_dmus_all_efficient():
 
 
 def test_improvement_targets_canonical():
-    roles = RoleSlice(CANONICAL)
     sbm_rates = improvement_targets(
-        evaluate_sbm_undesirable(CANONICAL, "B", SBM), roles)
+        evaluate_sbm_undesirable(CANONICAL, "B", SBM), CANONICAL)
     assert sbm_rates.input_reduction_pct["x"] == pytest.approx(50.0,
                                                                abs=1e-6)
     assert sbm_rates.bad_reduction_pct["yb"] == pytest.approx(75.0, abs=1e-6)
     assert sbm_rates.good_increase_pct["yg"] == 0.0
 
     ccr_rates = improvement_targets(
-        evaluate_ccr_output(CANONICAL, "B", CCR), roles)
+        evaluate_ccr_output(CANONICAL, "B", CCR), CANONICAL)
     assert ccr_rates.good_increase_pct["yg"] == pytest.approx(100.0,
                                                               abs=1e-6)
     assert ccr_rates.input_reduction_pct["x"] == 0.0
     assert ccr_rates.bad_reduction_pct == {}
-    # a result scored on another panel has no row in this slice
+    # a result scored on another panel has no row in this one
     with pytest.raises(DataError, match="unknown DMU"):
-        improvement_targets(evaluate_all(paper_shaped(), CCR)[0], roles)
+        improvement_targets(evaluate_all(paper_shaped(), CCR)[0], CANONICAL)
 
 
 def test_efficient_dmu_rates_are_zero():
     rates = improvement_targets(
-        evaluate_sbm_undesirable(CANONICAL, "A", SBM), RoleSlice(CANONICAL))
+        evaluate_sbm_undesirable(CANONICAL, "A", SBM), CANONICAL)
     assert all(v == 0.0 for v in rates.input_reduction_pct.values())
     assert all(v == 0.0 for v in rates.bad_reduction_pct.values())
     assert all(v == 0.0 for v in rates.good_increase_pct.values())
@@ -530,20 +529,19 @@ def test_result_invariants_random():
 
 def test_projection_identity():
     d = random_dataset(31, n=5, m=2, s1=1, s2=1)
-    roles = RoleSlice(d)
     for r in evaluate_all(d, SBM):
-        k = roles.rows[r.dmu]
+        k = d.dmu_index(r.dmu)
         np.testing.assert_allclose(r.projection.inputs,
-                                   roles.X[k] - r.slack_in, atol=1e-12)
+                                   d.X[k] - r.slack_in, atol=1e-12)
         np.testing.assert_allclose(r.projection.goods,
-                                   r.phi * roles.Yg[k] + r.slack_good,
+                                   r.phi * d.Yg[k] + r.slack_good,
                                    atol=1e-12)
         np.testing.assert_allclose(r.projection.bads,
-                                   roles.Yb[k] - r.slack_bad, atol=1e-12)
+                                   d.Yb[k] - r.slack_bad, atol=1e-12)
     for r in evaluate_all(d, CCR):
-        k = roles.rows[r.dmu]
+        k = d.dmu_index(r.dmu)
         np.testing.assert_allclose(r.projection.goods,
-                                   r.phi * roles.Yg[k] + r.slack_good,
+                                   r.phi * d.Yg[k] + r.slack_good,
                                    atol=1e-12)
 
 
@@ -646,9 +644,8 @@ def test_lockstep_matches_cold_and_single_dmu_solves(d, kind, rts):
     single = (evaluate_ccr_output if kind is ModelKind.CCR_OUTPUT
               else evaluate_sbm_undesirable)
     tpl = build_instance(d, spec)
-    cols = tpl.columns(np.arange(tpl.n))
     for k, r in enumerate(evaluate_all(d, spec)):
-        cold = solve(tpl.lp(k, cols))
+        cold = solve(tpl.lp(k))
         assert cold.status is linprog.Status.OPTIMAL
         want = (1.0 / -cold.objective if kind is ModelKind.CCR_OUTPUT
                 else cold.objective)
@@ -704,9 +701,8 @@ def test_an_own_column_that_prices_negative_joins_the_frame(monkeypatch):
     got = models._sbm(tpl, ks)
     assert certified["n"] == tpl.n
     assert tpl.frame[26]
-    cols = tpl.columns(ks)
     for k in ks:
-        cold = solve(tpl.lp(k, cols))
+        cold = solve(tpl.lp(k))
         assert cold.status is linprog.Status.OPTIMAL
         assert got.score[k] == pytest.approx(cold.objective, abs=1e-9)
 
@@ -745,13 +741,15 @@ def test_own_inverses_match_lapack(n, spec, plain):
 
 
 def test_own_inverses_fall_back_where_the_schur_complement_is_singular():
-    # DMU 1's desirable output is 0 (no valid Dataset has one, so it is set
-    # in the template's own copy of the data), so its CCR own-point basis
-    # is singular: LAPACK finds no inverse either, and the LP is not
-    # usable; the others keep their closed-form inverses
-    roles = RoleSlice(table1_panel(5, seed=1))
-    roles.Yg[1] = 0.0
-    run, Binv, ks = own_start(models._Template(roles, CCR))
+    # DMU 1's desirable output is 0 (no valid Dataset has one, so the
+    # template is built from a stand-in with the panel's role slices), so
+    # its CCR own-point basis is singular: LAPACK finds no inverse either,
+    # and the LP is not usable; the others keep their closed-form inverses
+    d = table1_panel(5, seed=1)
+    Yg = d.Yg.copy()
+    Yg[1] = 0.0
+    panel = SimpleNamespace(X=d.X, Yg=Yg, Yb=d.Yb, dmu_names=d.dmu_names)
+    run, Binv, ks = own_start(models._Template(panel, CCR))
     assert np.isnan(Binv[1]).all()
     np.testing.assert_allclose(
         np.delete(Binv, 1, axis=0),

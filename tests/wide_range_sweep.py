@@ -109,7 +109,7 @@ def exact_score(d: Dataset, kind: ModelKind, vrs: bool, k: int) -> float:
     """DMU k's score from the exact optimum of its (stage-1) LP as deakit
     builds it, with the panel in units of its column means (as floats)."""
     tpl = build_instance(d, spec(kind, vrs))
-    f = exact_min(tpl.lp(k, tpl.columns(np.arange(tpl.n))))
+    f = exact_min(tpl.lp(k))
     return float(-1 / f if kind is ModelKind.CCR_OUTPUT else f)
 
 
@@ -168,9 +168,8 @@ def cold_lps() -> dict[str, int]:
         d = nine_decade(s)
         for kind, vrs in SPECS:
             tpl = build_instance(d, spec(kind, vrs))
-            cols = tpl.columns(np.arange(tpl.n))
             for k in range(tpl.n):
-                lp = tpl.lp(k, cols)
+                lp = tpl.lp(k)
                 sol = linprog.solve(lp)
                 ref = highs_objective(lp)
                 highs_failed += ref is None
