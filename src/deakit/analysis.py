@@ -35,17 +35,8 @@ class CorrelationMatrix:
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing the average of their positions."""
-    order = np.argsort(v, kind="stable")
-    sorted_v = v[order]
-    ranks = np.empty(v.size)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def correlation_matrix(d: Dataset, method: str = "pearson") -> CorrelationMatrix:
@@ -75,11 +66,11 @@ def correlation_matrix(d: Dataset, method: str = "pearson") -> CorrelationMatrix
     return CorrelationMatrix(labels=labels, values=corr, method=method)
 
 
-def rank_scores(scores: Sequence[float], tol: float = RANK_TOL) -> list[int]:
+def rank_scores(scores: Sequence[float]) -> list[int]:
     """Competition ranks, descending, with near-ties sharing a rank.
 
-    Scores within `tol` of a tie group's best score join that group; every
-    member gets rank = 1 + number of DMUs in strictly better groups.
+    Scores within `RANK_TOL` of a tie group's best score join that group;
+    every member gets rank = 1 + number of DMUs in strictly better groups.
     """
     arr = np.asarray(list(scores), dtype=float)
     if arr.size == 0:
@@ -91,7 +82,7 @@ def rank_scores(scores: Sequence[float], tol: float = RANK_TOL) -> list[int]:
     group_rank = 1
     leader = arr[order[0]]
     for pos, idx in enumerate(order):
-        if leader - arr[idx] > tol:
+        if leader - arr[idx] > RANK_TOL:
             group_rank = pos + 1
             leader = arr[idx]
         ranks[idx] = group_rank
@@ -114,17 +105,16 @@ class ComparisonRecord:
 
 
 def efficiency_bands(records: Sequence[ComparisonRecord],
-                     thresholds: tuple[float, float] = (0.999, 0.20),
-                     key: str = "epi") -> dict[int, list[str]]:
-    """Partition DMUs into three levels by score (mean rows are skipped).
+                     thresholds: tuple[float, float] = (0.999, 0.20)
+                     ) -> dict[int, list[str]]:
+    """Partition DMUs into three levels by EPI, as `deakit report` does
+    (mean rows are skipped).
 
-    Level 1: score >= t1; level 2: t2 <= score < t1; level 3: score < t2.
+    Level 1: EPI >= t1; level 2: t2 <= EPI < t1; level 3: EPI < t2.
     """
-    if key not in ("epi", "ee"):
-        raise DataError(f"unknown band key {key!r}")
     body = [rec for rec in records if not rec.is_mean]
-    return _bands([rec.dmu for rec in body],
-                  [getattr(rec, key) for rec in body], thresholds)
+    return _bands([rec.dmu for rec in body], [rec.epi for rec in body],
+                  thresholds)
 
 
 def _bands(dmus: Sequence[str], scores: Sequence[float],

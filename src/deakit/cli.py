@@ -2,12 +2,12 @@
 
 Commands: stats, corr, rank, evaluate, synth, report.  The argparse
 namespace is the whole configuration: each subcommand's parser sets `run`
-to the function that builds its output.  `synth` always writes CSV, and
-only `evaluate` and `report` take `--verbose`.  Each table goes to
-`render_table` as columns, each one list taken from the models' arrays
-or the panel's.  Results go to stdout; diagnostics to stderr.  Exit
-codes: 0 success, 1 data/model errors and unreadable files, 2 usage
-errors.
+to the function that builds its output.  `synth` always writes CSV.
+Each table goes to `render_table` as columns, each one list taken from
+the models' arrays or the panel's.  `report` checks all that depends on
+the panel alone (thresholds, headers, the SBM's 'out-' column) before
+any LP runs.  Results go to stdout; diagnostics to stderr.  Exit codes: 0
+success, 1 data/model errors and unreadable files, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .analysis import _bands, _summary, correlation_matrix, rank_scores
 from .dataset import Dataset, Role, descriptive_stats, load_csv, \
     load_stats_spec, render_csv, synthesize_matching
 from .errors import DeaError
-from .models import ModelKind, ModelSpec, ReturnsToScale, _evaluate, _rates
+from .models import ModelKind, ModelSpec, ReturnsToScale, _evaluate, \
+    _rates, build_instance
 from .render import Column, _flat_columns, render_table
 
 _MODEL_TOKENS = {k.value: k for k in ModelKind}
@@ -37,9 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt_p = argparse.ArgumentParser(add_help=False)
     fmt_p.add_argument("--format", choices=("csv", "json", "md"),
                        default="md", dest="fmt")
-
-    verbose_p = argparse.ArgumentParser(add_help=False)
-    verbose_p.add_argument("--verbose", action="store_true")
 
     in_p = argparse.ArgumentParser(add_help=False)
     in_p.add_argument("--input", required=True, help="dataset CSV path")
@@ -65,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("rank", parents=[in_p, model_p, rts_p, fmt_p],
                    help="scores with competition ranks"
                    ).set_defaults(run=_cmd_rank)
-    sub.add_parser("evaluate", parents=[in_p, model_p, rts_p, fmt_p,
-                                        verbose_p],
+    sub.add_parser("evaluate", parents=[in_p, model_p, rts_p, fmt_p],
                    help="scores and improvement rates for one model"
                    ).set_defaults(run=_cmd_evaluate)
     synth = sub.add_parser("synth",
@@ -77,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of DMUs")
     synth.add_argument("--seed", type=int, default=0)
     synth.set_defaults(run=_cmd_synth)
-    report = sub.add_parser("report", parents=[in_p, fmt_p, verbose_p, rts_p],
+    report = sub.add_parser("report", parents=[in_p, fmt_p, rts_p],
                             help="joint CCR and SBM report with mean row")
     report.add_argument("--t1", type=float, default=0.999,
                         help="level-1 score threshold")
@@ -97,11 +94,6 @@ def _load(args: argparse.Namespace) -> Dataset:
 
 def _model_spec(args: argparse.Namespace) -> ModelSpec:
     return ModelSpec(_MODEL_TOKENS[args.model], _RTS_TOKENS[args.rts]())
-
-
-def _note(args: argparse.Namespace, msg: str) -> None:
-    if args.verbose:
-        print(msg, file=sys.stderr)
 
 
 def _rate_columns(rates, prefix: str = "") -> list[Column]:
@@ -133,7 +125,7 @@ def _cmd_corr(args: argparse.Namespace) -> str:
 
 def _cmd_rank(args: argparse.Namespace) -> str:
     d = _load(args)
-    score = _evaluate(d, _model_spec(args)).score.tolist()
+    score = _evaluate(build_instance(d, _model_spec(args))).score.tolist()
     return render_table([Column("dmu", "text", d.dmu_names),
                          Column("score", "score", score),
                          Column("rank", "int", rank_scores(score))],
@@ -142,13 +134,9 @@ def _cmd_rank(args: argparse.Namespace) -> str:
 
 def _cmd_evaluate(args: argparse.Namespace) -> str:
     d = _load(args)
-    res = _evaluate(d, _model_spec(args))
-    score = res.score.tolist()
-    if args.verbose:
-        for dmu, s in zip(d.dmu_names, score):
-            _note(args, f"evaluated {dmu}: score {s:.6f}")
+    res = _evaluate(build_instance(d, _model_spec(args)))
     return render_table([Column("dmu", "text", d.dmu_names),
-                         Column("score", "score", score),
+                         Column("score", "score", res.score.tolist()),
                          *_rate_columns(_rates(res, d))],
                         args.fmt)
 
@@ -188,10 +176,10 @@ def _cmd_report(args: argparse.Namespace) -> str:
         ([], [], [(d.input_names, d.X[:0]), (bads, d.Yb[:0, :len(bads)]),
                   (d.good_names, d.Yg[:0])]) for bads in ((), d.bad_names))))
     rts = _RTS_TOKENS[args.rts]()
-    _note(args, "running CCR (EE)")
-    ee = _summary(_evaluate(d, ModelSpec(ModelKind.CCR_OUTPUT, rts)), d)
-    _note(args, "running SBM with undesirable outputs (EPI)")
-    epi = _summary(_evaluate(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts)), d)
+    # building the SBM's template checks its 'out-' column
+    ccr, sbm = (build_instance(d, ModelSpec(kind, rts)) for kind in
+                (ModelKind.CCR_OUTPUT, ModelKind.SBM_UNDESIRABLE))
+    ee, epi = _summary(_evaluate(ccr), d), _summary(_evaluate(sbm), d)
     out = render_table(_report_columns(d, ee, epi), args.fmt)
     if args.fmt == "md":
         bands = _bands(d.dmu_names, epi[0], thresholds)

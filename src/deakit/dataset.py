@@ -290,8 +290,13 @@ def _feasible_sd_bounds(lo: float, hi: float, mu: float, n: int) -> tuple[float,
     return math.sqrt(lo_ss / (n - 1)), math.sqrt(hi_ss / (n - 1))
 
 
-def _synthesize_column(row: StatsRow, n: int, rng: np.random.Generator,
-                       rtol: float) -> np.ndarray:
+# relative tolerance within which a synthesized column's mean and sd match
+# its spec row
+SYNTH_RTOL = 0.005
+
+
+def _synthesize_column(row: StatsRow, n: int,
+                       rng: np.random.Generator) -> np.ndarray:
     lo, hi, mu, sd = row.min, row.max, row.mean, row.sd
     name = row.indicator
     if not (lo <= mu <= hi) or sd < 0 or lo > hi:
@@ -313,7 +318,7 @@ def _synthesize_column(row: StatsRow, n: int, rng: np.random.Generator,
         raise SynthesisError(f"{name}: mean {mu} unreachable with min/max "
                              "pinned")
     sd_lo, sd_hi = _feasible_sd_bounds(lo, hi, mu, n)
-    if not (sd_lo * (1 - rtol) <= sd <= sd_hi * (1 + rtol)):
+    if not (sd_lo * (1 - SYNTH_RTOL) <= sd <= sd_hi * (1 + SYNTH_RTOL)):
         raise SynthesisError(f"{name}: sd {sd} outside achievable range "
                              f"[{sd_lo:.6g}, {sd_hi:.6g}]")
 
@@ -346,7 +351,7 @@ def _synthesize_column(row: StatsRow, n: int, rng: np.random.Generator,
     else:
         # clipping saturated below the target; keep the best achievable
         # spread and let the closing tolerance check rule
-        if sd_of(a_hi) < sd * (1 - rtol):
+        if sd_of(a_hi) < sd * (1 - SYNTH_RTOL):
             raise SynthesisError(f"{name}: sd {sd} not reachable")
     for _ in range(200):
         mid = 0.5 * (a_lo + a_hi)
@@ -354,24 +359,25 @@ def _synthesize_column(row: StatsRow, n: int, rng: np.random.Generator,
             a_lo = mid
         else:
             a_hi = mid
-        if abs(sd_of(a_hi) - sd) <= 0.1 * rtol * sd:
+        if abs(sd_of(a_hi) - sd) <= 0.1 * SYNTH_RTOL * sd:
             break
     col = column_for(a_hi)
 
     got_mean, got_sd = float(col.mean()), float(col.std(ddof=1))
-    if abs(got_mean - mu) > rtol * abs(mu) or abs(got_sd - sd) > rtol * sd:
+    if (abs(got_mean - mu) > SYNTH_RTOL * abs(mu)
+            or abs(got_sd - sd) > SYNTH_RTOL * sd):
         raise SynthesisError(f"{name}: could not match spec within "
-                             f"{rtol:.1%} (mean {got_mean:.6g} vs {mu}, "
-                             f"sd {got_sd:.6g} vs {sd})")
+                             f"{SYNTH_RTOL:.1%} (mean {got_mean:.6g} vs "
+                             f"{mu}, sd {got_sd:.6g} vs {sd})")
     perm = rng.permutation(n)
     return col[perm]
 
 
-def synthesize_matching(spec: Sequence[StatsRow], n: int, seed: int,
-                        rtol: float = 0.005) -> Dataset:
+def synthesize_matching(spec: Sequence[StatsRow], n: int,
+                        seed: int) -> Dataset:
     """Build an n-DMU dataset whose column stats match `spec`.
 
-    Min and max are hit exactly; mean and sd within `rtol` (default 0.5%).
+    Min and max are hit exactly; mean and sd within `SYNTH_RTOL` (0.5%).
     Deterministic for a fixed seed.  Each spec row must carry a role.  A
     spec whose panel is not a valid Dataset raises DataError.
     """
@@ -387,7 +393,7 @@ def synthesize_matching(spec: Sequence[StatsRow], n: int, seed: int,
     for row in spec:
         if row.role is None:
             raise SynthesisError(f"{row.indicator}: stats row has no role")
-        cols.append(_synthesize_column(row, n, rng, rtol))
+        cols.append(_synthesize_column(row, n, rng))
         indicators.append(Indicator(row.indicator, row.role))
     names = tuple(f"dmu{i + 1:02d}" for i in range(n))
     return Dataset(names, tuple(indicators), np.column_stack(cols))

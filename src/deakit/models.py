@@ -98,18 +98,15 @@ class RateReport:
     good_increase_pct: dict[str, float]
 
 
-def build_instance(d: Dataset, spec: ModelSpec, *,
-                   allow_plain_sbm: bool = False) -> "_Template":
+def build_instance(d: Dataset, spec: ModelSpec) -> "_Template":
     """The LP template of the model `spec` on the panel `d`.
 
-    Meta columns are dropped.  SbmUndesirable normally requires at least
-    one undesirable column; `allow_plain_sbm` waives that (plain SBM).
+    Meta columns are dropped.  The SBM with undesirable outputs needs at
+    least one undesirable column; a panel without one raises ModelError.
     """
-    if (spec.kind is ModelKind.SBM_UNDESIRABLE and not d.bad_names
-            and not allow_plain_sbm):
+    if spec.kind is ModelKind.SBM_UNDESIRABLE and not d.bad_names:
         raise ModelError("no 'out-' column: the SBM with undesirable "
-                         "outputs needs one (from the API, "
-                         "allow_plain_sbm=True runs plain SBM)")
+                         "outputs needs one")
     return _Template(d, spec)
 
 
@@ -508,14 +505,13 @@ def _sbm(tpl: _Template, ks: np.ndarray) -> _Columns:
                    _clip_tiny(run.x / t[:, None]))
 
 
-def evaluate_sbm_undesirable(d: Dataset, dmu: str, spec: ModelSpec, *,
-                             allow_plain_sbm: bool = False) -> EfficiencyResult:
+def evaluate_sbm_undesirable(d: Dataset, dmu: str,
+                             spec: ModelSpec) -> EfficiencyResult:
     """SBM with undesirable outputs; score = rho* in (0, 1]."""
     if spec.kind is not ModelKind.SBM_UNDESIRABLE:
         raise ModelError(f"evaluate_sbm_undesirable got spec kind {spec.kind}")
     k = d.dmu_index(dmu)
-    return _sbm(build_instance(d, spec, allow_plain_sbm=allow_plain_sbm),
-                np.array([k])).results()[0]
+    return _sbm(build_instance(d, spec), np.array([k])).results()[0]
 
 
 def _rates(res: _Columns, d: Dataset, rows=slice(None)):
@@ -563,20 +559,18 @@ def improvement_targets(r: EfficiencyResult, d: Dataset) -> RateReport:
                                          [d.dmu_index(r.dmu)]))[0]
 
 
-def _evaluate(d: Dataset, spec: ModelSpec,
-              allow_plain_sbm: bool = False) -> _Columns:
-    """`evaluate_all` as arrays, on a panel of one DMU or more."""
-    tpl = build_instance(d, spec, allow_plain_sbm=allow_plain_sbm)
-    evaluate = _ccr if spec.kind is ModelKind.CCR_OUTPUT else _sbm
+def _evaluate(tpl: _Template) -> _Columns:
+    """`evaluate_all` as arrays, on a template (`build_instance`) of one
+    DMU or more."""
+    evaluate = _ccr if tpl.kind is ModelKind.CCR_OUTPUT else _sbm
     return evaluate(tpl, np.arange(tpl.n))
 
 
-def evaluate_all(d: Dataset, spec: ModelSpec, *,
-                 allow_plain_sbm: bool = False) -> list[EfficiencyResult]:
+def evaluate_all(d: Dataset, spec: ModelSpec) -> list[EfficiencyResult]:
     """Evaluate every DMU, in dataset order.
 
     All DMUs share one LP template and one candidate set of lambda-columns.
     """
     if not d.dmu_names:
         return []
-    return _evaluate(d, spec, allow_plain_sbm).results()
+    return _evaluate(build_instance(d, spec)).results()

@@ -8,6 +8,7 @@ from deakit import (ComparisonRecord, DataError, ModelKind, ModelSpec,
                     RateReport, ReturnsToScale, compare_models,
                     correlation_matrix, efficiency_bands, evaluate_all,
                     improvement_targets, load_csv, rank_scores)
+from deakit.analysis import _average_ranks
 from oracles import random_dataset
 
 
@@ -94,6 +95,33 @@ def test_corr_transform_invariance():
                                base_s, atol=1e-12)
 
 
+def reference_average_ranks(v: np.ndarray) -> np.ndarray:
+    """Average ranks by a walk over the sorted values: each run of equal
+    values gets the mean of its 1-based positions."""
+    order = np.argsort(v, kind="stable")
+    sorted_v = v[order]
+    ranks = np.empty(v.size)
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and sorted_v[j + 1] == sorted_v[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                          st.floats(-1e6, 1e6)), max_size=40))
+def test_average_ranks_match_the_walk(values):
+    # ties, and 0.0 next to -0.0, are drawn on purpose; ranks are
+    # half-integers, so they match exactly
+    v = np.array(values, dtype=float)
+    np.testing.assert_array_equal(_average_ranks(v),
+                                  reference_average_ranks(v))
+
+
 def test_rank_published_ee_column():
     assert rank_scores(list(ref.EE)) == list(ref.EE_RANKS)
 
@@ -171,16 +199,16 @@ def test_bands_threshold_validation():
         efficiency_bands(_plain_records([0.5]), thresholds=(1.5, 0.2))
 
 
-def test_bands_skip_mean_and_key_ee():
+def test_bands_skip_mean():
     records = _plain_records([0.1, 1.0])
     mean = ComparisonRecord(dmu="Mean", ee=0.5, epi=0.5, ee_rank=None,
                             epi_rank=None, ccr_rates=records[0].ccr_rates,
                             sbm_rates=records[0].sbm_rates, is_mean=True)
     groups = efficiency_bands(records + [mean])
     assert "Mean" not in groups[1] + groups[2] + groups[3]
-    by_ee = efficiency_bands(_plain_records([0.1, 1.0], ees=[1.0, 0.1]),
-                             key="ee")
-    assert by_ee[1] == [ref.DMUS[0]]
+    # the levels are EPI's, as in `deakit report`, not EE's
+    by_epi = efficiency_bands(_plain_records([0.1, 1.0], ees=[1.0, 0.1]))
+    assert by_epi[1] == [ref.DMUS[1]]
 
 
 def test_compare_models_canonical():

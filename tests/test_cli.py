@@ -1,5 +1,4 @@
 import csv
-import inspect
 import io
 import json
 import os
@@ -17,7 +16,7 @@ import deakit.cli as cli
 import deakit.models as models
 from deakit import (Column, ModelKind, ModelSpec, compare_models,
                     descriptive_stats, evaluate_all, improvement_targets,
-                    load_csv, rank_scores, synthesize_matching)
+                    load_csv, rank_scores)
 from deakit.cli import console_main, parse_args
 from oracles import table1_panel
 from test_acceptance import published_dataset
@@ -110,7 +109,7 @@ def test_stats_csv_is_a_synth_spec(capsys, tmp_path):
     code, out, err = run_cli(capsys, "synth", "--spec", str(spec),
                              "--n", "50")
     assert code == 0, err
-    rtol = inspect.signature(synthesize_matching).parameters["rtol"].default
+    rtol = deakit.dataset.SYNTH_RTOL
     want, got = descriptive_stats(d), descriptive_stats(load_csv(out.encode()))
     assert [(r.indicator, r.role) for r in got] == \
         [(r.indicator, r.role) for r in want]
@@ -278,6 +277,22 @@ def test_report_checks_thresholds_before_any_lp(capsys, pair_csv,
                    "got (5.0, 7.0)\n")
 
 
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_report_checks_the_sbm_gate_before_any_lp(capsys, tmp_path,
+                                                  monkeypatch, fmt):
+    # whether the SBM can run depends on the panel only, so a panel with
+    # no 'out-' column solves no CCR LP either
+    monkeypatch.setattr(cli, "_evaluate",
+                        lambda *args: pytest.fail("an LP ran"))
+    p = tmp_path / "no_bads.csv"
+    p.write_bytes(b"dmu,in:x,out+:y\nA,1,2\nB,1,1\n")
+    code, out, err = run_cli(capsys, "report", "--input", str(p),
+                             "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == ("error: no 'out-' column: the SBM with undesirable "
+                   "outputs needs one\n")
+
+
 @pytest.fixture
 def validate_calls(monkeypatch):
     """The panels `validate` is called on; the spy replaces every module
@@ -312,11 +327,14 @@ def test_api_path_validates_its_panel_once(pair_csv, validate_calls):
 
 
 def test_usage_error_exit_2(capsys, pair_csv, spec_csv):
-    # synth always writes CSV, and only evaluate and report take --verbose
+    # synth always writes CSV, and no command takes --verbose
     for argv in (["evaluate", "--input", pair_csv],  # --model missing
                  ["frobnicate"],
                  ["synth", "--spec", spec_csv, "--n", "4", "--format", "json"],
-                 ["rank", "--input", pair_csv, "--model", "ccr", "--verbose"]):
+                 ["rank", "--input", pair_csv, "--model", "ccr", "--verbose"],
+                 ["evaluate", "--input", pair_csv, "--model", "ccr",
+                  "--verbose"],
+                 ["report", "--input", pair_csv, "--verbose"]):
         with pytest.raises(SystemExit) as exc:
             console_main(argv)
         assert exc.value.code == 2
@@ -332,13 +350,6 @@ def test_epsilon_shift_flag(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "stats", "--input", str(p),
                                "--epsilon-shift", "--format", "json")
     assert code == 0
-
-
-def test_verbose_notes_on_stderr(capsys, pair_csv):
-    code, _, err = run_cli(capsys, "report", "--input", pair_csv,
-                           "--verbose")
-    assert code == 0
-    assert "running CCR" in err
 
 
 def test_byte_identical_reruns(capsys, pair_csv):

@@ -63,10 +63,13 @@ def test_build_instance_meta_excluded():
 
 def test_plain_sbm_gate():
     d = load_csv(b"dmu,in:x,out+:y\nA,1,2\nB,1,1\n")
-    with pytest.raises(ModelError, match="allow_plain_sbm"):
+    gate = "^no 'out-' column: the SBM with undesirable outputs needs one$"
+    with pytest.raises(ModelError, match=gate):
         build_instance(d, SBM)
-    r = evaluate_sbm_undesirable(d, "B", SBM, allow_plain_sbm=True)
-    assert 0.0 < r.score < 1.0
+    with pytest.raises(ModelError, match=gate):
+        evaluate_all(d, SBM)
+    with pytest.raises(ModelError, match=gate):
+        evaluate_sbm_undesirable(d, "B", SBM)
 
 
 def test_custom_rts_validation():
@@ -402,7 +405,7 @@ def test_dense_lambda_from_basic_entries(n):
     # of evaluate_all are exactly the full scatter of the final bases
     d = table1_panel(n, seed=1)
     for spec in SPECS:
-        res = models._evaluate(d, spec)
+        res = models._evaluate(build_instance(d, spec))
         lam, slack = scatter(res.tpl, res.basis, res.x)
         got = evaluate_all(d, spec)
         np.testing.assert_array_equal(np.array([r.lam for r in got]), lam)
@@ -463,6 +466,61 @@ def test_units_invariance_quick():
     ccr = [r.score for r in evaluate_all(scaled, CCR)]
     np.testing.assert_allclose(sbm, base_sbm, atol=1e-7)
     np.testing.assert_allclose(ccr, base_ccr, atol=1e-7)
+
+
+@pytest.mark.parametrize("spec", SPECS,
+                         ids=["ccr-crs", "ccr-vrs", "sbm-crs", "sbm-vrs"])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_metamorphic_relations_at_n_1000(seed, spec):
+    """Four relations of the production possibility set, at a size where
+    each stage solves a first wave (`models.WAVE_FROM`):
+    - a permutation of the DMUs permutes the scores;
+    - 50 appended copies of DMUs leave every score unchanged, and each
+      copy scores as its original;
+    - 200 appended dominated DMUs (inputs and bads x 1.1, goods x 0.9)
+      leave every other score unchanged;
+    - each column rescaled by its own factor leaves every score unchanged
+      (Tone 2001 for the SBM).
+    (Cooper, Seiford & Tone 2007, ch. 3-4.)
+
+    Why 1e-9: in exact arithmetic each relation keeps every optimal value,
+    so two runs differ only by rounding.  The template holds each data row
+    in units of its panel mean, so a rescaled panel reaches the solver
+    with each entry rounded once more (relative 2**-53), and a reordered
+    or grown panel takes another pivot path to another optimal basis of
+    the same value.  A value read from an optimal basis B is off by about
+    cond(B) * 2**-53 relative (Higham 2002, ch. 7).  The final bases of
+    these panels have cond(B) <= 3.7e5 and reduced costs above -5e-13 on
+    every column, so each run is within about 4e-11 of its optimum and two
+    runs within 1e-10 of each other, a tenth of the bound.  1e-9 is also
+    the width within which `models._snap` sets a score to 1, so a larger
+    move could change a report.
+    """
+    d = table1_panel(1000, seed)
+    n, names, values = d.n_dmus, list(d.dmu_names), d.values
+    rng = np.random.default_rng(seed)
+
+    def scores(names, values):
+        panel = Dataset(tuple(names), d.indicators, values)
+        return models._evaluate(build_instance(panel, spec)).score
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    base = scores(names, values)
+    perm = rng.permutation(n)
+    close(scores([names[k] for k in perm], values[perm]), base[perm])
+    copies = rng.choice(n, 50, replace=False)
+    close(scores(names + [f"copy{i}" for i in range(50)],
+                 np.vstack((values, values[copies]))),
+          np.concatenate((base, base[copies])))
+    worse = rng.choice(n, 200, replace=False)
+    factor = [0.9 if ind.role is Role.DESIRABLE else 1.1
+              for ind in d.indicators]
+    close(scores(names + [f"worse{i}" for i in range(200)],
+                 np.vstack((values, values[worse] * factor)))[:n], base)
+    unit = 10.0 ** rng.uniform(-3.0, 3.0, values.shape[1])
+    close(scores(names, values * unit), base)
 
 
 def test_sbm_objective_recomputes_from_slacks():
@@ -733,8 +791,8 @@ def test_own_inverses_match_lapack(n, spec, plain):
     # the closed-form start inverses are those LAPACK finds for the same
     # basis matrices
     d = table1_panel(n, seed=n)
-    run, Binv, ks = own_start(build_instance(without_bads(d) if plain else d,
-                                             spec, allow_plain_sbm=plain))
+    run, Binv, ks = own_start(models._Template(without_bads(d), spec)
+                              if plain else build_instance(d, spec))
     want = np.linalg.inv(run._basis_matrix(ks))
     err = np.abs(Binv - want).max(axis=(1, 2))
     assert (err <= 1e-12 * np.abs(want).max(axis=(1, 2))).all()
