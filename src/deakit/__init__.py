@@ -16,10 +16,9 @@ from .errors import DataError, DeaError, ModelError, SolverError, \
     SynthesisError
 from .linprog import (LPSolution, StandardFormLP, Status, solve,
                       verify_optimality)
-from .models import (EfficiencyResult, ModelKind, ModelSpec, Projection,
-                     RateReport, ReturnsToScale, evaluate_all,
-                     evaluate_ccr_output, evaluate_sbm_undesirable,
-                     improvement_targets)
+from .models import (EfficiencyResult, ModelKind, ModelSpec, RateReport,
+                     ReturnsToScale, evaluate_all, evaluate_ccr_output,
+                     evaluate_sbm_undesirable, improvement_targets)
 from .render import Column, render_table
 
 __version__ = "0.1.0"
@@ -31,7 +30,7 @@ __all__ = [
     "load_csv", "load_stats_spec", "render_csv", "synthesize_matching",
     "DataError", "DeaError", "ModelError", "SolverError", "SynthesisError",
     "LPSolution", "StandardFormLP", "Status", "solve", "verify_optimality",
-    "EfficiencyResult", "ModelKind", "ModelSpec", "Projection", "RateReport",
+    "EfficiencyResult", "ModelKind", "ModelSpec", "RateReport",
     "ReturnsToScale", "evaluate_all", "evaluate_ccr_output",
     "evaluate_sbm_undesirable", "improvement_targets",
     "Column", "render_table",

@@ -18,13 +18,13 @@ from .models import (EfficiencyResult, RateReport, _Columns, _rate_reports,
                      _rates)
 
 RANK_TOL = 5e-3
+BAND_THRESHOLDS = (0.999, 0.20)
 
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     labels: tuple[str, ...]
     values: np.ndarray
-    method: str
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -63,7 +63,7 @@ def correlation_matrix(d: Dataset, method: str = "pearson") -> CorrelationMatrix
     corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)
     np.clip(corr, -1.0, 1.0, out=corr)
-    return CorrelationMatrix(labels=labels, values=corr, method=method)
+    return CorrelationMatrix(labels=labels, values=corr)
 
 
 def rank_scores(scores: Sequence[float]) -> list[int]:
@@ -105,7 +105,7 @@ class ComparisonRecord:
 
 
 def efficiency_bands(records: Sequence[ComparisonRecord],
-                     thresholds: tuple[float, float] = (0.999, 0.20)
+                     thresholds: tuple[float, float] = BAND_THRESHOLDS
                      ) -> dict[int, list[str]]:
     """Partition DMUs into three levels by EPI, as `deakit report` does
     (mean rows are skipped).
@@ -172,5 +172,5 @@ def compare_models(ee: Sequence[EfficiencyResult],
         sbm_rates=cb, meta=dict(zip(meta_names, meta)), is_mean=ra is None)
         for dmu, a, b, ra, rb, ca, cb, meta in zip(
             names, ee_score, epi_score, ee_ranks, epi_ranks,
-            _rate_reports(names, ccr_rates), _rate_reports(names, sbm_rates),
+            _rate_reports(ccr_rates), _rate_reports(sbm_rates),
             _meta(d, meta_cols))]

@@ -16,7 +16,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .analysis import _bands, _summary, correlation_matrix, rank_scores
+from .analysis import BAND_THRESHOLDS, _bands, _summary, \
+    correlation_matrix, rank_scores
 from .dataset import Dataset, Role, descriptive_stats, load_csv, \
     load_stats_spec, render_csv, synthesize_matching
 from .errors import DeaError
@@ -76,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(run=_cmd_synth)
     report = sub.add_parser("report", parents=[in_p, fmt_p, rts_p],
                             help="joint CCR and SBM report with mean row")
-    report.add_argument("--t1", type=float, default=0.999,
+    report.add_argument("--t1", type=float, default=BAND_THRESHOLDS[0],
                         help="level-1 score threshold")
-    report.add_argument("--t2", type=float, default=0.20,
+    report.add_argument("--t2", type=float, default=BAND_THRESHOLDS[1],
                         help="level-2 score threshold")
     report.set_defaults(run=_cmd_report)
     return parser

@@ -221,7 +221,8 @@ class Lockstep:
 
     The start `basis` is usable for an LP when its columns are invertible
     and B^-1 b is feasible to within FEAS_TOL (`usable`); `Binv` may pass
-    the start inverses in.  An LP whose start is unusable is never stepped.
+    the start inverses in, and the batch then keeps that array and updates
+    it in place.  An LP whose start is unusable is never stepped.
     """
 
     def __init__(self, S: np.ndarray, O: np.ndarray, c: np.ndarray,

@@ -13,7 +13,7 @@ intensity columns, then checked against every column (`_solve_stage`).
 On a panel of `WAVE_FROM` DMUs or more, a first wave of about sqrt(n) of
 them grows the frame before the rest step.
 Both models end in arrays (`_Columns`), lambda as each DMU's basic entries;
-the CLI reads them, and the API's result objects are built from them.
+the CLI reads them, and each API result holds one DMU's row of them.
 A `Dataset` is valid and sliced by role once built, so the models read its
 slices and check only what a model adds: the SBM's 'out-' column.
 """
@@ -67,32 +67,20 @@ class ModelSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class Projection:
-    """Frontier target: reduced inputs, expanded goods, reduced bads."""
-
-    inputs: np.ndarray
-    goods: np.ndarray
-    bads: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class EfficiencyResult:
     dmu: str
-    kind: ModelKind
     score: float
     phi: float
     lam: np.ndarray
     slack_in: np.ndarray
     slack_good: np.ndarray
     slack_bad: np.ndarray
-    projection: Projection
 
 
 @dataclass(frozen=True)
 class RateReport:
     """Improvement rates in percent, keyed by indicator name."""
 
-    dmu: str
     input_reduction_pct: dict[str, float]
     bad_reduction_pct: dict[str, float]
     good_increase_pct: dict[str, float]
@@ -207,9 +195,11 @@ class _Template:
         Each basic slack is a signed unit column on its own row (and, in
         the SBM, the goods and bads slacks have an entry on the
         normalization row), so B^-1 follows from the 2 x 2 Schur
-        complement S on the two rows that no basic slack covers.  Where
-        cancellation leaves det S below `linprog.NEWTON_GATE` of its terms,
-        B is inverted by LAPACK instead; NaN marks a singular B."""
+        complement S on the two rows that no basic slack covers.  In mean
+        units det S is x_1k y_1k for CCR (first input times first good) and
+        x_1k for the SBM, so B is singular exactly when S is.  Where det S
+        is not above `linprog.NEWTON_GATE` of its terms, B^-1 is NaN and
+        `Lockstep` finds the start unusable."""
         top = 1 if self.sbm else 0
         free = [0, 1] if self.sbm else [0, self.m]
         covered = np.delete(np.arange(O.shape[1]), free)
@@ -224,15 +214,12 @@ class _Template:
         safe = np.abs(p - q) > linprog.NEWTON_GATE * (np.abs(p) + np.abs(q))
         adjugate = np.stack((S[:, 1, 1], -S[:, 0, 1], -S[:, 1, 0], S[:, 0, 0]),
                             axis=1).reshape(-1, 2, 2)
-        Sinv = adjugate / np.where(safe, p - q, 1.0)[:, None, None]
+        Sinv = adjugate / np.where(safe, p - q, np.nan)[:, None, None]
         upper = -Sinv @ (slacks[:, free] * sign)
         Binv = np.empty((ks.size, O.shape[1], O.shape[1]))
         Binv[:, :2, free], Binv[:, :2, covered] = Sinv, upper
         Binv[:, 2:, free] = -W @ Sinv
         Binv[:, 2:, covered] = np.diag(sign) - W @ upper
-        if not safe.all():
-            Binv[~safe] = linprog._inverses(np.concatenate(
-                (dense[~safe], slacks[~safe]), axis=2))[0]
         return Binv
 
     def stage(self, ks: np.ndarray, phi: Optional[np.ndarray] = None):
@@ -415,24 +402,17 @@ class _Columns:
 
     def results(self) -> list[EfficiencyResult]:
         """One result per DMU, with a dense lambda row; each result holds
-        row views of the arrays."""
+        its score and phi and row views of the lambda and slack arrays."""
         tpl, ks, basis = self.tpl, self.ks, self.basis
         lam = np.zeros((ks.size, tpl.n))
         li, ri = np.nonzero((basis > 0) & (basis <= tpl.n))
         lam[li, basis[li, ri] - 1] = self.x[li, ri]
-        raw = tpl.raw[:, ks].T
-        m, ms = tpl.m, tpl.m + tpl.s1
-        inputs = raw[:, :m] - self.slack_in
-        goods = self.phi[:, None] * raw[:, m:ms] + self.slack_good
-        bads = raw[:, ms:] - self.slack_bad
         return [EfficiencyResult(
-            dmu=tpl.names[k], kind=tpl.kind, score=v, phi=f, lam=la,
-            slack_in=si, slack_good=sg, slack_bad=sb,
-            projection=Projection(inputs=pi, goods=pg, bads=pb))
-            for k, v, f, la, si, sg, sb, pi, pg, pb in zip(
+            dmu=tpl.names[k], score=v, phi=f, lam=la, slack_in=si,
+            slack_good=sg, slack_bad=sb)
+            for k, v, f, la, si, sg, sb in zip(
                 ks.tolist(), self.score.tolist(), self.phi.tolist(), lam,
-                self.slack_in, self.slack_good, self.slack_bad, inputs,
-                goods, bads)]
+                self.slack_in, self.slack_good, self.slack_bad)]
 
 
 def _solved(tpl: _Template, ks: np.ndarray, score: np.ndarray,
@@ -536,14 +516,13 @@ def _rates(res: _Columns, d: Dataset, rows=slice(None)):
     return out
 
 
-def _rate_reports(dmus: Sequence[str], rates) -> list[RateReport]:
-    """One RateReport per row of `rates` (see `_rates`)."""
+def _rate_reports(rates) -> list[RateReport]:
+    """One RateReport per row of `rates` (see `_rates`), in row order."""
     (ins, x), (bads, yb), (goods, yg) = rates
-    return [RateReport(dmu=dmu, input_reduction_pct=dict(zip(ins, a)),
+    return [RateReport(input_reduction_pct=dict(zip(ins, a)),
                        bad_reduction_pct=dict(zip(bads, b)),
                        good_increase_pct=dict(zip(goods, c)))
-            for dmu, a, b, c in zip(dmus, x.tolist(), yb.tolist(),
-                                    yg.tolist())]
+            for a, b, c in zip(x.tolist(), yb.tolist(), yg.tolist())]
 
 
 def improvement_targets(r: EfficiencyResult, d: Dataset) -> RateReport:
@@ -555,8 +534,8 @@ def improvement_targets(r: EfficiencyResult, d: Dataset) -> RateReport:
     expansion in.  Rates below 1e-7 snap to exactly 0.  This is the batch
     of one of the rates that `compare_models` computes for a whole panel.
     """
-    return _rate_reports([r.dmu], _rates(_Columns.stack([r]), d,
-                                         [d.dmu_index(r.dmu)]))[0]
+    return _rate_reports(_rates(_Columns.stack([r]), d,
+                                [d.dmu_index(r.dmu)]))[0]
 
 
 def _evaluate(tpl: _Template) -> _Columns:

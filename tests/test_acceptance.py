@@ -22,9 +22,9 @@ import pytest
 
 import reference_2011 as ref
 from deakit import (Dataset, EfficiencyResult, LPSolution, ModelKind,
-                    ModelSpec, Projection, ReturnsToScale, Role,
-                    StatsRow, compare_models, descriptive_stats,
-                    efficiency_bands, evaluate_all, evaluate_ccr_output,
+                    ModelSpec, ReturnsToScale, Role, StatsRow,
+                    compare_models, descriptive_stats, efficiency_bands,
+                    evaluate_all, evaluate_ccr_output,
                     evaluate_sbm_undesirable, improvement_targets, load_csv,
                     rank_scores, render_csv, synthesize_matching)
 from deakit import models
@@ -79,25 +79,20 @@ def published_dataset() -> Dataset:
 
 def published_results():
     """Synthetic EfficiencyResults encoding the published 2011 columns."""
-    proj = Projection(np.full(4, 100.0), np.full(1, 100.0),
-                      np.full(1, 100.0))
     ee, epi = [], []
     for i, dmu in enumerate(ref.DMUS):
         ee.append(EfficiencyResult(
-            dmu=dmu, kind=ModelKind.CCR_OUTPUT, score=ref.EE[i],
+            dmu=dmu, score=ref.EE[i],
             phi=1.0 + ref.CCR_OUTPUT_INC[i] / 100.0, lam=np.zeros(11),
             slack_in=np.array([ref.CCR_FISHING[i], ref.CCR_BERTHS[i],
                                ref.CCR_HOTEL[i], 0.0]),
-            slack_good=np.zeros(1), slack_bad=np.zeros(1),
-            projection=proj))
+            slack_good=np.zeros(1), slack_bad=np.zeros(1)))
         epi.append(EfficiencyResult(
-            dmu=dmu, kind=ModelKind.SBM_UNDESIRABLE, score=ref.EPI[i],
-            phi=1.0, lam=np.zeros(11),
+            dmu=dmu, score=ref.EPI[i], phi=1.0, lam=np.zeros(11),
             slack_in=np.array([ref.UOM_FISHING[i], ref.UOM_BERTHS[i],
                                ref.UOM_HOTEL[i], ref.UOM_PERSONNEL[i]]),
             slack_good=np.zeros(1),
-            slack_bad=np.array([ref.UOM_WASTE[i]]),
-            projection=proj))
+            slack_bad=np.array([ref.UOM_WASTE[i]])))
     return ee, epi
 
 
@@ -362,7 +357,7 @@ def test_c7_synthesis_round_trip(tmp_path):
 
 def test_c8_band_reproduction():
     """Default thresholds split the published EPI into the three levels."""
-    empty = RateReport("", {}, {}, {})
+    empty = RateReport({}, {}, {})
     recs = [ComparisonRecord(dmu, ref.EE[i], ref.EPI[i], None, None,
                              empty, empty, {})
             for i, dmu in enumerate(ref.DMUS)]

@@ -158,7 +158,7 @@ def test_rank_argrank_invariance(levels):
 
 
 def _plain_records(epis, ees=None):
-    empty = RateReport("r", {}, {}, {})
+    empty = RateReport({}, {}, {})
     ees = ees if ees is not None else epis
     return [ComparisonRecord(dmu=ref.DMUS[i], ee=ees[i], epi=epis[i],
                              ee_rank=1, epi_rank=1, ccr_rates=empty,

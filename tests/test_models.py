@@ -142,9 +142,12 @@ def test_sbm_canonical_pair():
     np.testing.assert_allclose(b.slack_in, [0.5], atol=1e-9)
     np.testing.assert_allclose(b.slack_good, [0.0], atol=1e-9)
     np.testing.assert_allclose(b.slack_bad, [1.5], atol=1e-9)
-    np.testing.assert_allclose(b.projection.inputs, [0.5], atol=1e-9)
-    np.testing.assert_allclose(b.projection.goods, [1.0], atol=1e-9)
-    np.testing.assert_allclose(b.projection.bads, [0.5], atol=1e-9)
+    # the frontier projection, from the data and the slacks
+    np.testing.assert_allclose(CANONICAL.X[1] - b.slack_in, [0.5], atol=1e-9)
+    np.testing.assert_allclose(b.phi * CANONICAL.Yg[1] + b.slack_good, [1.0],
+                               atol=1e-9)
+    np.testing.assert_allclose(CANONICAL.Yb[1] - b.slack_bad, [0.5],
+                               atol=1e-9)
     a = evaluate_sbm_undesirable(CANONICAL, "A", SBM)
     assert a.score == 1.0
     for s in (a.slack_in, a.slack_good, a.slack_bad):
@@ -423,11 +426,9 @@ def same_result(a, b) -> bool:
             return (x.dtype == y.dtype and x.shape == y.shape
                     and np.array_equal(x, y))
         return type(x) is type(y) and x == y
-    return (all(same(getattr(a, f), getattr(b, f))
-                for f in ("dmu", "kind", "score", "phi", "lam", "slack_in",
-                          "slack_good", "slack_bad"))
-            and all(same(getattr(a.projection, f), getattr(b.projection, f))
-                    for f in ("inputs", "goods", "bads")))
+    return all(same(getattr(a, f), getattr(b, f))
+               for f in ("dmu", "score", "phi", "lam", "slack_in",
+                         "slack_good", "slack_bad"))
 
 
 def test_api_payloads_survive_pickle():
@@ -585,24 +586,6 @@ def test_result_invariants_random():
             assert r.slack_bad.size == 0
 
 
-def test_projection_identity():
-    d = random_dataset(31, n=5, m=2, s1=1, s2=1)
-    for r in evaluate_all(d, SBM):
-        k = d.dmu_index(r.dmu)
-        np.testing.assert_allclose(r.projection.inputs,
-                                   d.X[k] - r.slack_in, atol=1e-12)
-        np.testing.assert_allclose(r.projection.goods,
-                                   r.phi * d.Yg[k] + r.slack_good,
-                                   atol=1e-12)
-        np.testing.assert_allclose(r.projection.bads,
-                                   d.Yb[k] - r.slack_bad, atol=1e-12)
-    for r in evaluate_all(d, CCR):
-        k = d.dmu_index(r.dmu)
-        np.testing.assert_allclose(r.projection.goods,
-                                   r.phi * d.Yg[k] + r.slack_good,
-                                   atol=1e-12)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(1, 2))
 def test_scores_in_unit_interval_property(seed, n, m):
@@ -716,24 +699,28 @@ def test_lockstep_matches_cold_and_single_dmu_solves(d, kind, rts):
 def test_batching_does_not_change_any_lp(kind):
     # one lockstep step of every DMU on the template's starting frame gives
     # each LP what a batch of that LP alone gives, bit for bit.  Each LP
-    # starts with its own DMU's lambda-column basic; that column is a
-    # candidate only for the DMUs in the frame, and for the others it can
-    # leave the basis but not enter it
+    # starts at its own point, from the closed-form inverse that
+    # `_solve_stage` uses.  Its DMU's lambda-column starts basic; that column
+    # is a candidate only for the DMUs in the frame, and for the others it
+    # can leave the basis but not enter it
     in_frame = 0
     for seed in range(20):
         tpl = build_instance(table1_panel(30, seed=seed),
                              ModelSpec(kind, ReturnsToScale.vrs()))
         ks = np.arange(tpl.n)
         O, c, b = tpl.stage(ks)
-        basis = tpl.own_bases(ks)
+        basis, Binv = tpl.own_bases(ks), tpl.own_inverses(ks, O)
         frame = np.flatnonzero(tpl.frame)
         in_frame += frame.size
-        run = linprog.Lockstep(tpl.lam_block, O, c, b, basis)
+        # a batch keeps the start inverses it is given and updates them in
+        # place, so each run gets its own copy
+        run = linprog.Lockstep(tpl.lam_block, O, c, b, basis, Binv.copy())
         assert run.usable.all()
         run.step(ks, frame)
         for l in ks:
             one = linprog.Lockstep(tpl.lam_block, O[l:l + 1], c[l:l + 1],
-                                   b[l:l + 1], basis[l:l + 1])
+                                   b[l:l + 1], basis[l:l + 1],
+                                   Binv[l:l + 1].copy())
             one.step(np.zeros(1, dtype=np.int64), frame)
             assert one.status[0] is run.status[l]
             assert one.iterations[0] == run.iterations[l]
@@ -798,11 +785,11 @@ def test_own_inverses_match_lapack(n, spec, plain):
     assert (err <= 1e-12 * np.abs(want).max(axis=(1, 2))).all()
 
 
-def test_own_inverses_fall_back_where_the_schur_complement_is_singular():
+def test_own_inverses_are_nan_where_the_schur_complement_is_singular():
     # DMU 1's desirable output is 0 (no valid Dataset has one, so the
     # template is built from a stand-in with the panel's role slices), so
-    # its CCR own-point basis is singular: LAPACK finds no inverse either,
-    # and the LP is not usable; the others keep their closed-form inverses
+    # its CCR own-point basis is singular: its start inverse is NaN and the
+    # LP is not usable; the others keep their closed-form inverses
     d = table1_panel(5, seed=1)
     Yg = d.Yg.copy()
     Yg[1] = 0.0

@@ -7,7 +7,10 @@ scored under CCR and SBM, each with CRS and VRS:
 - 6-decade: `10**default_rng(s).uniform(-3, 3, (20, 6))`, s = 0..39, with
   the last row a copy of the first;
 - 9-decade: `10**default_rng(s).uniform(-3, 6, (5, 6))`, s = 0..99, plus
-  n = 30, s = 89.
+  n = 30, s = 89;
+- 30-DMU 9-decade: `10**default_rng(s).uniform(-3, 6, (30, 6))`,
+  s = 0..39, in dataset order and with its rows permuted by
+  `default_rng(1000 + s).permutation(30)`.
 
 Per sweep it prints the rows whose `evaluate_all` score is off HiGHS by
 more than 1e-6 (rows HiGHS does not solve are counted apart) and the
@@ -17,7 +20,11 @@ its LP's optimum over every basis, in rational arithmetic.  For the 9-decade
 n = 5 panels it also solves every DMU's full-width LP of each model and
 RTS cold with `linprog.solve` (2,000 LPs) and counts the wrong ends: a
 status other than OPTIMAL, or an objective off HiGHS's by more than
-1e-6 (1 + |f|) where HiGHS solves the same LP.
+1e-6 (1 + |f|) where HiGHS solves the same LP.  On the 30-DMU 9-decade
+panels it counts the `evaluate_all` calls that raise in each order, and
+the calls where both orders solve but some DMU's score moves by more than
+1e-9 under the permutation: DEA scores do not depend on the order of the
+DMUs, so each such call is a solve that depends on its pivot path.
 
 The counts are a ratchet: the script exits 1 when any of them is above
 its value in `CEILINGS`.  Lower a ceiling when a change lowers its count.
@@ -44,10 +51,15 @@ from deakit.models import build_instance
 from oracles import highs_ccr, highs_sbm
 
 SCORE_TOL = 1e-6
-# the most rows off HiGHS, raising calls and cold wrong ends allowed
+MOVE_TOL = 1e-9
+# the most rows off HiGHS, raising calls, cold wrong ends and moved calls
+# allowed
 CEILINGS = {"6-decade rows off": 1, "6-decade raising calls": 0,
             "9-decade rows off": 3, "9-decade raising calls": 0,
-            "9-decade cold wrong ends": 40}
+            "9-decade cold wrong ends": 40,
+            "30-DMU 9-decade raising calls in order": 3,
+            "30-DMU 9-decade raising calls permuted": 4,
+            "30-DMU 9-decade moved calls": 18}
 SPECS = [(kind, vrs) for kind in (ModelKind.CCR_OUTPUT,
                                   ModelKind.SBM_UNDESIRABLE)
          for vrs in (False, True)]
@@ -184,6 +196,48 @@ def cold_lps() -> dict[str, int]:
     return {"9-decade cold wrong ends": sum(ends.values())}
 
 
+def permuted(d: Dataset, perm: np.ndarray) -> Dataset:
+    """`d` with its rows, names included, in the order `perm`."""
+    return Dataset(tuple(d.dmu_names[i] for i in perm), INDICATORS,
+                   d.values[perm])
+
+
+def invariance() -> dict[str, int]:
+    """Raising calls of `evaluate_all` on the 30-DMU 9-decade panels in
+    each order, and calls whose scores move under the permutation."""
+    raised = {"in order": [], "permuted": []}
+    moved = []
+    for s in range(40):
+        d = nine_decade(s, 30)
+        orders = {"in order": d, "permuted": permuted(
+            d, np.random.default_rng(1000 + s).permutation(d.n_dmus))}
+        for kind, vrs in SPECS:
+            where = f"9dec-30-{s} {label(kind, vrs)}"
+            scores = {}
+            for order, p in orders.items():
+                try:
+                    scores[order] = {r.dmu: r.score for r in
+                                     evaluate_all(p, spec(kind, vrs))}
+                except DeaError as exc:
+                    raised[order].append(f"{where} {order}: "
+                                         f"{type(exc).__name__}: {exc}")
+            if len(scores) == 2:
+                a, b = scores["in order"], scores["permuted"]
+                dmu = max(a, key=lambda k: abs(a[k] - b[k]))
+                if abs(a[dmu] - b[dmu]) > MOVE_TOL:
+                    moved.append(f"{where} {dmu}: {a[dmu]!r} in order, "
+                                 f"{b[dmu]!r} permuted")
+    print(f"30-DMU 9-decade: {len(raised['in order'])} raising calls in "
+          f"order, {len(raised['permuted'])} permuted; {len(moved)} of the "
+          f"calls that solve in both orders move a score by more than "
+          f"{MOVE_TOL:g}")
+    for line in raised["in order"] + raised["permuted"] + moved:
+        print(f"  {line}")
+    return {f"30-DMU 9-decade raising calls {order}": len(lines)
+            for order, lines in raised.items()} | {
+        "30-DMU 9-decade moved calls": len(moved)}
+
+
 def main() -> int:
     counts = sweep("6-decade",
                    ((f"6dec-{s}", six_decade(s)) for s in range(40)))
@@ -191,6 +245,7 @@ def main() -> int:
                     [(f"9dec-{s}", nine_decade(s)) for s in range(100)]
                     + [("9dec-30-89", nine_decade(89, 30))])
     counts |= cold_lps()
+    counts |= invariance()
     above = [f"{k}: {v} (ceiling {CEILINGS[k]})"
              for k, v in counts.items() if v > CEILINGS[k]]
     for line in above:
