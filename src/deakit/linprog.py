@@ -30,6 +30,10 @@ BLAND_AFTER = 50
 # (sqrt of machine epsilon: the step squares it to about eps); a singular
 # basis cannot come this close
 NEWTON_GATE = float(np.sqrt(np.finfo(float).eps))
+# largest condition estimate (`Lockstep.refine`) of a basis whose duals are
+# trusted: their relative error, the estimate times eps, is then at most
+# NEWTON_GATE, an order under OPT_TOL; NaN (singular) is above it
+COND_BOUND = 1.0 / NEWTON_GATE
 
 
 class Status(enum.Enum):
@@ -248,6 +252,7 @@ class Lockstep:
         shared, pos = self._own(self.basis)
         self.c_B = np.where(shared, 0.0, np.take_along_axis(c, pos, axis=1))
         self.usable = ok
+        self.cond = np.full(n, np.inf)
         self.status = np.full(n, None, dtype=object)
         self.iterations = np.zeros(n, dtype=np.int64)
 
@@ -285,7 +290,9 @@ class Lockstep:
         x_B takes one step of iterative refinement, which keeps it as close
         to B^-1 b as a new inverse would on ill-conditioned bases.  x_B
         is kept where the recomputed one is infeasible beyond PIVOT_TOL; an
-        LP whose basis turns out singular ends NUMERICAL_BREAKDOWN."""
+        LP whose basis turns out singular ends NUMERICAL_BREAKDOWN.  `cond`
+        gets max|B| max|B^-1|, within rows^2 of B's condition number: the
+        relative error of the duals c_B B^-1 is about it times eps."""
         B, Binv = self._basis_matrix(ls), self.Binv[ls]
         R = np.eye(B.shape[1]) - B @ Binv
         near = np.abs(R).max(axis=(1, 2), initial=0.0) <= NEWTON_GATE
@@ -303,6 +310,8 @@ class Lockstep:
             keep = ok & (low >= -PIVOT_TOL * self.b_scale[ls])
         self.x[ls[keep]] = x[keep]
         self.Binv[ls[ok]] = Binv[ok]
+        self.cond[ls] = (np.abs(B).max(axis=(1, 2), initial=0.0)
+                         * np.abs(Binv).max(axis=(1, 2), initial=0.0))
         self.status[ls[~ok]] = Status.NUMERICAL_BREAKDOWN
 
     def adopt(self, l: int, basis: np.ndarray, x: np.ndarray) -> None:

@@ -6,16 +6,14 @@ all observed DMUs under an intensity-sum constraint L <= e lambda <= U
 radially and scores 1/phi*; the SBM score is the slack ratio rho*, made
 linear with the Charnes-Cooper transform.
 
-Every evaluation solves a whole batch of DMUs at once (one DMU for the
-per-DMU functions): each stage's LPs share one template per panel and are
-stepped in lockstep by `linprog.Lockstep` on a shared frame of candidate
-intensity columns, then checked against every column (`_solve_stage`).
-On a panel of `WAVE_FROM` DMUs or more, a first wave of about sqrt(n) of
-them grows the frame before the rest step.
-Both models end in arrays (`_Columns`), lambda as each DMU's basic entries;
-the CLI reads them, and each API result holds one DMU's row of them.
-A `Dataset` is valid and sliced by role once built, so the models read its
-slices and check only what a model adds: the SBM's 'out-' column.
+Every evaluation solves a batch of DMUs at once (one DMU for the per-DMU
+functions) on one template per panel: each stage's LPs step in lockstep on
+a shared frame of intensity columns, and are then checked against the
+columns of the DMUs not shown inefficient (`_solve_stage`).  CCR stage 2
+runs only where stage 1's optimum is not unique (`_ccr`).  Both models end
+in arrays (`_Columns`), lambda as each DMU's basic entries, which the CLI
+reads and each API result holds one row of.  A `Dataset` is valid and
+sliced by role once built; the models check only the SBM's 'out-' column.
 """
 
 from __future__ import annotations
@@ -100,8 +98,8 @@ def build_instance(d: Dataset, spec: ModelSpec) -> "_Template":
 
 # lambda-columns that join a panel's frame per blocked DMU and pricing round
 FRAME_BATCH = 4
-# entries of one block of the full-width pricing product, which runs in
-# blocks of DMUs so that it allocates no n x n array
+# entries of one block of a pricing product (`_price`), which runs in
+# blocks of LPs so that it allocates no n x n array
 PRICE_BLOCK = 1 << 16
 # usable LPs from which a stage that starts at the DMUs' own points first
 # solves a wave of ceil(sqrt(n)) of them to grow the frame; on smaller
@@ -177,6 +175,10 @@ class _Template:
             self.Z, np.s_[m:m + s1], axis=0)[None]
         self.frame = np.zeros(n, dtype=bool)
         self.frame[ratios.argmax(axis=2)] = True
+        # `_solve_stage`'s factor on the duals' sign violation, and margin
+        lam_sum = min(self.U, (self.Z[:m].max(1) / self.Z[:m].min(1)).min())
+        self.spread = lam_sum + rows * self.Z.max() * (1.0 + lam_sum)
+        self.margin = linprog.FEAS_TOL + linprog.OPT_TOL * self.spread
 
     def own_bases(self, ks: np.ndarray) -> np.ndarray:
         """Each DMU k's own point, phi = 1 or t = 1 with lambda = e_k.
@@ -278,30 +280,38 @@ def _cold(tpl: _Template, k: int, what: str, phi: Optional[float] = None):
 
 
 def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
-                 phi: Optional[np.ndarray] = None,
-                 start=None) -> linprog.Lockstep:
+                 phi: Optional[np.ndarray] = None, start=None,
+                 frontier: Optional[np.ndarray] = None) -> linprog.Lockstep:
     """One stage's LPs of the DMUs `ks`, solved together on the frame.
 
-    0. A stage that starts at the DMUs' own points with at least
-       `WAVE_FROM` usable LPs first runs steps 2-4 on a wave of
-       ceil(sqrt(n)) of them, at an even stride over `ks`, until the
-       wave's pricing blocks none.  The rest then join on the frame the
-       wave grew.  Smaller stages skip the wave, whose added rounds cost
-       more than they save there.
-    1. Every LP starts at `start` (bases in template indices and their
-       inverses), by default its DMU's own point, whose inverse comes in
-       closed form (`_Template.own_inverses`).
-    2. The active LPs step in lockstep on the frame's lambda-columns
-       (`linprog.Lockstep`).
-    3. A restricted optimum is accepted only when every lambda-column of
-       the panel, its own DMU's among them, prices out (reduced cost >=
-       -OPT_TOL under its refined basis), which makes it optimal on all
-       columns (Ali 1993; Dula 2011).  This full-width pricing runs in
-       blocks of DMUs against a snapshot of the frame; a blocked DMU's
-       `FRAME_BATCH` most negative columns join the frame.
-    4. The blocked DMUs step again from their current basis.
-    An LP whose start is unusable, or that does not end OPTIMAL, is solved
-    cold (`_cold`).  Returns the solved batch, one LP per DMU of `ks`.
+    Each LP starts at `start` (template-index bases and inverses), by
+    default its DMU's own point (`_Template.own_inverses`).  In rounds the
+    active LPs step in lockstep on the frame (`linprog.Lockstep`) and are
+    refined; an optimum is accepted once the lambda-columns price out
+    (reduced cost >= -OPT_TOL), which makes it optimal on all columns (Ali
+    1993; Dula 2011).  A blocked LP's `FRAME_BATCH` most negative columns
+    join the frame (`_price`) and it steps on.  A stage from own points
+    with `WAVE_FROM` usable LPs or more first solves a wave of ceil(sqrt(n))
+    of them, at an even stride, to grow the frame.  An LP whose start is
+    unusable, or that does not end OPTIMAL, is solved cold (`_cold`).
+
+    Restricted basis entry (Ali 1993): given `frontier` (`_evaluate`, with
+    `ks` every DMU in order), the mask of DMUs not yet shown inefficient,
+    LPs whose condition estimate is within `linprog.COND_BOUND` price only
+    its columns (above it the duals' signs are not trusted, and they price
+    all); without phi, DMU o leaves it when such an LP's restricted score,
+    an upper bound on its score, is below 1 - `tpl.margin`.  Why: slacks
+    that price out make the input and bad multipliers (-y) and the good
+    ones (y) >= -OPT_TOL, and an inefficient j has an optimum (lambda*,
+    s*) on efficient DMUs (Charnes, Cooper & Thrall 1991), so r_j >=
+    sum lambda*_e r_e + g_j - OPT_TOL |s*|_1, with j's gain g_j = (phi_j -
+    1) u.y_j + slack terms > 0.  As sum lambda* <= Lambda (U, or any input
+    row's max / min) and |s*|_1 <= rows zmax (1 + Lambda), zmax the
+    largest entry in mean units, r_j >= g_j - OPT_TOL `tpl.spread` once
+    the mask prices out.  The margin, FEAS_TOL + OPT_TOL spread, adds the
+    score's own error; with u.y_o = 1 a gain of order phi_j - 1 above it
+    covers the rest.  Stage 2 keeps stage 1's mask.
+    Returns the solved batch, one LP per DMU of `ks`.
     """
     O, c, b = tpl.stage(ks, phi)
     basis, Binv = ((tpl.own_bases(ks), tpl.own_inverses(ks, O))
@@ -313,28 +323,23 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
         width = math.isqrt(active.size - 1) + 1
         wave = np.arange(width) * active.size // width
         active, rest = active[wave], np.delete(active, wave)
-    per_block = max(1, PRICE_BLOCK // tpl.n)
-    batch = min(FRAME_BATCH, tpl.n)
     while active.size:
         run.step(active, np.flatnonzero(tpl.frame))
         active = active[run.status[active] == Status.OPTIMAL]
         run.refine(active)
         active = active[run.status[active] == Status.OPTIMAL]
-        member = tpl.frame.copy()
-        blocked = []
-        for lo in range(0, active.size, per_block):
-            part = active[lo:lo + per_block]
-            reduced = run.duals(part) @ tpl.lam_block
-            reduced *= -1.0
-            reduced[:, member] = 0.0
-            hit = np.flatnonzero(reduced.min(axis=1) < -linprog.OPT_TOL)
-            if hit.size:
-                reduced = reduced[hit]
-                top = np.argpartition(reduced, batch - 1, axis=1)[:, :batch]
-                joins = np.take_along_axis(reduced, top, axis=1)
-                tpl.frame[top[joins < -linprog.OPT_TOL]] = True
-                blocked.append(part[hit])
-        active = np.concatenate(blocked) if blocked else active[:0]
+        sound = run.cond[active] <= linprog.COND_BOUND
+        wide = narrow = np.flatnonzero(~tpl.frame)
+        if frontier is not None:
+            if phi is None:
+                value, keep = run.objective[active], 1.0 - tpl.margin
+                shown = value < keep if tpl.sbm else -value * keep > 1.0
+                frontier[ks[active[sound & shown]]] = False
+            narrow = wide[frontier[wide]]
+        blocked, joins = zip(_price(run, tpl, active[sound], narrow),
+                             _price(run, tpl, active[~sound], wide))
+        tpl.frame[np.concatenate(joins)] = True
+        active = np.sort(np.concatenate(blocked))
         if not active.size:
             active, rest = rest, active
     for l in np.flatnonzero(run.status != Status.OPTIMAL):
@@ -343,9 +348,28 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
     return run
 
 
-def _phi_out(run: linprog.Lockstep, tpl: _Template):
-    """CCR stage 2's start: each stage-1 optimal basis with phi swapped for
-    one slack column, as a rank-1 update of its inverse.
+def _price(run: linprog.Lockstep, tpl: _Template, ls: np.ndarray,
+           cols: np.ndarray):
+    """The LPs `ls` of `run` that a lambda-column of `cols` blocks (prices
+    below -OPT_TOL), and the columns that join the frame: each blocked
+    LP's `FRAME_BATCH` most negative.  Runs in blocks of LPs."""
+    minus, batch = -tpl.lam_block[:, cols], min(FRAME_BATCH, cols.size)
+    per_block = max(1, PRICE_BLOCK // max(1, cols.size))
+    blocked, joins = [ls[:0]], [cols[:0]]
+    for lo in range(0, ls.size if cols.size else 0, per_block):
+        part = ls[lo:lo + per_block]
+        reduced = run.duals(part) @ minus
+        hit = np.flatnonzero(reduced.min(axis=1) < -linprog.OPT_TOL)
+        top = np.argpartition(reduced[hit], batch - 1, axis=1)[:, :batch]
+        low = np.take_along_axis(reduced[hit], top, axis=1)
+        joins.append(cols[top[low < -linprog.OPT_TOL]])
+        blocked.append(part[hit])
+    return np.concatenate(blocked), np.concatenate(joins)
+
+
+def _phi_out(run: linprog.Lockstep, tpl: _Template, ls: np.ndarray):
+    """CCR stage 2's start for the LPs `ls`: each stage-1 optimal basis
+    with phi swapped for one slack column by a rank-1 update of B^-1.
 
     Let p be phi's position in a basis.  Row i's slack column is a unit
     vector, so entry i of row p of B^-1 is that column's coefficient on
@@ -354,7 +378,7 @@ def _phi_out(run: linprog.Lockstep, tpl: _Template):
     optimum, stage 1's solution without phi solves the new basis, so the
     basis is feasible.
     """
-    basis, Binv = run.basis.copy(), run.Binv.copy()
+    basis, Binv = run.basis[ls], run.Binv[ls]
     rows = np.arange(len(basis))
     p = np.argmax(basis == 0, axis=1)
     # CCR's row i has slack column tail[i]
@@ -429,8 +453,42 @@ def _solved(tpl: _Template, ks: np.ndarray, score: np.ndarray,
                     slack[:, ms:], tpl, ks, basis, x)
 
 
-def _ccr(tpl: _Template, ks: np.ndarray) -> _Columns:
-    one = _solve_stage(tpl, ks, "CCR stage 1")
+def _unique(run: linprog.Lockstep, tpl: _Template, phi: np.ndarray,
+            frontier: Optional[np.ndarray]) -> np.ndarray:
+    """Which LPs of CCR stage 1's batch `run` have a unique optimum."""
+    y = run.duals(np.arange(phi.size))
+    drift = linprog.NEWTON_GATE * np.abs(y).sum(axis=1) * tpl.Z.max()
+    bound, priced = linprog.OPT_TOL + drift, np.ones(tpl.n, dtype=bool)
+    if frontier is not None:
+        goods = tpl.Z[tpl.m:tpl.m + tpl.s1]
+        reach = (goods.max(axis=0) * (bound + drift * tpl.spread)).max()
+        priced = tpl.frame | frontier | ((phi - 1) * goods.min(0) <= reach)
+        priced[run.basis[(run.basis > 0) & (run.basis <= tpl.n)] - 1] = True
+    red = np.hstack((run.c - np.einsum("lr,lrq->lq", y, run.O),
+                     y @ -tpl.lam_block[:, priced]))
+    # each basic column is priced, within drift of zero
+    low = (red <= bound[:, None]).sum(axis=1) == run.basis.shape[1]
+    return low & (run.cond <= linprog.COND_BOUND)
+
+
+def _ccr(tpl: _Template, ks: np.ndarray,
+         frontier: Optional[np.ndarray] = None) -> _Columns:
+    """Two-stage CCR of the DMUs `ks` (`frontier`: see `_solve_stage`).
+
+    Stage 2 maximizes slack on stage 1's optimal face, a single point where
+    every nonbasic reduced cost of stage 1's basis is positive (Mangasarian
+    1979): those DMUs keep stage 1's basis and x, and the rest step through
+    stage 2 from `_phi_out`'s start.  Positive is above OPT_TOL, which the
+    solver takes for zero, plus the drift NEWTON_GATE |y|_1 zmax of duals
+    within COND_BOUND (no LP above it counts).  `_unique` prices the own
+    columns, the frame, the frontier and the columns below.  By
+    `_solve_stage`'s bound, with drift for OPT_TOL, an unmasked DMU j has
+    r_j >= (phi_j - 1) u.y_j - drift spread; u.y_o = 1 (phi is basic)
+    gives u.y_j >= min_r y_jr / max_r y_or to first order in the drift.  So
+    j is priced unless (phi_j - 1) min_r y_jr > max_r y_or (bound + drift
+    spread) for every LP o.
+    """
+    one = _solve_stage(tpl, ks, "CCR stage 1", frontier=frontier)
     phi = _snap(-one.objective)
     for l in np.flatnonzero(~_valid_phi(tpl, phi)):
         # a warm start can end just off a valid phi where a cold solve
@@ -442,9 +500,11 @@ def _ccr(tpl: _Template, ks: np.ndarray) -> _Columns:
                               f"phi = {float(phi[l])!r} is not a valid "
                               "expansion")
         one.adopt(l, basis, xb)
-    two = _solve_stage(tpl, ks, "CCR stage 2", phi=phi,
-                       start=_phi_out(one, tpl))
-    return _solved(tpl, ks, 1.0 / phi, phi, two.basis, _clip_tiny(two.x))
+    rest = np.flatnonzero(~_unique(one, tpl, phi, frontier))
+    two = _solve_stage(tpl, ks[rest], "CCR stage 2", phi=phi[rest],
+                       start=_phi_out(one, tpl, rest), frontier=frontier)
+    one.basis[rest], one.x[rest] = two.basis, two.x
+    return _solved(tpl, ks, 1.0 / phi, phi, one.basis, _clip_tiny(one.x))
 
 
 def evaluate_ccr_output(d: Dataset, dmu: str, spec: ModelSpec) -> EfficiencyResult:
@@ -471,8 +531,9 @@ def linearize_sbm(tpl: _Template, k: int) -> StandardFormLP:
     return tpl.lp(k)
 
 
-def _sbm(tpl: _Template, ks: np.ndarray) -> _Columns:
-    run = _solve_stage(tpl, ks, "SBM solve")
+def _sbm(tpl: _Template, ks: np.ndarray,
+         frontier: Optional[np.ndarray] = None) -> _Columns:
+    run = _solve_stage(tpl, ks, "SBM solve", frontier=frontier)
     t = np.where(run.basis == 0, run.x, 0.0).sum(axis=1)
     # The SBM LP's b is e_0 (normalization row), so the solver takes a
     # basic value within PIVOT_TOL * (1 + max|b|) of 0 for 0; any t above
@@ -540,9 +601,12 @@ def improvement_targets(r: EfficiencyResult, d: Dataset) -> RateReport:
 
 def _evaluate(tpl: _Template) -> _Columns:
     """`evaluate_all` as arrays, on a template (`build_instance`) of one
-    DMU or more."""
+    DMU or more.  Restricted entry (`_solve_stage`) needs each bound row at
+    1 (CRS, VRS, NIRS, NDRS), where its dual has the sign the proof uses."""
     evaluate = _ccr if tpl.kind is ModelKind.CCR_OUTPUT else _sbm
-    return evaluate(tpl, np.arange(tpl.n))
+    ok = tpl.L in (0.0, 1.0) and tpl.U in (1.0, math.inf)
+    frontier = np.ones(tpl.n, dtype=bool) if ok else None
+    return evaluate(tpl, np.arange(tpl.n), frontier)
 
 
 def evaluate_all(d: Dataset, spec: ModelSpec) -> list[EfficiencyResult]:

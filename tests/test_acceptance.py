@@ -30,7 +30,7 @@ from deakit import (Dataset, EfficiencyResult, LPSolution, ModelKind,
 from deakit import models
 from deakit.analysis import ComparisonRecord
 from deakit.cli import console_main
-from deakit.linprog import Status, verify_optimality
+from deakit.linprog import FEAS_TOL, Status, verify_optimality
 from deakit.models import RateReport
 from oracles import ccr_phi_enum, random_dataset, sbm_grid_oracle, \
     table1_panel
@@ -219,14 +219,50 @@ def test_c5_oracle_equivalence_suite():
     assert elapsed < 30.0, f"suite took {elapsed:.1f} s"
 
 
+def certify_unique(tpl, k, basis, x, phi) -> None:
+    """Certify that DMU k's CCR stage-1 optimum (final basis `basis`,
+    basic values `x`) solves its stage 2 with phi fixed at `phi`: every
+    nonbasic column of its stage-1 LP over all of the panel's columns
+    prices strictly positive, so that optimum is stage 1's only one and
+    stage 2's face is that point; and the point is feasible in the
+    stage-2 LP (where phi's column is zero)."""
+    lp = tpl.lp(k)
+    y = np.linalg.solve(lp.A[:, basis].T, lp.c[basis])
+    reduced = lp.c - lp.A.T @ y
+    reduced[basis] = np.inf
+    assert reduced.min() > 0.0, (tpl.names[k], reduced.min())
+    two = tpl.lp(k, phi)
+    primal = np.zeros(tpl.width)
+    primal[basis] = x
+    assert primal.min() >= -1e-9, tpl.names[k]
+    resid = np.abs(two.A @ primal - two.b).max()
+    assert resid <= FEAS_TOL * (1.0 + np.abs(two.b).max()), tpl.names[k]
+
+
 def certifying_stage(count: dict):
     """`models._solve_stage` that certifies each DMU's final basis on its
     LP over all of the panel's columns, counting one certificate per DMU
-    and stage in count["n"]."""
-    real_stage = models._solve_stage
+    and stage in count["n"].
 
-    def certified(tpl, ks, what, phi=None, start=None):
-        run = real_stage(tpl, ks, what, phi, start)
+    CCR stage 2 solves only the DMUs whose stage-1 optimum is not unique.
+    Each DMU it skips is certified by `certify_unique` from the stage-1
+    batch and counted in count["n"]; count["skipped"], where present,
+    gets each stage 2's number of skipped DMUs."""
+    real_stage = models._solve_stage
+    stage_one = []
+
+    def certified(tpl, ks, what, phi=None, start=None, frontier=None):
+        run = real_stage(tpl, ks, what, phi, start, frontier)
+        if what == "CCR stage 1":
+            stage_one[:] = [run, ks]
+        elif what == "CCR stage 2":
+            one, ks1 = stage_one
+            skipped = np.flatnonzero(~np.isin(ks1, ks))
+            for l in skipped:
+                certify_unique(tpl, ks1[l], one.basis[l], one.x[l],
+                               models._snap(-one.objective[l]))
+            count["n"] += skipped.size
+            count.get("skipped", []).append(skipped.size)
         full = np.arange(tpl.width)
         for l, k in enumerate(ks):
             basis = run.basis[l]

@@ -321,17 +321,18 @@ SPECS = [ModelSpec(kind, rts) for kind in ModelKind
 
 def first_steps(monkeypatch) -> list:
     """Spy on `_solve_stage` and `Lockstep.step`: the list gets one
-    [stage name, LPs in the stage's first step] entry per stage."""
+    [stage name, LPs in the stage, LPs in its first step] entry per stage;
+    the last is None for a stage that steps no LP."""
     firsts = []
     real_stage, real_step = models._solve_stage, linprog.Lockstep.step
 
     def stage(tpl, ks, what, *args, **kwargs):
-        firsts.append([what, None])
+        firsts.append([what, ks.size, None])
         return real_stage(tpl, ks, what, *args, **kwargs)
 
     def step(self, ls, cand):
-        if firsts[-1][1] is None:
-            firsts[-1][1] = len(ls)
+        if firsts[-1][2] is None:
+            firsts[-1][2] = len(ls)
         return real_step(self, ls, cand)
 
     monkeypatch.setattr(models, "_solve_stage", stage)
@@ -342,35 +343,53 @@ def first_steps(monkeypatch) -> list:
 def test_first_wave_matches_one_wave(monkeypatch):
     # just above WAVE_FROM, the stages that start from the DMUs' own points
     # first step a wave of ceil(sqrt(n)) LPs; the scores must be those of a
-    # run without the wave, and every final basis optimal on all columns
+    # run without the wave, and every final basis optimal on all columns.
+    # CCR stage 2 starts from stage 1's bases, so it has no wave; it solves
+    # the DMUs whose stage-1 optimum is not certified unique, and steps no
+    # LP where there are none
     d = table1_panel(models.WAVE_FROM + 44, seed=1)
     n = len(d.dmu_names)
     firsts = first_steps(monkeypatch)
-    certified = {"n": 0}
+    certified = {"n": 0, "skipped": []}
     monkeypatch.setattr(models, "_solve_stage",
                         certifying_stage(certified))
     monkeypatch.setattr(models, "_cold", None)  # every LP ends in the batch
     waved = [evaluate_all(d, spec) for spec in SPECS]
     assert certified["n"] == 2 * 3 * n
     wave = math.isqrt(n - 1) + 1
-    assert firsts == (2 * [["CCR stage 1", wave], ["CCR stage 2", n]]
-                      + 2 * [["SBM solve", wave]])
+    crs, vrs = (n - skipped for skipped in certified["skipped"])
+    assert firsts == [
+        ["CCR stage 1", n, wave], ["CCR stage 2", crs, crs or None],
+        ["CCR stage 1", n, wave], ["CCR stage 2", vrs, vrs or None],
+        ["SBM solve", n, wave], ["SBM solve", n, wave]]
     monkeypatch.setattr(models, "WAVE_FROM", n + 1)
     firsts.clear()
     for spec, want in zip(SPECS, waved):
         got = evaluate_all(d, spec)
         np.testing.assert_allclose([r.score for r in got],
                                    [r.score for r in want], rtol=0, atol=1e-9)
-    assert [step for _, step in firsts] == 6 * [n]
+    assert [[size, step] for _, size, step in firsts] == [
+        [size, size or None] for size in
+        [n, n - certified["skipped"][2], n, n - certified["skipped"][3],
+         n, n]]
 
 
 def test_small_panels_skip_the_wave(monkeypatch):
-    # the paper-sized and batch panels step every usable LP at once
+    # the paper-sized and batch panels step every LP a stage solves at
+    # once: each stage's first step covers them all.  That is every usable
+    # LP, save in CCR stage 2, which solves only the DMUs whose stage-1
+    # optimum is not certified unique
     d = table1_panel(30, seed=1)
     firsts = first_steps(monkeypatch)
+    certified = {"n": 0, "skipped": []}
+    monkeypatch.setattr(models, "_solve_stage", certifying_stage(certified))
     for spec in SPECS:
         evaluate_all(d, spec)
-    assert [step for _, step in firsts] == 6 * [30]
+    assert certified["n"] == 6 * 30
+    crs, vrs = (30 - skipped for skipped in certified["skipped"])
+    assert [[size, step] for _, size, step in firsts] == [
+        [30, 30], [crs, crs or None], [30, 30], [vrs, vrs or None],
+        [30, 30], [30, 30]]
 
 
 def test_waved_results_do_not_depend_on_block_size(monkeypatch):
@@ -816,3 +835,95 @@ def test_evaluate_all_calls_no_lapack_inverse(monkeypatch, d, rts):
     assert calls == []
     linprog._inverses(np.eye(2)[None])
     assert calls == [(1, 2, 2)]
+
+
+def both_pricings(monkeypatch) -> dict:
+    """Spy on `_price`, running restricted and full-width pricing side by
+    side in every round.  A call on LPs within `linprog.COND_BOUND` also
+    prices them on every lambda-column outside the frame; both must block
+    the same LPs and join the same columns.  A call on LPs above it must
+    price every such column.  The dict counts the LPs priced each way and
+    the (LP, column) products restricted entry left out."""
+    real = models._price
+    seen = {"restricted": 0, "full": 0, "left out": 0}
+
+    def price(run, tpl, ls, cols):
+        wide = np.flatnonzero(~tpl.frame)
+        blocked, joins = real(run, tpl, ls, cols)
+        sound = run.cond[ls] <= linprog.COND_BOUND
+        if sound.all():
+            full_blocked, full_joins = real(run, tpl, ls, wide)
+            np.testing.assert_array_equal(np.sort(blocked),
+                                          np.sort(full_blocked))
+            np.testing.assert_array_equal(np.unique(joins),
+                                          np.unique(full_joins))
+            seen["restricted"] += ls.size
+            seen["left out"] += ls.size * (wide.size - cols.size)
+        else:
+            assert not sound.any()
+            np.testing.assert_array_equal(cols, wide)
+            seen["full"] += ls.size
+        return blocked, joins
+
+    monkeypatch.setattr(models, "_price", price)
+    return seen
+
+
+@pytest.mark.parametrize("n,seed", [(models.WAVE_FROM + 44, 1), (1000, 1),
+                                    (1000, 3)])
+def test_restricted_pricing_matches_full_width(monkeypatch, n, seed):
+    # restricted basis entry prices only the DMUs not yet shown
+    # inefficient; in every round it must block the LPs and join the
+    # columns that pricing every column would
+    d = table1_panel(n, seed=seed)
+    for spec in SPECS:
+        seen = both_pricings(monkeypatch)
+        evaluate_all(d, spec)
+        assert seen["left out"] > 0, spec
+        monkeypatch.undo()
+
+
+def test_ill_conditioned_lps_price_every_column(monkeypatch):
+    # the wide-range sweep's 30-DMU 9-decade panel s = 32, permuted as the
+    # sweep permutes it.  Under VRS SBM, d3's final basis has a condition
+    # estimate of about 1e14, and a refine flips a frame column's reduced
+    # cost from +5.4e6 to -3.7e8; restricted entry there must not drop
+    # the column that blocks it.  The LPs above COND_BOUND are the ones
+    # priced on every column, the others block as full width would, and
+    # d3 keeps its score of 3.4e-5
+    sweep = pytest.importorskip("wide_range_sweep")
+    d = sweep.permuted(sweep.nine_decade(32, 30),
+                       np.random.default_rng(1032).permutation(30))
+    seen = both_pricings(monkeypatch)
+    for spec in SPECS:
+        got = {r.dmu: r.score for r in evaluate_all(d, spec)}
+    assert seen["full"] > 0 and seen["restricted"] > 0
+    assert got["d3"] == pytest.approx(3.36e-5, rel=1e-2)
+
+
+def test_skipped_stage_two_matches_forced_stage_two(monkeypatch):
+    # CCR stage 2 runs only where stage 1's optimum is not certified
+    # unique; forcing it on every DMU must give bit-identical scores and
+    # slacks and rates within 1e-9 (relative to max(1, |value|))
+    panels = [(table1_panel(1000, seed=s), rts) for s in (1, 3)
+              for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())]
+    panels += [(table1_panel(30, seed=s), ReturnsToScale.vrs())
+               for s in range(100)]
+    skipped = 0
+    for d, rts in panels:
+        spec = ModelSpec(ModelKind.CCR_OUTPUT, rts)
+        with monkeypatch.context() as mp:
+            mp.setattr(models, "_unique", lambda run, *args: np.zeros(
+                len(run.basis), dtype=bool))
+            forced = models._evaluate(build_instance(d, spec))
+        got = models._evaluate(build_instance(d, spec))
+        # a DMU that skips stage 2 keeps stage 1's basis, with phi in it
+        skipped += (got.basis == 0).any(axis=1).sum()
+        np.testing.assert_array_equal(got.score, forced.score)
+        for a, b in zip((got.slack_in, got.slack_good),
+                        (forced.slack_in, forced.slack_good)):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
+        for (_, a), (_, b) in zip(models._rates(got, d),
+                                  models._rates(forced, d)):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
+    assert skipped > 0
