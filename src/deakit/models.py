@@ -38,16 +38,17 @@ class ModelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ReturnsToScale:
-    """Intensity-sum bounds; `lower` is finite, `upper` may be math.inf
-    (row omitted)."""
+    """Intensity-sum bounds L <= e lambda <= U: CRS (0, math.inf) or VRS
+    (1, 1) (Banker, Charnes & Cooper 1984); any other pair raises
+    ModelError."""
 
     lower: float
     upper: float
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper and math.isfinite(self.lower)):
-            raise ModelError(f"invalid returns-to-scale bounds "
-                             f"L={self.lower}, U={self.upper}")
+        if (self.lower, self.upper) not in ((0.0, math.inf), (1.0, 1.0)):
+            raise ModelError(f"returns to scale are CRS (0, inf) or VRS "
+                             f"(1, 1), not L={self.lower}, U={self.upper}")
 
     @classmethod
     def crs(cls) -> "ReturnsToScale":
@@ -114,17 +115,19 @@ class _Template:
     Columns: the lead variable (CCR's phi, the SBM's Charnes-Cooper t), one
     lambda per DMU, then one slack per data row and one per intensity-bound
     row (the tail).  Rows: [SBM normalization], inputs, desirable outputs,
-    [undesirable outputs], then L <= e lambda <= U (CRS: no row for L = 0
-    or U = inf).  Each data row is stored in units of its panel mean:
-    scores do not depend on units, and the solver's absolute tolerances
-    then act on numbers of order one.  The lambda block is the same for
-    every DMU; per DMU only the lead column, b, the SBM normalization row
-    and the objective change (`stage`).
+    [undesirable outputs], then under VRS e lambda >= 1 and e lambda <= 1
+    (CRS has no bound row).  Each data row is stored in units of its panel
+    mean: scores do not depend on units, and the solver's absolute
+    tolerances then act on numbers of order one.  The lambda block is the
+    same for every DMU; per DMU only the lead column, b, the SBM
+    normalization row and the objective change (`stage`).
 
     `frame` is the panel's candidate set of lambda-columns, shared by every
     DMU and stage of the model.  It starts with the DMUs of best ratio of
     one desirable output to one input (or undesirable output): each lies
-    on the CRS frontier (Dula & Lopez 2009).
+    on the CRS frontier (Dula & Lopez 2009).  `frontier` masks the DMUs
+    not yet shown inefficient, whose columns restricted entry prices
+    (`_solve_stage`).
     """
 
     def __init__(self, d: Dataset, spec: ModelSpec):
@@ -142,14 +145,8 @@ class _Template:
         self.Z = self.raw / self.unit[:, None]
         k, n = self.Z.shape
         signs = [1.0] * self.m + [-1.0] * self.s1 + [1.0] * self.s2
-        bound = []
-        if self.L > 0.0:
-            signs.append(-1.0)
-            bound.append(self.L)
-        if math.isfinite(self.U):
-            signs.append(1.0)
-            bound.append(self.U)
-        self.bound = np.array(bound)
+        if self.U == 1.0:
+            signs += [-1.0, 1.0]
         top = 1 if self.sbm else 0
         rows = top + len(signs)
         self.signs = np.array(signs)
@@ -162,10 +159,10 @@ class _Template:
         self.b = np.zeros(rows)
         if self.sbm:
             A[0, 0] = 1.0
-            A[1 + k:, 0] = -self.bound
+            A[1 + k:, 0] = -1.0
             self.b[0] = 1.0
         else:
-            self.b[k:] = self.bound
+            self.b[k:] = 1.0
         self.A = A
         A.flags.writeable = False
         self._own_tail = np.delete(self.tail, [0] if self.sbm else [0, self.m])
@@ -175,6 +172,7 @@ class _Template:
             self.Z, np.s_[m:m + s1], axis=0)[None]
         self.frame = np.zeros(n, dtype=bool)
         self.frame[ratios.argmax(axis=2)] = True
+        self.frontier = np.ones(n, dtype=bool)
         # `_solve_stage`'s factor on the duals' sign violation, and margin
         lam_sum = min(self.U, (self.Z[:m].max(1) / self.Z[:m].min(1)).min())
         self.spread = lam_sum + rows * self.Z.max() * (1.0 + lam_sum)
@@ -185,7 +183,7 @@ class _Template:
 
         A basis is the lead, lambda_k and every tail column but the first
         input slack and, for CCR, the first desirable-output slack.  It is
-        nonsingular for positive data and feasible when L <= 1 <= U.
+        nonsingular for positive data and feasible under CRS and VRS.
         """
         return np.column_stack((np.zeros_like(ks), 1 + ks,
                                 np.tile(self._own_tail, (ks.size, 1))))
@@ -280,8 +278,8 @@ def _cold(tpl: _Template, k: int, what: str, phi: Optional[float] = None):
 
 
 def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
-                 phi: Optional[np.ndarray] = None, start=None,
-                 frontier: Optional[np.ndarray] = None) -> linprog.Lockstep:
+                 phi: Optional[np.ndarray] = None,
+                 start=None) -> linprog.Lockstep:
     """One stage's LPs of the DMUs `ks`, solved together on the frame.
 
     Each LP starts at `start` (template-index bases and inverses), by
@@ -295,22 +293,23 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
     of them, at an even stride, to grow the frame.  An LP whose start is
     unusable, or that does not end OPTIMAL, is solved cold (`_cold`).
 
-    Restricted basis entry (Ali 1993): given `frontier` (`_evaluate`, with
-    `ks` every DMU in order), the mask of DMUs not yet shown inefficient,
-    LPs whose condition estimate is within `linprog.COND_BOUND` price only
-    its columns (above it the duals' signs are not trusted, and they price
-    all); without phi, DMU o leaves it when such an LP's restricted score,
-    an upper bound on its score, is below 1 - `tpl.margin`.  Why: slacks
-    that price out make the input and bad multipliers (-y) and the good
-    ones (y) >= -OPT_TOL, and an inefficient j has an optimum (lambda*,
-    s*) on efficient DMUs (Charnes, Cooper & Thrall 1991), so r_j >=
-    sum lambda*_e r_e + g_j - OPT_TOL |s*|_1, with j's gain g_j = (phi_j -
-    1) u.y_j + slack terms > 0.  As sum lambda* <= Lambda (U, or any input
-    row's max / min) and |s*|_1 <= rows zmax (1 + Lambda), zmax the
-    largest entry in mean units, r_j >= g_j - OPT_TOL `tpl.spread` once
-    the mask prices out.  The margin, FEAS_TOL + OPT_TOL spread, adds the
-    score's own error; with u.y_o = 1 a gain of order phi_j - 1 above it
-    covers the rest.  Stage 2 keeps stage 1's mask.
+    Restricted basis entry (Ali 1993): LPs whose condition estimate is
+    within `linprog.COND_BOUND` price only the columns of `tpl.frontier`,
+    the DMUs not yet shown inefficient (above it the duals' signs are not
+    trusted, and they price all); without phi, DMU o leaves it when such an
+    LP's restricted score, an upper bound on its score, is below 1 -
+    `tpl.margin`; the proof needs only that the mask holds every efficient
+    DMU, which holds for any batch `ks`.  Why: slacks that price out make
+    the input and bad multipliers (-y) and the good ones (y) >= -OPT_TOL,
+    and an inefficient j has an optimum (lambda*, s*) on efficient DMUs
+    (Charnes, Cooper & Thrall 1991), so r_j >= sum lambda*_e r_e + g_j -
+    OPT_TOL |s*|_1, with j's gain g_j = (phi_j - 1) u.y_j + slack terms >
+    0.  As sum lambda* <= Lambda (U, or any input row's max / min) and
+    |s*|_1 <= rows zmax (1 + Lambda), zmax the largest entry in mean
+    units, r_j >= g_j - OPT_TOL `tpl.spread` once the mask prices out.
+    The margin, FEAS_TOL + OPT_TOL spread, adds the score's own error;
+    with u.y_o = 1 a gain of order phi_j - 1 above it covers the rest.
+    Stage 2 keeps stage 1's mask.
     Returns the solved batch, one LP per DMU of `ks`.
     """
     O, c, b = tpl.stage(ks, phi)
@@ -329,13 +328,12 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
         run.refine(active)
         active = active[run.status[active] == Status.OPTIMAL]
         sound = run.cond[active] <= linprog.COND_BOUND
-        wide = narrow = np.flatnonzero(~tpl.frame)
-        if frontier is not None:
-            if phi is None:
-                value, keep = run.objective[active], 1.0 - tpl.margin
-                shown = value < keep if tpl.sbm else -value * keep > 1.0
-                frontier[ks[active[sound & shown]]] = False
-            narrow = wide[frontier[wide]]
+        if phi is None:
+            value, keep = run.objective[active], 1.0 - tpl.margin
+            shown = value < keep if tpl.sbm else -value * keep > 1.0
+            tpl.frontier[ks[active[sound & shown]]] = False
+        wide = np.flatnonzero(~tpl.frame)
+        narrow = wide[tpl.frontier[wide]]
         blocked, joins = zip(_price(run, tpl, active[sound], narrow),
                              _price(run, tpl, active[~sound], wide))
         tpl.frame[np.concatenate(joins)] = True
@@ -389,11 +387,6 @@ def _phi_out(run: linprog.Lockstep, tpl: _Template, ls: np.ndarray):
     linprog.exchange(Binv, p, Binv[rows, :, i] * tpl.signs[i][:, None])
     basis[rows, p] = tpl.tail[i]
     return basis, Binv
-
-
-def _valid_phi(tpl: _Template, phi):
-    # lambda = e_k, phi = 1 is feasible when L <= 1 <= U; elementwise
-    return (phi > 0.0) & ((phi >= 1.0) | (not tpl.L <= 1.0 <= tpl.U))
 
 
 def _snap(v):
@@ -453,17 +446,15 @@ def _solved(tpl: _Template, ks: np.ndarray, score: np.ndarray,
                     slack[:, ms:], tpl, ks, basis, x)
 
 
-def _unique(run: linprog.Lockstep, tpl: _Template, phi: np.ndarray,
-            frontier: Optional[np.ndarray]) -> np.ndarray:
+def _unique(run: linprog.Lockstep, tpl: _Template,
+            phi: np.ndarray) -> np.ndarray:
     """Which LPs of CCR stage 1's batch `run` have a unique optimum."""
     y = run.duals(np.arange(phi.size))
     drift = linprog.NEWTON_GATE * np.abs(y).sum(axis=1) * tpl.Z.max()
-    bound, priced = linprog.OPT_TOL + drift, np.ones(tpl.n, dtype=bool)
-    if frontier is not None:
-        goods = tpl.Z[tpl.m:tpl.m + tpl.s1]
-        reach = (goods.max(axis=0) * (bound + drift * tpl.spread)).max()
-        priced = tpl.frame | frontier | ((phi - 1) * goods.min(0) <= reach)
-        priced[run.basis[(run.basis > 0) & (run.basis <= tpl.n)] - 1] = True
+    bound, goods = linprog.OPT_TOL + drift, tpl.Z[tpl.m:tpl.m + tpl.s1]
+    reach = (goods.max(axis=0) * (bound + drift * tpl.spread)).max()
+    priced = tpl.frame | tpl.frontier | ((phi - 1) * goods.min(0) <= reach)
+    priced[run.basis[(run.basis > 0) & (run.basis <= tpl.n)] - 1] = True
     red = np.hstack((run.c - np.einsum("lr,lrq->lq", y, run.O),
                      y @ -tpl.lam_block[:, priced]))
     # each basic column is priced, within drift of zero
@@ -471,9 +462,8 @@ def _unique(run: linprog.Lockstep, tpl: _Template, phi: np.ndarray,
     return low & (run.cond <= linprog.COND_BOUND)
 
 
-def _ccr(tpl: _Template, ks: np.ndarray,
-         frontier: Optional[np.ndarray] = None) -> _Columns:
-    """Two-stage CCR of the DMUs `ks` (`frontier`: see `_solve_stage`).
+def _ccr(tpl: _Template, ks: np.ndarray) -> _Columns:
+    """Two-stage CCR of the DMUs `ks`.
 
     Stage 2 maximizes slack on stage 1's optimal face, a single point where
     every nonbasic reduced cost of stage 1's basis is positive (Mangasarian
@@ -481,28 +471,28 @@ def _ccr(tpl: _Template, ks: np.ndarray,
     stage 2 from `_phi_out`'s start.  Positive is above OPT_TOL, which the
     solver takes for zero, plus the drift NEWTON_GATE |y|_1 zmax of duals
     within COND_BOUND (no LP above it counts).  `_unique` prices the own
-    columns, the frame, the frontier and the columns below.  By
+    columns, the frame, `tpl.frontier` and the columns below.  By
     `_solve_stage`'s bound, with drift for OPT_TOL, an unmasked DMU j has
     r_j >= (phi_j - 1) u.y_j - drift spread; u.y_o = 1 (phi is basic)
     gives u.y_j >= min_r y_jr / max_r y_or to first order in the drift.  So
     j is priced unless (phi_j - 1) min_r y_jr > max_r y_or (bound + drift
     spread) for every LP o.
     """
-    one = _solve_stage(tpl, ks, "CCR stage 1", frontier=frontier)
+    one = _solve_stage(tpl, ks, "CCR stage 1")
     phi = _snap(-one.objective)
-    for l in np.flatnonzero(~_valid_phi(tpl, phi)):
-        # a warm start can end just off a valid phi where a cold solve
-        # of the same LP does not
+    # lambda = e_k, phi = 1 is feasible, so phi >= 1; a warm start can end
+    # just off it (or at NaN) where a cold solve of the same LP does not
+    for l in np.flatnonzero(~(phi >= 1.0)):
         objective, basis, xb = _cold(tpl, int(ks[l]), "CCR stage 1")
         phi[l] = _snap(-objective)
-        if not _valid_phi(tpl, phi[l]):
+        if not phi[l] >= 1.0:
             raise SolverError(f"CCR stage 1 for DMU {tpl.names[ks[l]]!r}: "
                               f"phi = {float(phi[l])!r} is not a valid "
                               "expansion")
         one.adopt(l, basis, xb)
-    rest = np.flatnonzero(~_unique(one, tpl, phi, frontier))
+    rest = np.flatnonzero(~_unique(one, tpl, phi))
     two = _solve_stage(tpl, ks[rest], "CCR stage 2", phi=phi[rest],
-                       start=_phi_out(one, tpl, rest), frontier=frontier)
+                       start=_phi_out(one, tpl, rest))
     one.basis[rest], one.x[rest] = two.basis, two.x
     return _solved(tpl, ks, 1.0 / phi, phi, one.basis, _clip_tiny(one.x))
 
@@ -531,9 +521,8 @@ def linearize_sbm(tpl: _Template, k: int) -> StandardFormLP:
     return tpl.lp(k)
 
 
-def _sbm(tpl: _Template, ks: np.ndarray,
-         frontier: Optional[np.ndarray] = None) -> _Columns:
-    run = _solve_stage(tpl, ks, "SBM solve", frontier=frontier)
+def _sbm(tpl: _Template, ks: np.ndarray) -> _Columns:
+    run = _solve_stage(tpl, ks, "SBM solve")
     t = np.where(run.basis == 0, run.x, 0.0).sum(axis=1)
     # The SBM LP's b is e_0 (normalization row), so the solver takes a
     # basic value within PIVOT_TOL * (1 + max|b|) of 0 for 0; any t above
@@ -601,12 +590,9 @@ def improvement_targets(r: EfficiencyResult, d: Dataset) -> RateReport:
 
 def _evaluate(tpl: _Template) -> _Columns:
     """`evaluate_all` as arrays, on a template (`build_instance`) of one
-    DMU or more.  Restricted entry (`_solve_stage`) needs each bound row at
-    1 (CRS, VRS, NIRS, NDRS), where its dual has the sign the proof uses."""
+    DMU or more."""
     evaluate = _ccr if tpl.kind is ModelKind.CCR_OUTPUT else _sbm
-    ok = tpl.L in (0.0, 1.0) and tpl.U in (1.0, math.inf)
-    frontier = np.ones(tpl.n, dtype=bool) if ok else None
-    return evaluate(tpl, np.arange(tpl.n), frontier)
+    return evaluate(tpl, np.arange(tpl.n))
 
 
 def evaluate_all(d: Dataset, spec: ModelSpec) -> list[EfficiencyResult]:

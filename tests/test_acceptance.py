@@ -251,8 +251,8 @@ def certifying_stage(count: dict):
     real_stage = models._solve_stage
     stage_one = []
 
-    def certified(tpl, ks, what, phi=None, start=None, frontier=None):
-        run = real_stage(tpl, ks, what, phi, start, frontier)
+    def certified(tpl, ks, what, phi=None, start=None):
+        run = real_stage(tpl, ks, what, phi, start)
         if what == "CCR stage 1":
             stage_one[:] = [run, ks]
         elif what == "CCR stage 2":

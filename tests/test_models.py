@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,8 +16,7 @@ from deakit import (DataError, Dataset, Indicator, ModelError, ModelKind,
                     evaluate_sbm_undesirable, improvement_targets, load_csv,
                     solve)
 from deakit.models import build_instance, linearize_sbm
-from oracles import (ccr_phi_enum, random_dataset, sbm_enum_oracle, sbm_rho,
-                     table1_panel)
+from oracles import random_dataset, sbm_rho, table1_panel
 from test_acceptance import certifying_stage
 from test_linprog import count_inverses
 
@@ -72,20 +72,17 @@ def test_plain_sbm_gate():
         evaluate_sbm_undesirable(d, "B", SBM)
 
 
-def test_custom_rts_validation():
-    with pytest.raises(ModelError):
-        ReturnsToScale(2.0, 1.0)
-    with pytest.raises(ModelError):
-        ReturnsToScale(-0.5, 1.0)
-
-
-def test_rts_lower_bound_is_finite():
-    # an infinite L would reach the solver as LP data
-    with pytest.raises(ModelError):
-        ReturnsToScale(math.inf, math.inf)
-    ReturnsToScale.crs()
-    ReturnsToScale.vrs()
-    ReturnsToScale(0.5, 2.0)
+@pytest.mark.parametrize("lower,upper", [
+    (0.0, 1.0), (1.0, math.inf), (0.5, 2.0), (1.5, 3.0), (2.0, 1.0),
+    (-0.5, 1.0), (math.inf, math.inf)])
+def test_rts_is_crs_or_vrs(lower, upper):
+    # only CRS and VRS build templates; NIRS, NDRS and any other bounds
+    # are refused with the pair named
+    with pytest.raises(ModelError, match=re.escape(f"L={lower}, U={upper}")):
+        ReturnsToScale(lower, upper)
+    for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
+        assert build_instance(paper_shaped(), ModelSpec(ModelKind.CCR_OUTPUT,
+                                                        rts)).U == rts.upper
 
 
 def test_ccr_canonical_pair():
@@ -214,54 +211,24 @@ def test_evaluate_all_validates_dataset():
                 np.array([[1.0, 2.0], [1.0, -1.0]]))
 
 
-def test_infeasible_bounds_name_dmu():
-    spec = ModelSpec(ModelKind.SBM_UNDESIRABLE,
-                     ReturnsToScale(2.0, 3.0))
-    with pytest.raises(SolverError, match="'A'"):
-        evaluate_sbm_undesirable(CANONICAL, "A", spec)
-
-
-@pytest.mark.parametrize("lower,upper", [(1.5, 3.0), (0.2, 0.6),
-                                         (0.5, 2.0)])
-def test_custom_bounds_match_enumeration(lower, upper):
-    # L > 1 or U < 1 makes the DMU's own point infeasible: no start basis,
-    # and some DMUs have no feasible point at all
-    d = random_dataset(77, n=3, m=1, s1=1, s2=1)
-    X, Yg, Yb = (d.values[:, [j]].T for j in range(3))
-    rts = ReturnsToScale(lower, upper)
-    ccr = ModelSpec(ModelKind.CCR_OUTPUT, rts)
-    sbm = ModelSpec(ModelKind.SBM_UNDESIRABLE, rts)
-    solved = 0
-    for k, dmu in enumerate(d.dmu_names):
-        cases = ((lambda: ccr_phi_enum(X, Yg, k, lower, upper),
-                  lambda: evaluate_ccr_output(d, dmu, ccr).phi),
-                 (lambda: sbm_enum_oracle(X, Yg, Yb, k, lower, upper)[0],
-                  lambda: evaluate_sbm_undesirable(d, dmu, sbm).score))
-        for oracle, got in cases:
-            try:
-                want = oracle()
-            except AssertionError:  # the oracle found no feasible basis
-                with pytest.raises(SolverError, match="INFEASIBLE"):
-                    got()
-                continue
-            assert got() == pytest.approx(want, abs=1e-9)
-            solved += 1
-    assert solved >= 2
-
-
-@pytest.mark.parametrize("phi", [0.0, 0.5])
-def test_stage1_phi_below_one_is_a_solver_error(monkeypatch, phi):
+@pytest.mark.parametrize("phi,status,error", [
+    (0.0, linprog.Status.OPTIMAL, "'B'.*phi = 0.0 "),
+    (0.5, linprog.Status.OPTIMAL, "'B'.*phi = 0.5 "),
+    (0.5, linprog.Status.NUMERICAL_BREAKDOWN,
+     "^CCR stage 1 for DMU 'B': LP ended NUMERICAL_BREAKDOWN$")],
+    ids=["0.0", "0.5", "0.5-NUMERICAL_BREAKDOWN"])
+def test_stage1_phi_below_one_is_a_solver_error(monkeypatch, phi, status,
+                                                error):
     # lambda = e_o, phi = 1 is feasible under CRS and VRS, so a smaller
     # stage-1 optimum can only be numerical failure; it is an error when
-    # the cold retry ends there too
+    # the cold retry ends there too, or does not end OPTIMAL
     monkeypatch.setattr(models, "_solve_stage",
                         lambda tpl, ks, *args, **kwargs: SimpleNamespace(
                             objective=np.full(ks.size, -phi)))
     monkeypatch.setattr(linprog, "solve", lambda lp: SimpleNamespace(
-        status=linprog.Status.OPTIMAL, objective=-phi, basis=(),
-        primal=np.empty(0)))
+        status=status, objective=-phi, basis=(), primal=np.empty(0)))
     for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
-        with pytest.raises(SolverError, match="'B'.*phi"):
+        with pytest.raises(SolverError, match=error):
             evaluate_ccr_output(CANONICAL, "B",
                                 ModelSpec(ModelKind.CCR_OUTPUT, rts))
 
@@ -643,32 +610,37 @@ def test_stage1_cold_retry_scores_a_warm_phi_just_below_one():
 
 def test_full_width_pricing_is_blocked():
     # pricing all n lambda-columns for all n DMUs in one (n, n) float64
-    # array would take 8 n^2 bytes inside a stage's solve; the results
-    # themselves hold n lambda vectors of n entries, so the bound applies
-    # to each stage's solve, not to the whole call
+    # array would take 8 n^2 bytes inside a stage's solve or CCR's
+    # uniqueness check; the results themselves hold n lambda vectors of n
+    # entries, so the bound applies to each of those calls, not to the
+    # whole evaluation
     import tracemalloc
     d = table1_panel(1000, seed=3)
     n = len(d.dmu_names)
-    real_stage = models._solve_stage
-    peaks = []
+    peaks = {"_solve_stage": [], "_unique": []}
 
-    def measured(*args, **kwargs):
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run = real_stage(*args, **kwargs)
-        peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        return run
+    def measured(name):
+        real = getattr(models, name)
+
+        def call(*args, **kwargs):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = real(*args, **kwargs)
+            peaks[name].append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+        return call
 
     tracemalloc.start()
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(models, "_solve_stage", measured)
+            for name in peaks:
+                mp.setattr(models, name, measured(name))
             evaluate_all(d, CCR)
             evaluate_all(d, SBM)
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 3
-    assert max(peaks) < 8 * n * n
+    assert [len(p) for p in peaks.values()] == [3, 1]
+    assert max(max(p) for p in peaks.values()) < 8 * n * n
 
 
 @st.composite
@@ -869,16 +841,26 @@ def both_pricings(monkeypatch) -> dict:
     return seen
 
 
-@pytest.mark.parametrize("n,seed", [(models.WAVE_FROM + 44, 1), (1000, 1),
-                                    (1000, 3)])
-def test_restricted_pricing_matches_full_width(monkeypatch, n, seed):
+@pytest.mark.parametrize("n,seed,per_dmu", [
+    (models.WAVE_FROM + 44, 1, False), (1000, 1, False), (1000, 3, False),
+    (30, 1, True)], ids=[f"{models.WAVE_FROM + 44}-1", "1000-1", "1000-3",
+                         "30-1-per-dmu"])
+def test_restricted_pricing_matches_full_width(monkeypatch, n, seed,
+                                               per_dmu):
     # restricted basis entry prices only the DMUs not yet shown
-    # inefficient; in every round it must block the LPs and join the
-    # columns that pricing every column would
+    # inefficient, in evaluate_all and in each per-DMU call alike; in
+    # every round it must block the LPs and join the columns that pricing
+    # every column would
     d = table1_panel(n, seed=seed)
     for spec in SPECS:
         seen = both_pricings(monkeypatch)
-        evaluate_all(d, spec)
+        if per_dmu:
+            single = (evaluate_ccr_output if spec.kind is ModelKind.CCR_OUTPUT
+                      else evaluate_sbm_undesirable)
+            for dmu in d.dmu_names:
+                single(d, dmu, spec)
+        else:
+            evaluate_all(d, spec)
         assert seen["left out"] > 0, spec
         monkeypatch.undo()
 
