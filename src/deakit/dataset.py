@@ -224,14 +224,16 @@ def load_csv(source: Union[str, Path, bytes, IO], *,
             raise DataError(f"row {line_no}: expected {n_cols + 1} cells, "
                             f"got {len(row)}")
         names.append(row[0].strip())
-        parsed = []
-        for j, cell in enumerate(row[1:], start=2):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise DataError(f"non-numeric cell at row {line_no}, "
-                                f"column {j}: {cell!r}") from None
-        rows.append(parsed)
+        try:
+            rows.append(list(map(float, row[1:])))
+        except ValueError:
+            # the row holds a bad cell: name the first one
+            for j, cell in enumerate(row[1:], start=2):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(f"non-numeric cell at row {line_no}, "
+                                    f"column {j}: {cell!r}") from None
     if not rows:
         raise DataError("no data rows")
 

@@ -199,10 +199,17 @@ def _inverses(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def exchange(Binv: np.ndarray, row: np.ndarray, d: np.ndarray) -> None:
     """Rank-1 update of stacked basis inverses, in place: basis l's column
-    at position `row[l]` leaves for a column a with B^-1 a = d[l]."""
-    rows = np.arange(len(row))
-    prow = Binv[rows, row] / d[rows, row][:, None]
-    Binv -= d[:, :, None] * prow[:, None, :]
+    at position `row[l]` leaves for a column a with B^-1 a = d[l].
+
+    `Binv` may carry more columns than rows, say [B^-1 b | B^-1]: each
+    column is updated as B^-1 times a fixed vector.  The pivot rows are
+    gathered by one flat take, and the rank-1 term is one outer-product
+    einsum, which takes half the time of a broadcast product on a large
+    batch."""
+    rows, (m, w) = np.arange(len(row)), Binv.shape[1:]
+    flat = rows * m + row
+    prow = Binv.reshape(-1, w).take(flat, axis=0) / d.take(flat)[:, None]
+    Binv -= np.einsum("lr,ls->lrs", d, prow)
     Binv[rows, row] = prow
 
 
@@ -249,8 +256,7 @@ class Lockstep:
             ok &= np.isfinite(x).all(axis=1) & (low >= -FEAS_TOL
                                                 * self.b_scale)
         self.Binv, self.x = Binv, np.maximum(x, 0.0)
-        shared, pos = self._own(self.basis)
-        self.c_B = np.where(shared, 0.0, np.take_along_axis(c, pos, axis=1))
+        self.c_B = self._costs(np.arange(n), self.basis)
         self.usable = ok
         self.cond = np.full(n, np.inf)
         self.status = np.full(n, None, dtype=object)
@@ -262,6 +268,13 @@ class Lockstep:
         shared = (ids >= 1) & (ids <= self.N)
         pos = np.where(ids == 0, 0, ids - self.N)
         return shared, np.where(shared, 0, pos)
+
+    def _costs(self, ls: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """c_B of the LPs `ls` at the bases `basis`; shared columns cost
+        nothing."""
+        shared, pos = self._own(basis)
+        return np.where(shared, 0.0, np.take_along_axis(self.c[ls], pos,
+                                                        axis=1))
 
     def _basis_matrix(self, ls: np.ndarray) -> np.ndarray:
         ids = self.basis[ls]
@@ -318,10 +331,51 @@ class Lockstep:
         """Make an optimal basis found elsewhere, and its basic values, LP
         l's solution."""
         self.basis[l], self.x[l] = basis, x
-        shared, pos = self._own(self.basis[l])
-        self.c_B[l] = np.where(shared, 0.0, self.c[l, pos])
+        self.c_B[[l]] = self._costs([l], self.basis[[l]])
         self.status[l] = Status.OPTIMAL
         self.refine(np.array([l]))
+
+    def seat(self, ls: np.ndarray, src: np.ndarray, own: np.ndarray) -> int:
+        """Restart each LP `ls[i]` from the basis of LP `src[i]`, where that
+        basis is feasible for it and lowers its objective; returns how many
+        were restarted.
+
+        The LPs differ only in their own columns at the positions `own` in
+        `O` (and in b and c), so LP ls[i]'s basis matrix is src[i]'s with
+        each basic one of those columns swapped for its own, and its B^-1
+        is src[i]'s after one `exchange` per swap.  The swaps run first on
+        B^-1 b and the swapped columns' B^-1 a, which gives x; a restart
+        needs each swap's pivot above PIVOT_TOL and x feasible to within
+        FEAS_TOL, and only the restarts kept have their B^-1 formed.
+        """
+        basis, rows = self.basis[src], np.arange(ls.size)
+        # B^-1 [b | a for each swapped column a]
+        W = self.Binv[src] @ np.concatenate(
+            (self.b[ls, :, None], self.O[ls][:, :, own]), axis=2)
+        ok, swaps = np.ones(ls.size, dtype=bool), []
+        for j, col in enumerate(np.where(own == 0, 0, own + self.N)):
+            at = basis == col
+            p = at.argmax(axis=1)
+            d, basic = W[:, :, 1 + j].copy(), at[rows, p]
+            good = basic & (np.abs(d[rows, p]) > PIVOT_TOL)
+            ok &= good | ~basic
+            # where the column is not basic (or its pivot is too small), the
+            # exchange for a unit d at p changes nothing
+            d[~good] = 0.0
+            d[rows[~good], p[~good]] = 1.0
+            exchange(W, p, d)
+            swaps.append((p, d))
+        x, c_B = W[:, :, 0], self._costs(ls, basis)
+        keep = np.flatnonzero(
+            ok & (x.min(axis=1, initial=0.0) >= -FEAS_TOL * self.b_scale[ls])
+            & ((c_B * x).sum(axis=1) < (self.c_B[ls] * self.x[ls]).sum(axis=1)))
+        Binv = self.Binv[src[keep]]
+        for p, d in swaps:
+            exchange(Binv, p[keep], d[keep])
+        ls = ls[keep]
+        self.basis[ls], self.Binv[ls] = basis[keep], Binv
+        self.x[ls], self.c_B[ls] = np.maximum(x[keep], 0.0), c_B[keep]
+        return ls.size
 
     def step(self, ls: np.ndarray, cand: np.ndarray) -> None:
         """Pivot the LPs `ls` until each is OPTIMAL on its candidate columns,
@@ -333,7 +387,8 @@ class Lockstep:
         Each LP's own columns are gathered once per step; a pass prices them
         with one batched product and the shared ones with one product, and
         takes each entering column with its cost and index in one gather.
-        LPs that stop are written back and dropped.
+        LPs that stop are written back and leave the batch by a take on
+        their positions.
         """
         N, m = self.N, self.S.shape[0]
         ls = np.asarray(ls, dtype=np.int64)
@@ -345,7 +400,8 @@ class Lockstep:
         G[:, :m], G[:, m] = self.O[ls], self.c[ls]
         G[:, m + 1, 0], G[:, m + 1, 1:] = 0, np.arange(1 + N, N + q)
         frame = np.vstack((self.S[:, cand], np.zeros(F), 1 + cand))
-        minus_S = -frame[:m]
+        # C order keeps the product below on BLAS for a wide frame
+        minus_S = np.ascontiguousarray(-frame[:m])
         big = N + q
         Binv, x, basis = self.Binv[ls], self.x[ls], self.basis[ls]
         c_B, it = self.c_B[ls], self.iterations[ls]
@@ -380,25 +436,27 @@ class Lockstep:
                 col[shared] = frame[:, enter[shared] - q].T
             d = np.einsum("lrs,ls->lr", Binv, col[:, :m])
             positive = d > PIVOT_TOL
-            done = optimal | (it >= ITER_CAP) | ~positive.any(axis=1)
+            capped = it >= ITER_CAP
+            done = optimal | capped | ~positive.any(axis=1)
             if done.any():
-                gone = ls[done]
-                self.Binv[gone], self.x[gone] = Binv[done], x[done]
-                self.basis[gone], self.c_B[gone] = basis[done], c_B[done]
-                self.iterations[gone] = it[done]
-                capped = ~optimal & (it >= ITER_CAP)
-                self.status[ls[optimal]] = Status.OPTIMAL
+                stop = np.flatnonzero(done)
+                gone = ls[stop]
+                self.Binv[gone], self.x[gone] = Binv[stop], x[stop]
+                self.basis[gone], self.c_B[gone] = basis[stop], c_B[stop]
+                self.iterations[gone] = it[stop]
+                self.status[gone] = Status.UNBOUNDED
                 self.status[ls[capped]] = Status.ITERATION_LIMIT
-                self.status[ls[done & ~optimal & ~capped]] = Status.UNBOUNDED
-                go = ~done
-                if not go.any():
+                self.status[ls[optimal]] = Status.OPTIMAL
+                go = np.flatnonzero(~done)
+                if not go.size:
                     return
                 ls, Binv, x, basis, c_B, it, G, at, degenerate = (
-                    ls[go], Binv[go], x[go], basis[go], c_B[go], it[go],
-                    G[go], at[go], degenerate[go])
-                enter, col, d, positive = (
-                    enter[go], col[go], d[go], positive[go])
-                rows, full = np.arange(ls.size), full[go]
+                    a.take(go, axis=0) for a in (ls, Binv, x, basis, c_B, it,
+                                                 G, at, degenerate))
+                enter, col, d, positive, full = (
+                    a.take(go, axis=0) for a in (enter, col, d, positive,
+                                                 full))
+                rows = np.arange(ls.size)
             ratio = np.full(d.shape, np.inf)
             np.divide(x, d, out=ratio, where=positive)
             np.maximum(ratio, 0.0, out=ratio)

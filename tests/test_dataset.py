@@ -70,6 +70,15 @@ def test_load_csv_rejects(csv_text, fragment):
     assert "np.float64" not in str(err.value)
 
 
+def test_non_numeric_cell_message_names_its_row_and_column():
+    # rows parse whole; a bad cell off the first row and column is still
+    # named by its own coordinates, and the first of two bad cells wins
+    bad = b"dmu,in:x,out+:y,out-:z\nA,1,2,3\nB,4,x,y\n"
+    with pytest.raises(DataError) as err:
+        load_csv(bad)
+    assert str(err.value) == "non-numeric cell at row 3, column 3: 'x'"
+
+
 def test_error_names_row_and_column():
     bad = b"dmu,in:x,out+:y\nA,1,2\nB,1,0\n"
     with pytest.raises(DataError) as err:

@@ -341,6 +341,45 @@ def test_first_wave_matches_one_wave(monkeypatch):
          n, n]]
 
 
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()],
+                         ids=["crs", "vrs"])
+def test_seated_lps_match_unseated(monkeypatch, seed, rts):
+    # after the wave, the stages from own points seat the other LPs at wave
+    # LPs' optimal bases.  Both models' seats must place some LPs, every
+    # final basis must be optimal on all columns, and scores must match a
+    # run without seats within 1e-12, slacks and rates within 1e-9
+    # relative (slacks to their indicator's panel mean)
+    d = table1_panel(1000, seed)
+    specs = [ModelSpec(kind, rts) for kind in ModelKind]
+    seated, real_seat = [], models._seat
+
+    def seat(*args):
+        seated.append(real_seat(*args))
+        return seated[-1]
+
+    monkeypatch.setattr(models, "_seat", seat)
+    certified = {"n": 0}
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "_solve_stage", certifying_stage(certified))
+        got = [models._evaluate(build_instance(d, spec)) for spec in specs]
+    assert len(seated) == 2 and min(seated) > 0
+    assert certified["n"] == 3 * d.n_dmus
+    monkeypatch.setattr(models, "_seat", lambda *args: 0)
+    want = [models._evaluate(build_instance(d, spec)) for spec in specs]
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g.score, w.score, rtol=0, atol=1e-12)
+        m, ms = g.tpl.m, g.tpl.m + g.tpl.s1
+        for attr, unit in (("slack_in", g.tpl.unit[:m]),
+                           ("slack_good", g.tpl.unit[m:ms]),
+                           ("slack_bad", g.tpl.unit[ms:])):
+            np.testing.assert_allclose(getattr(g, attr) / unit,
+                                       getattr(w, attr) / unit,
+                                       rtol=1e-9, atol=1e-9)
+        for (_, a), (_, b) in zip(models._rates(g, d), models._rates(w, d)):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
+
+
 def test_small_panels_skip_the_wave(monkeypatch):
     # the paper-sized and batch panels step every LP a stage solves at
     # once: each stage's first step covers them all.  That is every usable
@@ -686,15 +725,13 @@ def test_lockstep_matches_cold_and_single_dmu_solves(d, kind, rts):
                                                              abs=1e-9)
 
 
-@pytest.mark.parametrize("kind", list(ModelKind))
-def test_batching_does_not_change_any_lp(kind):
-    # one lockstep step of every DMU on the template's starting frame gives
-    # each LP what a batch of that LP alone gives, bit for bit.  Each LP
-    # starts at its own point, from the closed-form inverse that
-    # `_solve_stage` uses.  Its DMU's lambda-column starts basic; that column
-    # is a candidate only for the DMUs in the frame, and for the others it
-    # can leave the basis but not enter it
-    in_frame = 0
+def batches_match_batches_of_one(kind) -> list:
+    """One lockstep step of every DMU of 20 VRS `table1_panel(30, seed)`
+    panels on the template's starting frame, checked bit for bit against
+    batches of one LP: status, pivots, basis and x.  Each LP starts at its
+    own point, from the closed-form inverse that `_solve_stage` uses.
+    Returns each panel's batch and its frame's size."""
+    steps = []
     for seed in range(20):
         tpl = build_instance(table1_panel(30, seed=seed),
                              ModelSpec(kind, ReturnsToScale.vrs()))
@@ -702,7 +739,6 @@ def test_batching_does_not_change_any_lp(kind):
         O, c, b = tpl.stage(ks)
         basis, Binv = tpl.own_bases(ks), tpl.own_inverses(ks, O)
         frame = np.flatnonzero(tpl.frame)
-        in_frame += frame.size
         # a batch keeps the start inverses it is given and updates them in
         # place, so each run gets its own copy
         run = linprog.Lockstep(tpl.lam_block, O, c, b, basis, Binv.copy())
@@ -717,7 +753,42 @@ def test_batching_does_not_change_any_lp(kind):
             assert one.iterations[0] == run.iterations[l]
             assert np.array_equal(one.basis[0], run.basis[l])
             assert np.array_equal(one.x[0], run.x[l])
+        steps.append((run, frame.size))
+    return steps
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_batching_does_not_change_any_lp(kind):
+    # a DMU's lambda-column starts basic; that column is a candidate only
+    # for the DMUs in the frame, and for the others it can leave the basis
+    # but not enter it
+    in_frame = sum(size for _, size in batches_match_batches_of_one(kind))
     assert 0 < in_frame < 20 * 30
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("limit", [("ITER_CAP", 4), ("BLAND_AFTER", 2)])
+def test_batching_does_not_change_an_lp_that_stops_apart(monkeypatch, kind,
+                                                         limit):
+    # LPs leave a batch at different passes, and for different reasons.
+    # With ITER_CAP at 4, some end ITERATION_LIMIT at the pass where
+    # others end OPTIMAL, and others end OPTIMAL before it; with
+    # BLAND_AFTER at 2, Bland's rule starts mid-step for some LPs, and
+    # changes their pivots.  Each LP must still end as alone
+    if limit[0] == "BLAND_AFTER":
+        default = [run for run, _ in batches_match_batches_of_one(kind)]
+    monkeypatch.setattr(linprog, *limit)
+    limited = [run for run, _ in batches_match_batches_of_one(kind)]
+    ends = {(status, int(it)) for run in limited
+            for status, it in zip(run.status, run.iterations)}
+    if limit[0] == "ITER_CAP":
+        assert (linprog.Status.ITERATION_LIMIT, 4) in ends
+        assert (linprog.Status.OPTIMAL, 4) in ends
+        assert (linprog.Status.OPTIMAL, 2) in ends
+    else:
+        assert {status for status, _ in ends} == {linprog.Status.OPTIMAL}
+        assert any((a.iterations != b.iterations).any()
+                   for a, b in zip(default, limited))
 
 
 def test_an_own_column_that_prices_negative_joins_the_frame(monkeypatch):
