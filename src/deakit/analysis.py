@@ -89,7 +89,7 @@ def rank_scores(scores: Sequence[float]) -> list[int]:
     return ranks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComparisonRecord:
     """One joined row of the CCR-vs-SBM report (EE and EPI side by side)."""
 
@@ -167,10 +167,9 @@ def compare_models(ee: Sequence[EfficiencyResult],
     meta_cols = d.role_columns(Role.META)
     meta_names = [d.indicators[j].name for j in meta_cols]
     names.append("Mean")
-    return [ComparisonRecord(
-        dmu=dmu, ee=a, epi=b, ee_rank=ra, epi_rank=rb, ccr_rates=ca,
-        sbm_rates=cb, meta=dict(zip(meta_names, meta)), is_mean=ra is None)
-        for dmu, a, b, ra, rb, ca, cb, meta in zip(
-            names, ee_score, epi_score, ee_ranks, epi_ranks,
-            _rate_reports(ccr_rates), _rate_reports(sbm_rates),
-            _meta(d, meta_cols))]
+    return [ComparisonRecord(dmu, a, b, ra, rb, ca, cb,
+                             dict(zip(meta_names, meta)), ra is None)
+            for dmu, a, b, ra, rb, ca, cb, meta in zip(
+                names, ee_score, epi_score, ee_ranks, epi_ranks,
+                _rate_reports(ccr_rates), _rate_reports(sbm_rates),
+                _meta(d, meta_cols))]

@@ -12,7 +12,8 @@ a shared frame of intensity columns, and are then checked against the
 columns of the DMUs not shown inefficient (`_solve_stage`).  CCR stage 2
 runs only where stage 1's optimum is not unique (`_ccr`).  Both models end
 in arrays (`_Columns`), lambda as each DMU's basic entries, which the CLI
-reads and each API result holds one row of.  A `Dataset` is valid and
+reads; each API result holds its reference set (peers and weights) and
+builds the dense lambda only when it is read.  A `Dataset` is valid and
 sliced by role once built; the models check only the SBM's 'out-' column.
 """
 
@@ -65,18 +66,30 @@ class ModelSpec:
     returns_to_scale: ReturnsToScale = field(default_factory=ReturnsToScale.crs)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EfficiencyResult:
+    """One DMU's result.  Its reference set E_o is `peers`, the ascending
+    DMU indices of nonzero lambda in its final basis, with `weights`."""
+
     dmu: str
     score: float
     phi: float
-    lam: np.ndarray
+    peers: np.ndarray
+    weights: np.ndarray
+    n_dmus: int
     slack_in: np.ndarray
     slack_good: np.ndarray
     slack_bad: np.ndarray
 
+    @property
+    def lam(self) -> np.ndarray:
+        """Dense lambda, built on each read: `weights` at `peers`, else 0."""
+        lam = np.zeros(self.n_dmus)
+        lam[self.peers] = self.weights
+        return lam
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class RateReport:
     """Improvement rates in percent, keyed by indicator name."""
 
@@ -470,18 +483,21 @@ class _Columns:
                      ("score", "phi", "slack_in", "slack_good", "slack_bad")))
 
     def results(self) -> list[EfficiencyResult]:
-        """One result per DMU, with a dense lambda row; each result holds
-        its score and phi and row views of the lambda and slack arrays."""
-        tpl, ks, basis = self.tpl, self.ks, self.basis
-        lam = np.zeros((ks.size, tpl.n))
-        li, ri = np.nonzero((basis > 0) & (basis <= tpl.n))
-        lam[li, basis[li, ri] - 1] = self.x[li, ri]
-        return [EfficiencyResult(
-            dmu=tpl.names[k], score=v, phi=f, lam=la, slack_in=si,
-            slack_good=sg, slack_bad=sb)
-            for k, v, f, la, si, sg, sb in zip(
-                ks.tolist(), self.score.tolist(), self.phi.tolist(), lam,
-                self.slack_in, self.slack_good, self.slack_bad)]
+        """One result per DMU: its score and phi, slices of one pass's
+        reference sets (by LP, then by DMU) and row views of the slacks."""
+        tpl, ks, basis, x = self.tpl, self.ks, self.basis, self.x
+        at = np.flatnonzero((basis > 0) & (basis <= tpl.n) & (x != 0.0))
+        lp, col = at // basis.shape[1], basis.ravel()[at]
+        order = (lp * tpl.n + col).argsort()
+        peers, weights = col[order] - 1, x.ravel()[at[order]]
+        ends = np.bincount(lp, minlength=ks.size).cumsum().tolist()
+        # positional: a frozen init by keyword costs as much as two fields
+        return [EfficiencyResult(tpl.names[k], v, f, peers[lo:hi],
+                                 weights[lo:hi], tpl.n, si, sg, sb)
+                for k, v, f, lo, hi, si, sg, sb in zip(
+                    ks.tolist(), self.score.tolist(), self.phi.tolist(),
+                    [0] + ends, ends, self.slack_in, self.slack_good,
+                    self.slack_bad)]
 
 
 def _solved(tpl: _Template, ks: np.ndarray, score: np.ndarray,
@@ -621,9 +637,8 @@ def _rates(res: _Columns, d: Dataset, rows=slice(None)):
 def _rate_reports(rates) -> list[RateReport]:
     """One RateReport per row of `rates` (see `_rates`), in row order."""
     (ins, x), (bads, yb), (goods, yg) = rates
-    return [RateReport(input_reduction_pct=dict(zip(ins, a)),
-                       bad_reduction_pct=dict(zip(bads, b)),
-                       good_increase_pct=dict(zip(goods, c)))
+    return [RateReport(dict(zip(ins, a)), dict(zip(bads, b)),
+                       dict(zip(goods, c)))
             for a, b, c in zip(x.tolist(), yb.tolist(), yg.tolist())]
 
 

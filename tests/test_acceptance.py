@@ -83,12 +83,14 @@ def published_results():
     for i, dmu in enumerate(ref.DMUS):
         ee.append(EfficiencyResult(
             dmu=dmu, score=ref.EE[i],
-            phi=1.0 + ref.CCR_OUTPUT_INC[i] / 100.0, lam=np.zeros(11),
+            phi=1.0 + ref.CCR_OUTPUT_INC[i] / 100.0, peers=[], weights=[],
+            n_dmus=11,
             slack_in=np.array([ref.CCR_FISHING[i], ref.CCR_BERTHS[i],
                                ref.CCR_HOTEL[i], 0.0]),
             slack_good=np.zeros(1), slack_bad=np.zeros(1)))
         epi.append(EfficiencyResult(
-            dmu=dmu, score=ref.EPI[i], phi=1.0, lam=np.zeros(11),
+            dmu=dmu, score=ref.EPI[i], phi=1.0, peers=[], weights=[],
+            n_dmus=11,
             slack_in=np.array([ref.UOM_FISHING[i], ref.UOM_BERTHS[i],
                                ref.UOM_HOTEL[i], ref.UOM_PERSONNEL[i]]),
             slack_good=np.zeros(1),

@@ -1,6 +1,8 @@
+import itertools
 import math
 import pickle
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -429,13 +431,22 @@ def scatter(tpl, basis, v):
 
 @pytest.mark.parametrize("n", [30, models.WAVE_FROM + 44])
 def test_dense_lambda_from_basic_entries(n):
-    # the models keep lambda as each DMU's basic entries; the dense rows
-    # of evaluate_all are exactly the full scatter of the final bases
+    # the models keep lambda as each DMU's basic entries; each result's
+    # reference set is its nonzero lambdas in DMU order, and the dense
+    # rows it rebuilds are exactly the full scatter of the final bases
     d = table1_panel(n, seed=1)
     for spec in SPECS:
         res = models._evaluate(build_instance(d, spec))
         lam, slack = scatter(res.tpl, res.basis, res.x)
         got = evaluate_all(d, spec)
+        for r in got:
+            peers, weights, dense = r.peers, r.weights, r.lam
+            assert r.n_dmus == n and dense.shape == (n,)
+            assert peers.dtype.kind == "i" and np.all(np.diff(peers) > 0)
+            assert peers.size == 0 or 0 <= peers[0] <= peers[-1] < n
+            assert weights.shape == peers.shape and np.all(weights != 0.0)
+            np.testing.assert_array_equal(dense[peers], weights)
+            assert not np.delete(dense, peers).any()
         np.testing.assert_array_equal(np.array([r.lam for r in got]), lam)
         np.testing.assert_array_equal(
             np.hstack((res.slack_in, res.slack_good, res.slack_bad)), slack)
@@ -452,15 +463,16 @@ def same_result(a, b) -> bool:
                     and np.array_equal(x, y))
         return type(x) is type(y) and x == y
     return all(same(getattr(a, f), getattr(b, f))
-               for f in ("dmu", "score", "phi", "lam", "slack_in",
-                         "slack_good", "slack_bad"))
+               for f in ("dmu", "score", "phi", "peers", "weights", "n_dmus",
+                         "lam", "slack_in", "slack_good", "slack_bad"))
 
 
 def test_api_payloads_survive_pickle():
     # API payloads are pickled (the benchmark hashes them); every result
-    # and record must come back equal
-    d = random_dataset(4, n=12, m=2, s1=1, s2=1, with_meta=True)
-    for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
+    # and record, slotted and frozen, must come back equal, field by field
+    for n, rts in itertools.product((12, 100), (ReturnsToScale.crs(),
+                                                ReturnsToScale.vrs())):
+        d = random_dataset(4, n=n, m=2, s1=1, s2=1, with_meta=True)
         ee = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT, rts))
         epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts))
         records = compare_models(ee, epi, d)
@@ -468,7 +480,27 @@ def test_api_payloads_survive_pickle():
         assert len(ee2) == len(ee) and len(epi2) == len(epi)
         assert all(same_result(a, b) for a, b in zip(ee + epi, ee2 + epi2))
         assert records2 == records
-        assert all(r.lam.shape == (12,) for r in ee2 + epi2)
+        assert all(r.lam.shape == (n,) for r in ee2 + epi2)
+        assert all(r.peers.size for r in ee2 + epi2)
+
+
+def traced_peak(f, *args) -> int:
+    """The tracemalloc peak, in bytes, of the call `f(*args)`."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_evaluate_all_peaks_in_linear_memory(kind):
+    # the results carry reference sets, so the API path peaks where the
+    # CLI's arrays do, with no (DMUs x n) lambda array
+    d, spec = table1_panel(2000, seed=1), ModelSpec(kind)
+    arrays = traced_peak(lambda: models._evaluate(build_instance(d, spec)))
+    assert traced_peak(evaluate_all, d, spec) <= 1.5 * arrays
 
 
 def test_vrs_score_at_least_crs():
