@@ -25,9 +25,6 @@ from .models import ModelKind, ModelSpec, ReturnsToScale, _evaluate, \
     _rates, build_instance
 from .render import Column, _flat_columns, render_table
 
-_MODEL_TOKENS = {k.value: k for k in ModelKind}
-_RTS_TOKENS = {"crs": ReturnsToScale.crs, "vrs": ReturnsToScale.vrs}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -47,11 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "1e-6 x column max")
 
     model_p = argparse.ArgumentParser(add_help=False)
-    model_p.add_argument("--model", choices=sorted(_MODEL_TOKENS),
+    model_p.add_argument("--model", choices=[k.value for k in ModelKind],
                          required=True)
 
     rts_p = argparse.ArgumentParser(add_help=False)
-    rts_p.add_argument("--rts", choices=sorted(_RTS_TOKENS), default="crs")
+    rts_p.add_argument("--rts", choices=[r.value for r in ReturnsToScale],
+                       default="crs")
 
     sub.add_parser("stats", parents=[in_p, fmt_p],
                    help="per-indicator max/min/mean/sd"
@@ -94,7 +92,7 @@ def _load(args: argparse.Namespace) -> Dataset:
 
 
 def _model_spec(args: argparse.Namespace) -> ModelSpec:
-    return ModelSpec(_MODEL_TOKENS[args.model], _RTS_TOKENS[args.rts]())
+    return ModelSpec(ModelKind(args.model), ReturnsToScale(args.rts))
 
 
 def _rate_columns(rates, prefix: str = "") -> list[Column]:
@@ -176,7 +174,7 @@ def _cmd_report(args: argparse.Namespace) -> str:
     _flat_columns(_report_columns(d, *(
         ([], [], [(d.input_names, d.X[:0]), (bads, d.Yb[:0, :len(bads)]),
                   (d.good_names, d.Yg[:0])]) for bads in ((), d.bad_names))))
-    rts = _RTS_TOKENS[args.rts]()
+    rts = ReturnsToScale(args.rts)
     # building the SBM's template checks its 'out-' column
     ccr, sbm = (build_instance(d, ModelSpec(kind, rts)) for kind in
                 (ModelKind.CCR_OUTPUT, ModelKind.SBM_UNDESIRABLE))

@@ -22,6 +22,7 @@ from typing import IO, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DataError, SynthesisError
+from .render import Column, render_table
 
 
 class Role(enum.Enum):
@@ -254,14 +255,12 @@ def load_csv(source: Union[str, Path, bytes, IO], *,
 
 
 def render_csv(d: Dataset) -> str:
-    """Serialize a Dataset; 17 significant digits make the round trip exact."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dmu"] + [f"{ind.role.value}:{ind.name}"
-                               for ind in d.indicators])
-    for i, name in enumerate(d.dmu_names):
-        writer.writerow([name] + [f"{v:.17g}" for v in d.values[i]])
-    return buf.getvalue()
+    """Serialize a Dataset as a csv table (`render_table`), whose 17
+    significant digits make the round trip exact."""
+    return render_table([Column("dmu", "text", d.dmu_names),
+                         *(Column(f"{ind.role.value}:{ind.name}", "num", v)
+                           for ind, v in zip(d.indicators,
+                                             d.values.T.tolist()))], "csv")
 
 
 def descriptive_stats(d: Dataset) -> list[StatsRow]:

@@ -1,10 +1,10 @@
 """DEA models: output-oriented CCR and the SBM with undesirable outputs.
 
 Both models score a DMU against the production possibility set spanned by
-all observed DMUs under an intensity-sum constraint L <= e lambda <= U
-(CRS: L=0 with no upper row; VRS: L=U=1).  CCR expands desirable outputs
-radially and scores 1/phi*; the SBM score is the slack ratio rho*, made
-linear with the Charnes-Cooper transform.
+all observed DMUs, with the intensity sum e lambda free (CRS) or equal to
+1 (VRS).  CCR expands desirable outputs radially and scores 1/phi*; the
+SBM score is the slack ratio rho*, made linear with the Charnes-Cooper
+transform.
 
 Every evaluation solves a batch of DMUs at once (one DMU for the per-DMU
 functions) on one template per panel: each stage's LPs step in lockstep on
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,33 +37,26 @@ class ModelKind(enum.Enum):
     SBM_UNDESIRABLE = "sbm-u"
 
 
-@dataclass(frozen=True)
-class ReturnsToScale:
-    """Intensity-sum bounds L <= e lambda <= U: CRS (0, math.inf) or VRS
-    (1, 1) (Banker, Charnes & Cooper 1984); any other pair raises
-    ModelError."""
+class ReturnsToScale(enum.Enum):
+    """The intensity sum e lambda: free under CRS, 1 under VRS (Banker,
+    Charnes & Cooper 1984).  The values are the CLI's `--rts` tokens."""
 
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if (self.lower, self.upper) not in ((0.0, math.inf), (1.0, 1.0)):
-            raise ModelError(f"returns to scale are CRS (0, inf) or VRS "
-                             f"(1, 1), not L={self.lower}, U={self.upper}")
+    CRS = "crs"
+    VRS = "vrs"
 
     @classmethod
     def crs(cls) -> "ReturnsToScale":
-        return cls(0.0, math.inf)
+        return cls.CRS
 
     @classmethod
     def vrs(cls) -> "ReturnsToScale":
-        return cls(1.0, 1.0)
+        return cls.VRS
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     kind: ModelKind
-    returns_to_scale: ReturnsToScale = field(default_factory=ReturnsToScale.crs)
+    returns_to_scale: ReturnsToScale = ReturnsToScale.CRS
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -144,13 +137,11 @@ class _Template:
     """
 
     def __init__(self, d: Dataset, spec: ModelSpec):
-        self.kind = spec.kind
         self.sbm = spec.kind is ModelKind.SBM_UNDESIRABLE
+        self.vrs = spec.returns_to_scale is ReturnsToScale.VRS
         self.n, self.m = d.X.shape
         self.s1 = d.Yg.shape[1]
         self.s2 = d.Yb.shape[1] if self.sbm else 0
-        rts = spec.returns_to_scale
-        self.L, self.U = rts.lower, rts.upper
         self.names = d.dmu_names
         self.raw = np.vstack((d.X.T, d.Yg.T, d.Yb.T) if self.sbm
                              else (d.X.T, d.Yg.T))
@@ -158,7 +149,7 @@ class _Template:
         self.Z = self.raw / self.unit[:, None]
         k, n = self.Z.shape
         signs = [1.0] * self.m + [-1.0] * self.s1 + [1.0] * self.s2
-        if self.U == 1.0:
+        if self.vrs:
             signs += [-1.0, 1.0]
         top = 1 if self.sbm else 0
         rows = top + len(signs)
@@ -191,7 +182,8 @@ class _Template:
         self.frame[ratios.argmax(axis=2)] = True
         self.frontier = np.ones(n, dtype=bool)
         # `_solve_stage`'s factor on the duals' sign violation, and margin
-        lam_sum = min(self.U, (self.Z[:m].max(1) / self.Z[:m].min(1)).min())
+        lam_sum = 1.0 if self.vrs else (self.Z[:m].max(1)
+                                        / self.Z[:m].min(1)).min()
         self.spread = lam_sum + rows * self.Z.max() * (1.0 + lam_sum)
         self.margin = linprog.FEAS_TOL + linprog.OPT_TOL * self.spread
 
@@ -395,7 +387,7 @@ def _seat(run: linprog.Lockstep, tpl: _Template, ks: np.ndarray,
                & (run.cond[wave] <= linprog.COND_BOUND)]
     if not src.size:
         return 0
-    if tpl.sbm or tpl.U == 1.0:
+    if tpl.sbm or tpl.vrs:
         # the cosine over |z_k|, which does not change the largest
         Zw = tpl.Z[:, ks[src]]
         near = tpl.Z[:, ks[rest]].T @ (Zw / np.sqrt((Zw * Zw).sum(axis=0)))
@@ -658,8 +650,7 @@ def improvement_targets(r: EfficiencyResult, d: Dataset) -> RateReport:
 def _evaluate(tpl: _Template) -> _Columns:
     """`evaluate_all` as arrays, on a template (`build_instance`) of one
     DMU or more."""
-    evaluate = _ccr if tpl.kind is ModelKind.CCR_OUTPUT else _sbm
-    return evaluate(tpl, np.arange(tpl.n))
+    return (_sbm if tpl.sbm else _ccr)(tpl, np.arange(tpl.n))
 
 
 def evaluate_all(d: Dataset, spec: ModelSpec) -> list[EfficiencyResult]:

@@ -23,8 +23,8 @@ import tracemalloc
 
 import numpy as np
 
-from deakit import (ModelKind, ModelSpec, ReturnsToScale, Role,
-                    evaluate_all, load_csv)
+from deakit import (ModelKind, ModelSpec, ReturnsToScale, evaluate_all,
+                    load_csv)
 
 PEAK_MIB = 128
 SAMPLE = 50
@@ -62,12 +62,11 @@ def projection_faults(r, k, X, Yg, Yb, vrs: bool) -> list[str]:
 
 def main(panel: str, report: str, rts: str) -> int:
     d = load_csv(panel)
-    X, Yg, Yb = (d.values[:, d.role_columns(role)].T for role in
-                 (Role.INPUT, Role.DESIRABLE, Role.UNDESIRABLE))
+    X, Yg, Yb = d.X.T, d.Yg.T, d.Yb.T
     with open(report, newline="") as f:
         rows = {row["dmu"]: row for row in csv.DictReader(f)}
     vrs = rts == "vrs"
-    scale = ReturnsToScale.vrs() if vrs else ReturnsToScale.crs()
+    scale = ReturnsToScale(rts)
     sample = sorted(np.random.default_rng(0).choice(
         d.n_dmus, size=min(SAMPLE, d.n_dmus), replace=False).tolist())
     faults = []

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from deakit import Role, load_csv
+from deakit import load_csv
 from oracles import highs_ccr, highs_sbm
 
 SAMPLE = 50
@@ -25,8 +25,7 @@ SCORE_TOL = 1e-6
 
 def main(panel: str, report: str, rts: str) -> int:
     d = load_csv(panel)
-    X, Yg, Yb = (d.values[:, d.role_columns(role)].T for role in
-                 (Role.INPUT, Role.DESIRABLE, Role.UNDESIRABLE))
+    X, Yg, Yb = d.X.T, d.Yg.T, d.Yb.T
     with open(report, newline="") as f:
         rows = {row["dmu"]: row for row in csv.DictReader(f)}
     vrs = rts == "vrs"

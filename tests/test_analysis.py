@@ -245,7 +245,8 @@ def test_compare_models_mismatch():
 RATE_KINDS = ("input_reduction_pct", "bad_reduction_pct", "good_increase_pct")
 
 
-@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()])
+@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()],
+                         ids=["rts0", "rts1"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_compare_models_rates_and_mean_row_exact(seed, rts):
     d = random_dataset(seed, 40, 2, s1=2, s2=1, with_meta=True)

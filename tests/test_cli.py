@@ -14,9 +14,9 @@ import pytest
 import deakit
 import deakit.cli as cli
 import deakit.models as models
-from deakit import (Column, ModelKind, ModelSpec, compare_models,
-                    descriptive_stats, evaluate_all, improvement_targets,
-                    load_csv, rank_scores)
+from deakit import (Column, ModelKind, ModelSpec, ReturnsToScale,
+                    compare_models, descriptive_stats, evaluate_all,
+                    improvement_targets, load_csv, rank_scores)
 from deakit.cli import console_main, parse_args
 from oracles import table1_panel
 from test_acceptance import published_dataset
@@ -341,6 +341,23 @@ def test_usage_error_exit_2(capsys, pair_csv, spec_csv):
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["report", "--rts", "nirs"],
+     "argument --rts: invalid choice: 'nirs' (choose from 'crs', 'vrs')"),
+    (["rank", "--model", "ccr", "--rts", "nirs"],
+     "argument --rts: invalid choice: 'nirs' (choose from 'crs', 'vrs')"),
+    (["evaluate", "--model", "dea"],
+     "argument --model: invalid choice: 'dea' (choose from 'ccr', 'sbm-u')")],
+    ids=["report-rts", "rank-rts", "evaluate-model"])
+def test_model_and_rts_tokens_are_the_enums(capsys, pair_csv, argv, message):
+    # the choices are the enums' values in definition order
+    with pytest.raises(SystemExit) as exc:
+        console_main([*argv, "--input", pair_csv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_epsilon_shift_flag(capsys, tmp_path):
     p = tmp_path / "z.csv"
     p.write_bytes(b"dmu,in:x,out+:y\nA,1,2\nB,1,0\n")
@@ -516,7 +533,7 @@ def api_tables(d, rts):
                                [c[name] for c in cells]) for name in names]
         return columns
 
-    token = "vrs" if rts.upper == 1.0 else "crs"
+    token = rts.value
     results = {kind: evaluate_all(d, ModelSpec(kind, rts))
                for kind in ModelKind}
     records = compare_models(results[ModelKind.CCR_OUTPUT],
@@ -562,7 +579,7 @@ def test_cli_matches_api_in_full_precision(capsys, tmp_path, name, rts):
     d = agreement_panel(name)
     path = tmp_path / f"{name}.csv"
     path.write_text(deakit.render_csv(d))
-    tables = api_tables(d, getattr(deakit.ReturnsToScale, rts)())
+    tables = api_tables(d, ReturnsToScale(rts))
     for args, columns in tables.items():
         for fmt in ("json", "csv"):
             code, out, err = run_cli(capsys, *args, "--input", str(path),

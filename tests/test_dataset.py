@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -273,3 +274,43 @@ def test_csv_roundtrip_property(d):
     assert np.array_equal(again.values, d.values)
     assert again.dmu_names == d.dmu_names
     assert again.indicators == d.indicators
+
+
+def reference_render_csv(d: Dataset) -> str:
+    """The panel csv row by row: dmu then each `<role>:<name>` header, each
+    value with 17 significant digits.  `render_csv` writes a column at a
+    time through `render_table`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["dmu"] + [f"{ind.role.value}:{ind.name}"
+                               for ind in d.indicators])
+    for i, name in enumerate(d.dmu_names):
+        writer.writerow([name] + [f"{v:.17g}" for v in d.values[i]])
+    return buf.getvalue()
+
+
+@st.composite
+def odd_panel_strategy(draw):
+    # names that csv must quote, and a meta column that holds the values a
+    # model column may not: zero, negative zero, subnormal and huge
+    n = draw(st.integers(0, 5))
+    names = draw(st.lists(st.text(alphabet='ab ,"\'\n', min_size=1,
+                                  max_size=4),
+                          min_size=n, max_size=n, unique=True))
+    positive = st.floats(5e-324, 1.7e308, allow_nan=False,
+                         allow_infinity=False)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    columns = [draw(st.lists(positive, min_size=n, max_size=n)),
+               draw(st.lists(positive, min_size=n, max_size=n)),
+               draw(st.lists(st.one_of(finite, st.sampled_from(
+                   [-0.0, 0.0, 1e-300, 5e300])), min_size=n, max_size=n))]
+    indicators = (Indicator("x,1", Role.INPUT), Indicator('y"', Role.DESIRABLE),
+                  Indicator("gdp", Role.META))
+    return Dataset(tuple(names), indicators,
+                   np.array(columns, dtype=float).reshape(3, n).T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_panel_strategy())
+def test_render_csv_matches_row_writer(d):
+    assert render_csv(d) == reference_render_csv(d)

@@ -30,9 +30,7 @@ def _rts(vrs: bool) -> ReturnsToScale:
 
 def _check_panel(d: Dataset, vrs: bool, rows) -> None:
     """HiGHS scores and the slack identities in the panel's own units."""
-    X = d.values[:, d.role_columns(Role.INPUT)].T
-    Yg = d.values[:, d.role_columns(Role.DESIRABLE)].T
-    Yb = d.values[:, d.role_columns(Role.UNDESIRABLE)].T
+    X, Yg, Yb = d.X.T, d.Yg.T, d.Yb.T
     ee = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT, _rts(vrs)))
     epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, _rts(vrs)))
     for k in rows:

@@ -380,7 +380,8 @@ def test_newton_refine_matches_lapack_on_random_bases(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
-@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()])
+@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()],
+                         ids=["rts0", "rts1"])
 def test_newton_refine_matches_lapack_on_own_point_bases(monkeypatch, kind,
                                                          rts):
     # own-point starts as they are, and after one step on the frame

@@ -1,7 +1,6 @@
 import itertools
 import math
 import pickle
-import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -36,7 +35,7 @@ def test_build_instance_slices_by_role():
     tpl = build_instance(d, SBM)
     assert (tpl.m, tpl.s1, tpl.s2) == (4, 1, 1)
     assert tpl.n == 11
-    assert tpl.L == 0.0 and tpl.U == math.inf
+    assert tpl.sbm and not tpl.vrs
     np.testing.assert_array_equal(tpl.raw[:, 2], d.values[2, :6])
     # CCR ignores the undesirable output
     assert build_instance(d, CCR).s2 == 0
@@ -46,7 +45,7 @@ def test_build_instance_vrs_bounds():
     tpl = build_instance(paper_shaped(),
                          ModelSpec(ModelKind.CCR_OUTPUT,
                                    ReturnsToScale.vrs()))
-    assert tpl.L == tpl.U == 1.0
+    assert tpl.vrs and not tpl.sbm
 
 
 def test_evaluate_unknown_dmu():
@@ -78,13 +77,30 @@ def test_plain_sbm_gate():
     (0.0, 1.0), (1.0, math.inf), (0.5, 2.0), (1.5, 3.0), (2.0, 1.0),
     (-0.5, 1.0), (math.inf, math.inf)])
 def test_rts_is_crs_or_vrs(lower, upper):
-    # only CRS and VRS build templates; NIRS, NDRS and any other bounds
-    # are refused with the pair named
-    with pytest.raises(ModelError, match=re.escape(f"L={lower}, U={upper}")):
-        ReturnsToScale(lower, upper)
-    for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
-        assert build_instance(paper_shaped(), ModelSpec(ModelKind.CCR_OUTPUT,
-                                                        rts)).U == rts.upper
+    # two members, whose values are the CLI's tokens; NIRS, NDRS and any
+    # other bounds L <= e lambda <= U have no member and no template
+    assert [(r.name, r.value) for r in ReturnsToScale] == [("CRS", "crs"),
+                                                           ("VRS", "vrs")]
+    assert ReturnsToScale.crs() is ReturnsToScale.CRS
+    assert ReturnsToScale.vrs() is ReturnsToScale.VRS
+    for value in ("nirs", (lower, upper), f"L={lower}, U={upper}"):
+        with pytest.raises(ValueError):
+            ReturnsToScale(value)
+    for kind in ModelKind:
+        spec = ModelSpec(kind)
+        assert spec.returns_to_scale is ReturnsToScale.CRS
+        assert pickle.loads(pickle.dumps(spec)) == spec
+    # VRS adds the bound rows e lambda >= 1 and e lambda <= 1 (tail signs
+    # -1 and +1) to CRS's data rows, which leave e lambda free
+    crs, vrs = (build_instance(paper_shaped(), ModelSpec(
+        ModelKind.CCR_OUTPUT, rts)) for rts in ReturnsToScale)
+    assert crs.A.shape[0] == crs.signs.size == crs.m + crs.s1
+    assert vrs.A.shape[0] == vrs.m + vrs.s1 + 2
+    assert vrs.signs[vrs.m + vrs.s1:].tolist() == [-1.0, 1.0]
+    np.testing.assert_array_equal(vrs.A[-2:, 1:1 + vrs.n], 1.0)
+    bounds = {(0.0, math.inf), tuple(vrs.b[-2:].tolist())}
+    assert bounds == {(0.0, math.inf), (1.0, 1.0)}
+    assert (lower, upper) not in bounds
 
 
 def test_ccr_canonical_pair():
@@ -235,7 +251,8 @@ def test_stage1_phi_below_one_is_a_solver_error(monkeypatch, phi, status,
                                 ModelSpec(ModelKind.CCR_OUTPUT, rts))
 
 
-@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()])
+@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()],
+                         ids=["rts0", "rts1"])
 def test_shared_frame_matches_single_dmu_solves(rts):
     # evaluate_all grows one candidate set for the panel; each per-DMU
     # call starts its own
@@ -900,7 +917,8 @@ def test_own_inverses_are_nan_where_the_schur_complement_is_singular():
 
 @pytest.mark.parametrize("d,rts", [
     (table1_panel(1000, seed=3), ReturnsToScale.crs()),
-    (table1_panel(30, seed=4), ReturnsToScale.vrs())])
+    (table1_panel(30, seed=4), ReturnsToScale.vrs())],
+    ids=["d0-rts0", "d1-rts1"])
 def test_evaluate_all_calls_no_lapack_inverse(monkeypatch, d, rts):
     # start inverses come in closed form and refine takes a Newton step,
     # so on valid panels LAPACK is only the fallback
