@@ -147,7 +147,7 @@ def validate(d: Dataset) -> list[str]:
         # one mask per column; a message is built only for a bad cell.
         # Every value must be finite, and a model column's positive too
         ok = np.isfinite(col) & ((col > 0.0) | (ind.role is Role.META))
-        for i in np.flatnonzero(~ok).tolist():
+        for i in (~ok).nonzero()[0].tolist():
             v = float(col[i])
             where = f"row {i + 1} ({d.dmu_names[i]}), column {ind.name!r}"
             if not math.isfinite(v):

@@ -273,8 +273,7 @@ class Lockstep:
         """c_B of the LPs `ls` at the bases `basis`; shared columns cost
         nothing."""
         shared, pos = self._own(basis)
-        return np.where(shared, 0.0, np.take_along_axis(self.c[ls], pos,
-                                                        axis=1))
+        return np.where(shared, 0.0, self.c[ls[:, None], pos])
 
     def _basis_matrix(self, ls: np.ndarray) -> np.ndarray:
         ids = self.basis[ls]
@@ -331,7 +330,7 @@ class Lockstep:
         """Make an optimal basis found elsewhere, and its basic values, LP
         l's solution."""
         self.basis[l], self.x[l] = basis, x
-        self.c_B[[l]] = self._costs([l], self.basis[[l]])
+        self.c_B[[l]] = self._costs(np.array([l]), self.basis[[l]])
         self.status[l] = Status.OPTIMAL
         self.refine(np.array([l]))
 
@@ -387,8 +386,12 @@ class Lockstep:
         Each LP's own columns are gathered once per step; a pass prices them
         with one batched product and the shared ones with one product, and
         takes each entering column with its cost and index in one gather.
-        LPs that stop are written back and leave the batch by a take on
-        their positions.
+        Every active LP pivots once a pass, so an LP's pivots are its count
+        at entry plus the pass count k, checked against ITER_CAP once k can
+        reach it, and its degenerate run is k less the pass after its last
+        pivot that moved (for Bland's rule, from k = BLAND_AFTER on).  An LP
+        that stops writes back B^-1, x, basis, c_B and its pivots; the rest
+        leave the batch by a take of the arrays that carry state.
         """
         N, m = self.N, self.S.shape[0]
         ls = np.asarray(ls, dtype=np.int64)
@@ -404,14 +407,15 @@ class Lockstep:
         minus_S = np.ascontiguousarray(-frame[:m])
         big = N + q
         Binv, x, basis = self.Binv[ls], self.x[ls], self.basis[ls]
-        c_B, it = self.c_B[ls], self.iterations[ls]
+        c_B = self.c_B[ls]
         # each basic column's position in `red`; shared columns that are
         # not candidates go to one last position, outside `red`
         slot = np.full(N + q, q + F)
         slot[0], slot[1 + N:] = 0, np.arange(1, q)
         slot[1 + cand] = np.arange(q, q + F)
         at = slot[basis]
-        degenerate = np.zeros(ls.size, dtype=np.int64)
+        k, moved = 0, np.zeros(ls.size, dtype=np.int64)
+        capped_from = ITER_CAP - self.iterations[ls].max(initial=0)
         rows, full = np.arange(ls.size), np.empty((ls.size, q + F + 1))
         while ls.size:
             y = np.einsum("lr,lrs->ls", c_B, Binv)
@@ -424,39 +428,41 @@ class Lockstep:
             full[rows[:, None], at] = 0.0
             enter = red.argmin(axis=1)
             optimal = red[rows, enter] >= -OPT_TOL
-            bland = degenerate >= BLAND_AFTER
-            if bland.any():
-                ids = np.hstack((G[bland, m + 1],
-                                 np.tile(frame[m + 1], (bland.sum(), 1))))
-                enter[bland] = np.where(red[bland] < -OPT_TOL, ids,
-                                        big).argmin(axis=1)
+            if k >= BLAND_AFTER:
+                bland = moved <= k - BLAND_AFTER
+                if bland.any():
+                    ids = np.hstack((G[bland, m + 1], np.tile(
+                        frame[m + 1], (bland.sum(), 1))))
+                    enter[bland] = np.where(red[bland] < -OPT_TOL, ids,
+                                            big).argmin(axis=1)
             col = G[rows, :, np.minimum(enter, q - 1)]
             shared = enter >= q
             if shared.any():
                 col[shared] = frame[:, enter[shared] - q].T
             d = np.einsum("lrs,ls->lr", Binv, col[:, :m])
             positive = d > PIVOT_TOL
-            capped = it >= ITER_CAP
-            done = optimal | capped | ~positive.any(axis=1)
+            done = optimal | ~positive.any(axis=1)
+            if k >= capped_from:
+                capped = self.iterations[ls] + k >= ITER_CAP
+                done |= capped
             if done.any():
-                stop = np.flatnonzero(done)
+                stop = done.nonzero()[0]
                 gone = ls[stop]
                 self.Binv[gone], self.x[gone] = Binv[stop], x[stop]
                 self.basis[gone], self.c_B[gone] = basis[stop], c_B[stop]
-                self.iterations[gone] = it[stop]
+                self.iterations[gone] += k
                 self.status[gone] = Status.UNBOUNDED
-                self.status[ls[capped]] = Status.ITERATION_LIMIT
+                if k >= capped_from:
+                    self.status[ls[capped]] = Status.ITERATION_LIMIT
                 self.status[ls[optimal]] = Status.OPTIMAL
-                go = np.flatnonzero(~done)
+                go = (~done).nonzero()[0]
                 if not go.size:
                     return
-                ls, Binv, x, basis, c_B, it, G, at, degenerate = (
-                    a.take(go, axis=0) for a in (ls, Binv, x, basis, c_B, it,
-                                                 G, at, degenerate))
-                enter, col, d, positive, full = (
-                    a.take(go, axis=0) for a in (enter, col, d, positive,
-                                                 full))
-                rows = np.arange(ls.size)
+                ls, Binv, x, basis, c_B, G, at, moved, enter, col, d = (
+                    a.take(go, axis=0) for a in (ls, Binv, x, basis, c_B, G,
+                                                 at, moved, enter, col, d))
+                rows, full = rows[:go.size], full[:go.size]
+                positive = d > PIVOT_TOL
             ratio = np.full(d.shape, np.inf)
             np.divide(x, d, out=ratio, where=positive)
             np.maximum(ratio, 0.0, out=ratio)
@@ -468,8 +474,8 @@ class Lockstep:
             c_B[rows, row] = col[:, m]
             basis[rows, row] = col[:, m + 1]
             at[rows, row] = enter
-            degenerate = np.where(best <= PIVOT_TOL, degenerate + 1, 0)
-            it += 1
+            k += 1
+            moved[~(best <= PIVOT_TOL)] = k
 
 
 def verify_optimality(lp: StandardFormLP, sol: LPSolution) -> bool:

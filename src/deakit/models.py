@@ -328,7 +328,7 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
     basis, Binv = ((tpl.own_bases(ks), tpl.own_inverses(ks, O))
                    if start is None else start)
     run = linprog.Lockstep(tpl.lam_block, O, c, b, basis, Binv)
-    active = np.flatnonzero(run.usable)
+    active = run.usable.nonzero()[0]
     rest = active[:0]
     if start is None and active.size >= WAVE_FROM:
         width = math.isqrt(active.size - 1) + 1
@@ -336,7 +336,7 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
         active, rest = active[at], np.delete(active, at)
     wave = active
     while active.size:
-        run.step(active, np.flatnonzero(tpl.frame))
+        run.step(active, tpl.frame.nonzero()[0])
         active = active[run.status[active] == Status.OPTIMAL]
         run.refine(active)
         active = active[run.status[active] == Status.OPTIMAL]
@@ -345,7 +345,7 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
             value, keep = run.objective[active], 1.0 - tpl.margin
             shown = value < keep if tpl.sbm else -value * keep > 1.0
             tpl.frontier[ks[active[sound & shown]]] = False
-        wide = np.flatnonzero(~tpl.frame)
+        wide = (~tpl.frame).nonzero()[0]
         narrow = wide[tpl.frontier[wide]]
         blocked, joins = zip(_price(run, tpl, active[sound], narrow),
                              _price(run, tpl, active[~sound], wide))
@@ -354,7 +354,7 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
         if not active.size and rest.size:
             _seat(run, tpl, ks, wave, rest)
             active, rest = rest, active
-    for l in np.flatnonzero(run.status != Status.OPTIMAL):
+    for l in (run.status != Status.OPTIMAL).nonzero()[0]:
         run.adopt(l, *_cold(tpl, int(ks[l]), what,
                             None if phi is None else phi[l])[1:])
     return run
@@ -378,10 +378,11 @@ def _seat(run: linprog.Lockstep, tpl: _Template, ks: np.ndarray,
     taken.  There it seats more LPs than the cosine below: 428 of 968
     against 190 on the `panel1000-crs` benchmark's seed-1 panel (3,057
     post-wave pivots against 4,445), and 6,021 of 9,900 against 1,983 on
-    `table1_panel(10000, 3)` (29,920 against 71,396).  Elsewhere the wave DMU of largest cosine with k in mean units
-    is taken: the SBM's input slacks cost a DMU's own 1/x, and under VRS
-    the tightest bound's basis is mostly infeasible for k (it seated 129
-    of 968 LPs on `table1_panel(1000, 1)`, the cosine 308).
+    `table1_panel(10000, 3)` (29,920 against 71,396).  Elsewhere the wave
+    DMU of largest cosine with k in mean units is taken: the SBM's input
+    slacks cost a DMU's own 1/x, and under VRS the tightest bound's basis
+    is mostly infeasible for k (it seated 129 of 968 LPs on
+    `table1_panel(1000, 1)`, the cosine 308).
     """
     src = wave[(run.status[wave] == Status.OPTIMAL)
                & (run.cond[wave] <= linprog.COND_BOUND)]
@@ -406,17 +407,19 @@ def _price(run: linprog.Lockstep, tpl: _Template, ls: np.ndarray,
     """The LPs `ls` of `run` that a lambda-column of `cols` blocks (prices
     below -OPT_TOL), and the columns that join the frame: each blocked
     LP's `FRAME_BATCH` most negative.  Runs in blocks of LPs."""
+    if not (ls.size and cols.size):
+        return ls[:0], cols[:0]
     # C order keeps the products on BLAS once both sides are wide
     minus = np.ascontiguousarray(-tpl.lam_block[:, cols])
     batch = min(FRAME_BATCH, cols.size)
-    per_block = max(1, PRICE_BLOCK // max(1, cols.size))
-    blocked, joins = [ls[:0]], [cols[:0]]
-    for lo in range(0, ls.size if cols.size else 0, per_block):
+    per_block = max(1, PRICE_BLOCK // cols.size)
+    blocked, joins = [], []
+    for lo in range(0, ls.size, per_block):
         part = ls[lo:lo + per_block]
         reduced = run.duals(part) @ minus
-        hit = np.flatnonzero(reduced.min(axis=1) < -linprog.OPT_TOL)
-        top = np.argpartition(reduced[hit], batch - 1, axis=1)[:, :batch]
-        low = np.take_along_axis(reduced[hit], top, axis=1)
+        hit = (reduced.min(axis=1) < -linprog.OPT_TOL).nonzero()[0]
+        top = reduced[hit].argpartition(batch - 1, axis=1)[:, :batch]
+        low = reduced[hit[:, None], top]
         joins.append(cols[top[low < -linprog.OPT_TOL]])
         blocked.append(part[hit])
     return np.concatenate(blocked), np.concatenate(joins)
@@ -478,7 +481,7 @@ class _Columns:
         """One result per DMU: its score and phi, slices of one pass's
         reference sets (by LP, then by DMU) and row views of the slacks."""
         tpl, ks, basis, x = self.tpl, self.ks, self.basis, self.x
-        at = np.flatnonzero((basis > 0) & (basis <= tpl.n) & (x != 0.0))
+        at = ((basis > 0) & (basis <= tpl.n) & (x != 0.0)).ravel().nonzero()[0]
         lp, col = at // basis.shape[1], basis.ravel()[at]
         order = (lp * tpl.n + col).argsort()
         peers, weights = col[order] - 1, x.ravel()[at[order]]
@@ -542,7 +545,7 @@ def _ccr(tpl: _Template, ks: np.ndarray) -> _Columns:
     phi = _snap(-one.objective)
     # lambda = e_k, phi = 1 is feasible, so phi >= 1; a warm start can end
     # just off it (or at NaN) where a cold solve of the same LP does not
-    for l in np.flatnonzero(~(phi >= 1.0)):
+    for l in (~(phi >= 1.0)).nonzero()[0]:
         objective, basis, xb = _cold(tpl, int(ks[l]), "CCR stage 1")
         phi[l] = _snap(-objective)
         if not phi[l] >= 1.0:
@@ -550,10 +553,11 @@ def _ccr(tpl: _Template, ks: np.ndarray) -> _Columns:
                               f"phi = {float(phi[l])!r} is not a valid "
                               "expansion")
         one.adopt(l, basis, xb)
-    rest = np.flatnonzero(~_unique(one, tpl, phi))
-    two = _solve_stage(tpl, ks[rest], "CCR stage 2", phi=phi[rest],
-                       start=_phi_out(one, tpl, rest))
-    one.basis[rest], one.x[rest] = two.basis, two.x
+    rest = (~_unique(one, tpl, phi)).nonzero()[0]
+    if rest.size:
+        two = _solve_stage(tpl, ks[rest], "CCR stage 2", phi=phi[rest],
+                           start=_phi_out(one, tpl, rest))
+        one.basis[rest], one.x[rest] = two.basis, two.x
     return _solved(tpl, ks, 1.0 / phi, phi, one.basis, _clip_tiny(one.x))
 
 

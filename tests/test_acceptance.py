@@ -241,30 +241,35 @@ def certify_unique(tpl, k, basis, x, phi) -> None:
     assert resid <= FEAS_TOL * (1.0 + np.abs(two.b).max()), tpl.names[k]
 
 
-def certifying_stage(count: dict):
-    """`models._solve_stage` that certifies each DMU's final basis on its
+def certify_stages(monkeypatch, count: dict) -> None:
+    """Patch `models._solve_stage` to certify each DMU's final basis on its
     LP over all of the panel's columns, counting one certificate per DMU
     and stage in count["n"].
 
-    CCR stage 2 solves only the DMUs whose stage-1 optimum is not unique.
-    Each DMU it skips is certified by `certify_unique` from the stage-1
-    batch and counted in count["n"]; count["skipped"], where present,
-    gets each stage 2's number of skipped DMUs."""
-    real_stage = models._solve_stage
+    CCR stage 2 solves only the DMUs whose stage-1 optimum `models._unique`
+    does not find unique, and is not called when there are none.  So
+    `_unique` is patched too: each DMU it clears is certified by
+    `certify_unique` from the stage-1 batch and counted in count["n"];
+    count["skipped"], where present, gets each call's number of cleared
+    DMUs."""
+    real_stage, real_unique = models._solve_stage, models._unique
     stage_one = []
+
+    def unique(run, tpl, phi):
+        got = real_unique(run, tpl, phi)
+        one, ks1 = stage_one
+        assert run is one
+        skipped = got.nonzero()[0]
+        for l in skipped:
+            certify_unique(tpl, ks1[l], run.basis[l], run.x[l], phi[l])
+        count["n"] += skipped.size
+        count.get("skipped", []).append(skipped.size)
+        return got
 
     def certified(tpl, ks, what, phi=None, start=None):
         run = real_stage(tpl, ks, what, phi, start)
         if what == "CCR stage 1":
             stage_one[:] = [run, ks]
-        elif what == "CCR stage 2":
-            one, ks1 = stage_one
-            skipped = np.flatnonzero(~np.isin(ks1, ks))
-            for l in skipped:
-                certify_unique(tpl, ks1[l], one.basis[l], one.x[l],
-                               models._snap(-one.objective[l]))
-            count["n"] += skipped.size
-            count.get("skipped", []).append(skipped.size)
         full = np.arange(tpl.width)
         for l, k in enumerate(ks):
             basis = run.basis[l]
@@ -280,7 +285,8 @@ def certifying_stage(count: dict):
             count["n"] += 1
         return run
 
-    return certified
+    monkeypatch.setattr(models, "_solve_stage", certified)
+    monkeypatch.setattr(models, "_unique", unique)
 
 
 def test_c6_invariant_suites(monkeypatch):
@@ -341,7 +347,7 @@ def test_c6_invariant_suites(monkeypatch):
 
     # feasibility/duality certificate on every stage's final basis
     certified = {"n": 0}
-    monkeypatch.setattr(models, "_solve_stage", certifying_stage(certified))
+    certify_stages(monkeypatch, certified)
     for seed in range(500, 508):
         d = random_dataset(seed, n=4, m=2)
         evaluate_all(d, CCR)
@@ -352,7 +358,7 @@ def test_c6_invariant_suites(monkeypatch):
     # every optimum accepted on a panel's frame is certified on the LP over
     # all of the panel's columns
     padded = {"n": 0}
-    monkeypatch.setattr(models, "_solve_stage", certifying_stage(padded))
+    certify_stages(monkeypatch, padded)
     for d in (random_dataset(510, n=12, m=2), table1_panel(150, seed=3),
               table1_panel(30, seed=5, raw=True)):
         for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):

@@ -66,6 +66,38 @@ def test_iteration_limit_status(monkeypatch):
     assert run.iterations[0] == 1
 
 
+def test_lps_that_stop_apart_end_as_alone():
+    # min c.x  s.t.  u - v + s1 = 1,  w + s2 = 2 over (u, v, w, s1, s2):
+    # with c = (-1, 0, -2, 0, 0) the ray (u, v) = t (1, 1) is unbounded,
+    # and from the bases (u, w), (u, s2) and (s1, s2) a step finds it
+    # after 0, 1 and 2 pivots.  With c = (1, 0, -2, 0, 0) and
+    # (-1, 1, -2, 0, 0) the LP is bounded, and from (s1, s2) a step ends
+    # OPTIMAL after 1 and 2 pivots.  In one batch each LP must end as alone
+    A = np.array([[1.0, -1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 1.0]])
+    costs = np.array([[-1.0, 0.0, -2.0, 0.0, 0.0]] * 3
+                     + [[1.0, 0.0, -2.0, 0.0, 0.0],
+                        [-1.0, 1.0, -2.0, 0.0, 0.0]])
+    bases = np.array([(0, 2), (0, 4), (3, 4), (3, 4), (3, 4)])
+
+    def batch(ls):
+        return Lockstep(np.zeros((2, 0)), np.repeat(A[None], ls.size, axis=0),
+                        costs[ls], np.repeat([[1.0, 2.0]], ls.size, axis=0),
+                        bases[ls])
+
+    ls = np.arange(len(bases))
+    run = batch(ls)
+    run.step(ls, np.zeros(0, dtype=np.int64))
+    assert list(run.status) == [Status.UNBOUNDED] * 3 + [Status.OPTIMAL] * 2
+    assert run.iterations.tolist() == [0, 1, 2, 1, 2]
+    for l in ls:
+        one = batch(np.array([l]))
+        one.step(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert one.status[0] is run.status[l]
+        assert one.iterations[0] == run.iterations[l]
+        assert np.array_equal(one.basis[0], run.basis[l])
+        assert np.array_equal(one.x[0], run.x[l])
+
+
 def test_zero_row_lp():
     # no constraints: optimal at x = 0 when no cost is negative, else
     # unbounded

@@ -18,7 +18,7 @@ from deakit import (DataError, Dataset, Indicator, ModelError, ModelKind,
                     solve)
 from deakit.models import build_instance, linearize_sbm
 from oracles import random_dataset, sbm_rho, table1_panel
-from test_acceptance import certifying_stage
+from test_acceptance import certify_stages
 from test_linprog import count_inverses
 
 CANONICAL = load_csv(b"dmu,in:x,out+:yg,out-:yb\nA,1,2,1\nB,1,1,2\n")
@@ -331,23 +331,22 @@ def test_first_wave_matches_one_wave(monkeypatch):
     # first step a wave of ceil(sqrt(n)) LPs; the scores must be those of a
     # run without the wave, and every final basis optimal on all columns.
     # CCR stage 2 starts from stage 1's bases, so it has no wave; it solves
-    # the DMUs whose stage-1 optimum is not certified unique, and steps no
-    # LP where there are none
+    # the DMUs whose stage-1 optimum is not certified unique, and is not
+    # called where there are none
     d = table1_panel(models.WAVE_FROM + 44, seed=1)
     n = len(d.dmu_names)
     firsts = first_steps(monkeypatch)
     certified = {"n": 0, "skipped": []}
-    monkeypatch.setattr(models, "_solve_stage",
-                        certifying_stage(certified))
+    certify_stages(monkeypatch, certified)
     monkeypatch.setattr(models, "_cold", None)  # every LP ends in the batch
     waved = [evaluate_all(d, spec) for spec in SPECS]
     assert certified["n"] == 2 * 3 * n
     wave = math.isqrt(n - 1) + 1
     crs, vrs = (n - skipped for skipped in certified["skipped"])
-    assert firsts == [
-        ["CCR stage 1", n, wave], ["CCR stage 2", crs, crs or None],
-        ["CCR stage 1", n, wave], ["CCR stage 2", vrs, vrs or None],
-        ["SBM solve", n, wave], ["SBM solve", n, wave]]
+    assert firsts == [stage for stage in (
+        ["CCR stage 1", n, wave], ["CCR stage 2", crs, crs],
+        ["CCR stage 1", n, wave], ["CCR stage 2", vrs, vrs],
+        ["SBM solve", n, wave], ["SBM solve", n, wave]) if stage[1]]
     monkeypatch.setattr(models, "WAVE_FROM", n + 1)
     firsts.clear()
     for spec, want in zip(SPECS, waved):
@@ -355,9 +354,9 @@ def test_first_wave_matches_one_wave(monkeypatch):
         np.testing.assert_allclose([r.score for r in got],
                                    [r.score for r in want], rtol=0, atol=1e-9)
     assert [[size, step] for _, size, step in firsts] == [
-        [size, size or None] for size in
+        [size, size] for size in
         [n, n - certified["skipped"][2], n, n - certified["skipped"][3],
-         n, n]]
+         n, n] if size]
 
 
 @pytest.mark.parametrize("seed", [1, 3])
@@ -380,7 +379,7 @@ def test_seated_lps_match_unseated(monkeypatch, seed, rts):
     monkeypatch.setattr(models, "_seat", seat)
     certified = {"n": 0}
     with monkeypatch.context() as patch:
-        patch.setattr(models, "_solve_stage", certifying_stage(certified))
+        certify_stages(patch, certified)
         got = [models._evaluate(build_instance(d, spec)) for spec in specs]
     assert len(seated) == 2 and min(seated) > 0
     assert certified["n"] == 3 * d.n_dmus
@@ -403,18 +402,18 @@ def test_small_panels_skip_the_wave(monkeypatch):
     # the paper-sized and batch panels step every LP a stage solves at
     # once: each stage's first step covers them all.  That is every usable
     # LP, save in CCR stage 2, which solves only the DMUs whose stage-1
-    # optimum is not certified unique
+    # optimum is not certified unique, and is not called where there are
+    # none
     d = table1_panel(30, seed=1)
     firsts = first_steps(monkeypatch)
     certified = {"n": 0, "skipped": []}
-    monkeypatch.setattr(models, "_solve_stage", certifying_stage(certified))
+    certify_stages(monkeypatch, certified)
     for spec in SPECS:
         evaluate_all(d, spec)
     assert certified["n"] == 6 * 30
     crs, vrs = (30 - skipped for skipped in certified["skipped"])
     assert [[size, step] for _, size, step in firsts] == [
-        [30, 30], [crs, crs or None], [30, 30], [vrs, vrs or None],
-        [30, 30], [30, 30]]
+        [size, size] for size in (30, crs, 30, vrs, 30, 30) if size]
 
 
 def test_waved_results_do_not_depend_on_block_size(monkeypatch):
@@ -840,6 +839,49 @@ def test_batching_does_not_change_an_lp_that_stops_apart(monkeypatch, kind,
                    for a, b in zip(default, limited))
 
 
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_pivot_counts_carry_across_steps(monkeypatch, kind):
+    # a step on the frame leaves the LPs with different pivot counts; a
+    # second step, on every lambda-column and with ITER_CAP one above the
+    # largest of them, caps some LPs partway through it, at the pass where
+    # others end OPTIMAL.  A capped LP must end at exactly ITER_CAP pivots,
+    # and each LP as it ends alone
+    tpl = build_instance(table1_panel(30, seed=1),
+                         ModelSpec(kind, ReturnsToScale.vrs()))
+    ks = np.arange(tpl.n)
+    O, c, b = tpl.stage(ks)
+    basis, Binv = tpl.own_bases(ks), tpl.own_inverses(ks, O)
+    frame = np.flatnonzero(tpl.frame)
+
+    def two_steps(ls, cap=None):
+        run = linprog.Lockstep(tpl.lam_block, O[ls], c[ls], b[ls], basis[ls],
+                               Binv[ls].copy())
+        run.step(np.arange(ls.size), frame)
+        entry = run.iterations.copy()
+        with monkeypatch.context() as patch:
+            if cap is not None:
+                patch.setattr(linprog, "ITER_CAP", cap)
+            run.step(np.arange(ls.size), ks)
+        return run, entry
+
+    free, entry = two_steps(ks)
+    assert np.unique(entry).size > 1
+    cap = int(entry.max()) + 1
+    run, _ = two_steps(ks, cap)
+    capped = run.status == linprog.Status.ITERATION_LIMIT
+    assert capped.any() and (run.iterations[capped] == cap).all()
+    assert (run.status[~capped] == linprog.Status.OPTIMAL).all()
+    assert np.array_equal(run.iterations[~capped], free.iterations[~capped])
+    ended = run.iterations - entry
+    assert set(ended[capped]) & set(ended[~capped])
+    for l in ks:
+        one, _ = two_steps(np.array([l]), cap)
+        assert one.status[0] is run.status[l]
+        assert one.iterations[0] == run.iterations[l]
+        assert np.array_equal(one.basis[0], run.basis[l])
+        assert np.array_equal(one.x[0], run.x[l])
+
+
 def test_an_own_column_that_prices_negative_joins_the_frame(monkeypatch):
     # DMU 26's own lambda-column is outside the frame and prices below
     # -OPT_TOL at its LP's restricted optimum (it is basic there, and the
@@ -853,7 +895,7 @@ def test_an_own_column_that_prices_negative_joins_the_frame(monkeypatch):
     ks = np.arange(tpl.n)
     assert not tpl.frame[26]
     certified = {"n": 0}
-    monkeypatch.setattr(models, "_solve_stage", certifying_stage(certified))
+    certify_stages(monkeypatch, certified)
     got = models._sbm(tpl, ks)
     assert certified["n"] == tpl.n
     assert tpl.frame[26]
