@@ -162,6 +162,8 @@ def compare_models(ee: Sequence[EfficiencyResult],
     if names != [r.dmu for r in epi] or names != list(d.dmu_names):
         raise DataError("compare_models: DMU sets/order differ between "
                         "result lists and dataset")
+    if not names:
+        raise DataError("compare_models needs a panel of at least one DMU")
     (ee_score, ee_ranks, ccr_rates), (epi_score, epi_ranks, sbm_rates) = (
         _summary(_Columns.stack(res), d) for res in (ee, epi))
     meta_cols = d.role_columns(Role.META)

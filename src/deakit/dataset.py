@@ -281,16 +281,6 @@ def descriptive_stats(d: Dataset) -> list[StatsRow]:
     return out
 
 
-def _feasible_sd_bounds(lo: float, hi: float, mu: float, n: int) -> tuple[float, float]:
-    interior_mean = (n * mu - lo - hi) / (n - 2) if n > 2 else mu
-    base = (lo - mu) ** 2 + (hi - mu) ** 2
-    k = n - 2
-    lo_ss = base + k * (interior_mean - mu) ** 2
-    hi_ss = base + k * ((hi - interior_mean) * (interior_mean - lo)
-                        + (interior_mean - mu) ** 2)
-    return math.sqrt(lo_ss / (n - 1)), math.sqrt(hi_ss / (n - 1))
-
-
 # relative tolerance within which a synthesized column's mean and sd match
 # its spec row
 SYNTH_RTOL = 0.005
@@ -318,7 +308,10 @@ def _synthesize_column(row: StatsRow, n: int,
     if not (lo - 1e-9 * span <= interior_mean <= hi + 1e-9 * span):
         raise SynthesisError(f"{name}: mean {mu} unreachable with min/max "
                              "pinned")
-    sd_lo, sd_hi = _feasible_sd_bounds(lo, hi, mu, n)
+    base = (lo - mu) ** 2 + (hi - mu) ** 2
+    sd_lo = math.sqrt((base + k * (interior_mean - mu) ** 2) / (n - 1))
+    sd_hi = math.sqrt((base + k * ((hi - interior_mean) * (interior_mean - lo)
+                                   + (interior_mean - mu) ** 2)) / (n - 1))
     if not (sd_lo * (1 - SYNTH_RTOL) <= sd <= sd_hi * (1 + SYNTH_RTOL)):
         raise SynthesisError(f"{name}: sd {sd} outside achievable range "
                              f"[{sd_lo:.6g}, {sd_hi:.6g}]")

@@ -105,8 +105,8 @@ def build_instance(d: Dataset, spec: ModelSpec) -> "_Template":
 
 # lambda-columns that join a panel's frame per blocked DMU and pricing round
 FRAME_BATCH = 4
-# entries of one block of a pricing product (`_price`), which runs in
-# blocks of LPs so that it allocates no n x n array
+# entries of one block of a pricing product; `_reduced`, the one place that
+# prices lambda-columns, blocks LPs so that it allocates no n x n array
 PRICE_BLOCK = 1 << 16
 # usable LPs from which a stage that starts at the DMUs' own points first
 # solves a wave of ceil(sqrt(n)) of them to grow the frame; on smaller
@@ -402,26 +402,31 @@ def _seat(run: linprog.Lockstep, tpl: _Template, ks: np.ndarray,
     return run.seat(rest, src[pick], tpl.varying)
 
 
+def _reduced(y: np.ndarray, tpl: _Template, cols: np.ndarray):
+    """Row slices of the duals `y` (one row per LP) and their reduced costs
+    on the lambda-columns `cols`, in blocks of at most `PRICE_BLOCK`."""
+    # C order keeps the products on BLAS once both sides are wide
+    minus = np.ascontiguousarray(-tpl.lam_block[:, cols])
+    step = max(1, PRICE_BLOCK // cols.size)
+    for lo in range(0, len(y), step):
+        yield slice(lo, lo + step), y[lo:lo + step] @ minus
+
+
 def _price(run: linprog.Lockstep, tpl: _Template, ls: np.ndarray,
            cols: np.ndarray):
     """The LPs `ls` of `run` that a lambda-column of `cols` blocks (prices
     below -OPT_TOL), and the columns that join the frame: each blocked
-    LP's `FRAME_BATCH` most negative.  Runs in blocks of LPs."""
+    LP's `FRAME_BATCH` most negative.  Prices through `_reduced`."""
     if not (ls.size and cols.size):
         return ls[:0], cols[:0]
-    # C order keeps the products on BLAS once both sides are wide
-    minus = np.ascontiguousarray(-tpl.lam_block[:, cols])
     batch = min(FRAME_BATCH, cols.size)
-    per_block = max(1, PRICE_BLOCK // cols.size)
     blocked, joins = [], []
-    for lo in range(0, ls.size, per_block):
-        part = ls[lo:lo + per_block]
-        reduced = run.duals(part) @ minus
+    for rows, reduced in _reduced(run.duals(ls), tpl, cols):
         hit = (reduced.min(axis=1) < -linprog.OPT_TOL).nonzero()[0]
         top = reduced[hit].argpartition(batch - 1, axis=1)[:, :batch]
         low = reduced[hit[:, None], top]
         joins.append(cols[top[low < -linprog.OPT_TOL]])
-        blocked.append(part[hit])
+        blocked.append(ls[rows][hit])
     return np.concatenate(blocked), np.concatenate(joins)
 
 
@@ -511,18 +516,20 @@ def _solved(tpl: _Template, ks: np.ndarray, score: np.ndarray,
 
 def _unique(run: linprog.Lockstep, tpl: _Template,
             phi: np.ndarray) -> np.ndarray:
-    """Which LPs of CCR stage 1's batch `run` have a unique optimum."""
+    """Which LPs of CCR stage 1's batch `run` have a unique optimum.  Own
+    columns are priced per LP, lambda-columns through `_reduced`."""
     y = run.duals(np.arange(phi.size))
     drift = linprog.NEWTON_GATE * np.abs(y).sum(axis=1) * tpl.Z.max()
     bound, goods = linprog.OPT_TOL + drift, tpl.Z[tpl.m:tpl.m + tpl.s1]
     reach = (goods.max(axis=0) * (bound + drift * tpl.spread)).max()
     priced = tpl.frame | tpl.frontier | ((phi - 1) * goods.min(0) <= reach)
     priced[run.basis[(run.basis > 0) & (run.basis <= tpl.n)] - 1] = True
-    red = np.hstack((run.c - np.einsum("lr,lrq->lq", y, run.O),
-                     y @ np.ascontiguousarray(-tpl.lam_block[:, priced])))
+    own = run.c - np.einsum("lr,lrq->lq", y, run.O)
+    low = (own <= bound[:, None]).sum(axis=1)
+    for rows, reduced in _reduced(y, tpl, priced.nonzero()[0]):
+        low[rows] += (reduced <= bound[rows, None]).sum(axis=1)
     # each basic column is priced, within drift of zero
-    low = (red <= bound[:, None]).sum(axis=1) == run.basis.shape[1]
-    return low & (run.cond <= linprog.COND_BOUND)
+    return (low == run.basis.shape[1]) & (run.cond <= linprog.COND_BOUND)
 
 
 def _ccr(tpl: _Template, ks: np.ndarray) -> _Columns:

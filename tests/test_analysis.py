@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_2011 as ref
-from deakit import (ComparisonRecord, DataError, ModelKind, ModelSpec,
-                    RateReport, ReturnsToScale, compare_models,
-                    correlation_matrix, efficiency_bands, evaluate_all,
-                    improvement_targets, load_csv, rank_scores)
+from deakit import (ComparisonRecord, DataError, Dataset, Indicator,
+                    ModelKind, ModelSpec, RateReport, ReturnsToScale, Role,
+                    compare_models, correlation_matrix, efficiency_bands,
+                    evaluate_all, improvement_targets, load_csv, rank_scores)
 from deakit.analysis import _average_ranks
 from oracles import random_dataset
 
@@ -240,6 +240,18 @@ def test_compare_models_mismatch():
     epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE))
     with pytest.raises(DataError, match="order"):
         compare_models(ee, list(reversed(epi)), d)
+
+
+def test_compare_models_needs_a_dmu():
+    # a panel of no DMU is a valid Dataset and each model scores it as [];
+    # the join raises before any mean of an empty column
+    d = Dataset((), (Indicator("x", Role.INPUT), Indicator("g", Role.DESIRABLE),
+                     Indicator("b", Role.UNDESIRABLE)), np.zeros((0, 3)))
+    ee = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT))
+    epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE))
+    assert ee == epi == []
+    with pytest.raises(DataError, match="at least one DMU"):
+        compare_models(ee, epi, d)
 
 
 RATE_KINDS = ("input_reduction_pct", "bad_reduction_pct", "good_increase_pct")

@@ -700,34 +700,43 @@ def test_full_width_pricing_is_blocked():
     # array would take 8 n^2 bytes inside a stage's solve or CCR's
     # uniqueness check; the results themselves hold n lambda vectors of n
     # entries, so the bound applies to each of those calls, not to the
-    # whole evaluation
-    import tracemalloc
-    d = table1_panel(1000, seed=3)
-    n = len(d.dmu_names)
-    peaks = {"_solve_stage": [], "_unique": []}
+    # whole evaluation.  The uniqueness check must also stay linear in its
+    # stage: within twice the batch's B^-1 and 16 bytes an entry of one
+    # PRICE_BLOCK, where an LPs x priced-columns array would not.  Under
+    # VRS, ties at Table 1's maxima leave it 213 columns to price per LP
+    vrs = ModelSpec(ModelKind.CCR_OUTPUT, ReturnsToScale.VRS)
+    for n, seed, specs, calls in ((1000, 3, (CCR, SBM), [3, 1]),
+                                  (3000, 1, (vrs,), [2, 1])):
+        d = table1_panel(n, seed=seed)
+        peaks = {"_solve_stage": [], "_unique": []}
+        linear = []
 
-    def measured(name):
-        real = getattr(models, name)
+        def measured(name):
+            real = getattr(models, name)
 
-        def call(*args, **kwargs):
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = real(*args, **kwargs)
-            peaks[name].append(tracemalloc.get_traced_memory()[1] - base)
-            return out
-        return call
+            def call(*args, **kwargs):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = real(*args, **kwargs)
+                peaks[name].append(tracemalloc.get_traced_memory()[1] - base)
+                if name == "_unique":
+                    linear.append(2 * args[0].Binv.nbytes
+                                  + 16 * models.PRICE_BLOCK)
+                return out
+            return call
 
-    tracemalloc.start()
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            for name in peaks:
-                mp.setattr(models, name, measured(name))
-            evaluate_all(d, CCR)
-            evaluate_all(d, SBM)
-    finally:
-        tracemalloc.stop()
-    assert [len(p) for p in peaks.values()] == [3, 1]
-    assert max(max(p) for p in peaks.values()) < 8 * n * n
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                for name in peaks:
+                    mp.setattr(models, name, measured(name))
+                for spec in specs:
+                    evaluate_all(d, spec)
+        finally:
+            tracemalloc.stop()
+        assert [len(p) for p in peaks.values()] == calls, n
+        assert max(max(p) for p in peaks.values()) < 8 * n * n, n
+        assert peaks["_unique"][0] <= linear[0], n
 
 
 @st.composite
