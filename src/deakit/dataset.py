@@ -270,15 +270,21 @@ def descriptive_stats(d: Dataset) -> list[StatsRow]:
     out = []
     for j in d.model_columns():
         col = d.values[:, j]
-        out.append(StatsRow(
-            indicator=d.indicators[j].name,
-            max=float(col.max()),
-            min=float(col.min()),
-            mean=float(col.mean()),
-            sd=float(col.std(ddof=1)),
-            role=d.indicators[j].role,
-        ))
+        mean, sd = _moments(col)
+        out.append(StatsRow(d.indicators[j].name, max=float(col.max()),
+                            min=float(col.min()), mean=mean, sd=sd,
+                            role=d.indicators[j].role))
     return out
+
+
+def _moments(col: np.ndarray) -> tuple[float, float]:
+    """Mean and sample sd of `col`, taken on a copy scaled by the power of
+    two nearest its largest magnitude, so that no sum or square overflows.
+    The scaling is exact: where the unscaled figures are finite, these are
+    the same bits."""
+    e = math.frexp(float(np.abs(col).max()))[1]
+    z = np.ldexp(col, -e)
+    return math.ldexp(float(z.mean()), e), math.ldexp(float(z.std(ddof=1)), e)
 
 
 # relative tolerance within which a synthesized column's mean and sd match
@@ -288,9 +294,19 @@ SYNTH_RTOL = 0.005
 
 def _synthesize_column(row: StatsRow, n: int,
                        rng: np.random.Generator) -> np.ndarray:
+    """`row`'s column of n values, in closed form in units of its span:
+    min 0 and max 1 once each, and k = n - 2 values of mean m whose squared
+    deviations from m set the sd.  Those sum to 0 with every value at m,
+    and at most to `top`, with the draw's top ranks at 1, one value
+    between and the rest at 0 (a vertex of {u in [0, 1]^k : sum u = km},
+    where the convex sum of squares peaks).  The uniform draw, centred on
+    m and fitted to [0, 1], is scaled down to a smaller sum or blended
+    with that widest set to a larger one."""
     lo, hi, mu, sd = row.min, row.max, row.mean, row.sd
     name = row.indicator
-    if not (lo <= mu <= hi) or sd < 0 or lo > hi:
+    # a span past the float range is as unusable as a non-finite figure
+    if (not all(map(math.isfinite, (lo, hi, mu, sd, hi - lo)))
+            or not lo <= mu <= hi or sd < 0):
         raise SynthesisError(f"{name}: inconsistent stats "
                              f"(min {lo}, max {hi}, mean {mu}, sd {sd})")
     if hi == lo or sd == 0.0:
@@ -301,70 +317,50 @@ def _synthesize_column(row: StatsRow, n: int,
         raise SynthesisError(f"{name}: need n >= 3 to match a non-degenerate "
                              "spec (min and max are pinned)")
 
-    interior_sum = n * mu - lo - hi
-    k = n - 2
-    interior_mean = interior_sum / k
-    span = hi - lo
-    if not (lo - 1e-9 * span <= interior_mean <= hi + 1e-9 * span):
+    span, k = hi - lo, n - 2
+    mean = (mu - lo) / span
+    m = (n * mean - 1) / k
+    if not -1e-9 <= m <= 1 + 1e-9:
         raise SynthesisError(f"{name}: mean {mu} unreachable with min/max "
                              "pinned")
-    base = (lo - mu) ** 2 + (hi - mu) ** 2
-    sd_lo = math.sqrt((base + k * (interior_mean - mu) ** 2) / (n - 1))
-    sd_hi = math.sqrt((base + k * ((hi - interior_mean) * (interior_mean - lo)
-                                   + (interior_mean - mu) ** 2)) / (n - 1))
+    m = min(max(m, 0.0), 1.0)
+    # (n - 1) sd^2 = base + the k values' squared deviations from m
+    base = mean ** 2 + (1 - mean) ** 2 + k * (m - mean) ** 2
+    wide = np.clip(k * m - np.arange(k), 0.0, 1.0) - m
+    top = float(wide @ wide)
+    sd_lo = span * math.sqrt(base / (n - 1))
+    sd_hi = span * math.sqrt((base + top) / (n - 1))
     if not (sd_lo * (1 - SYNTH_RTOL) <= sd <= sd_hi * (1 + SYNTH_RTOL)):
         raise SynthesisError(f"{name}: sd {sd} outside achievable range "
                              f"[{sd_lo:.6g}, {sd_hi:.6g}]")
+    need = min(max((n - 1) * (sd / span) ** 2 - base, 0.0), top)
 
-    base = rng.uniform(lo, hi, size=k)
-
-    def column_for(alpha: float) -> np.ndarray:
-        interior = np.clip(interior_mean + alpha * (base - base.mean()),
-                           lo, hi)
-        # restore the mean lost to clipping
-        for _ in range(64):
-            err = interior_sum - interior.sum()
-            if abs(err) <= 1e-12 * (1.0 + abs(interior_sum)):
-                break
-            free = ((interior > lo) | (err > 0)) & ((interior < hi) | (err < 0))
-            if not free.any():
-                break
-            interior[free] += err / free.sum()
-            np.clip(interior, lo, hi, out=interior)
-        return np.concatenate(([lo, hi], interior))
-
-    def sd_of(alpha: float) -> float:
-        return float(column_for(alpha).std(ddof=1))
-
-    # sd grows monotonically with the spread factor: bracket then bisect
-    a_lo, a_hi = 0.0, 1.0
-    for _ in range(80):
-        if sd_of(a_hi) >= sd:
-            break
-        a_hi *= 2.0
+    draw = rng.uniform(lo, hi, size=k)
+    narrow = draw - draw.mean()
+    narrow *= min((1 - m) / (narrow.max() or 1.0), m / (-narrow.min() or 1.0))
+    have = float(narrow @ narrow)
+    if need <= have:
+        dev = narrow * math.sqrt(need / (have or 1.0))
     else:
-        # clipping saturated below the target; keep the best achievable
-        # spread and let the closing tolerance check rule
-        if sd_of(a_hi) < sd * (1 - SYNTH_RTOL):
-            raise SynthesisError(f"{name}: sd {sd} not reachable")
-    for _ in range(200):
-        mid = 0.5 * (a_lo + a_hi)
-        if sd_of(mid) < sd:
-            a_lo = mid
-        else:
-            a_hi = mid
-        if abs(sd_of(a_hi) - sd) <= 0.1 * SYNTH_RTOL * sd:
-            break
-    col = column_for(a_hi)
+        # dev = narrow + t gap has the sum of squares have + b t + a t^2;
+        # with c = have - need < 0 that meets need at one root t > 0, at
+        # most 1 as t = 1 gives top, and max(q / a, c / q) is that root
+        # taken without cancellation
+        gap = np.empty(k)
+        gap[np.argsort(-draw)] = wide
+        gap -= narrow
+        a, b, c = float(gap @ gap), 2 * float(narrow @ gap), have - need
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4 * a * c), b))
+        dev = narrow + max(q / a, c / q) * gap
+    col = np.concatenate(([lo, hi], np.clip(lo + span * (m + dev), lo, hi)))
 
-    got_mean, got_sd = float(col.mean()), float(col.std(ddof=1))
+    got_mean, got_sd = _moments(col)
     if (abs(got_mean - mu) > SYNTH_RTOL * abs(mu)
             or abs(got_sd - sd) > SYNTH_RTOL * sd):
         raise SynthesisError(f"{name}: could not match spec within "
                              f"{SYNTH_RTOL:.1%} (mean {got_mean:.6g} vs "
                              f"{mu}, sd {got_sd:.6g} vs {sd})")
-    perm = rng.permutation(n)
-    return col[perm]
+    return col[rng.permutation(n)]
 
 
 def synthesize_matching(spec: Sequence[StatsRow], n: int,
@@ -372,8 +368,10 @@ def synthesize_matching(spec: Sequence[StatsRow], n: int,
     """Build an n-DMU dataset whose column stats match `spec`.
 
     Min and max are hit exactly; mean and sd within `SYNTH_RTOL` (0.5%).
-    Deterministic for a fixed seed.  Each spec row must carry a role.  A
-    spec whose panel is not a valid Dataset raises DataError.
+    A row's sd is met anywhere in the exact range that SynthesisError
+    reports for one outside it.  Deterministic for a fixed seed.  Each
+    spec row must carry a role.  A spec whose panel is not a valid Dataset
+    raises DataError.
     """
     if not spec:
         raise SynthesisError("empty stats spec")

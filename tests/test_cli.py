@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +120,21 @@ def test_stats_csv_is_a_synth_spec(capsys, tmp_path):
         assert g.sd == pytest.approx(w.sd, rel=rtol)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_stats_near_the_float_range(capsys, tmp_path, fmt):
+    # x's squared deviations overflow unscaled: md and csv printed an sd
+    # of inf, and json ended in a traceback
+    p = tmp_path / "big.csv"
+    p.write_bytes(b"dmu,in:x,out+:y\nA,1e308,2\nB,1e307,3\nC,5e307,4\n")
+    code, out, err = run_cli(capsys, "stats", "--input", str(p),
+                             "--format", fmt)
+    assert code == 0, err
+    assert "inf" not in out and "nan" not in out
+    if fmt == "json":
+        assert all(math.isfinite(o["sd"]) for o in json.loads(out))
+
+
 @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
 @pytest.mark.parametrize("command,column,header", [
     ("report", "meta:dmu", "dmu"), ("report", "meta:EE", "EE"),
@@ -234,18 +250,22 @@ def test_data_error_exit_1(capsys, tmp_path):
     (("synth", "--spec", "{zero_in}", "--n", "11"), "non-positive value"),
     (("synth", "--spec", "{dup_name}", "--n", "11"), "duplicate indicator"),
     (("synth", "--spec", "{no_good}", "--n", "11"), "no desirable output"),
+    (("synth", "--spec", "{inf_max}", "--n", "11"), "inconsistent stats"),
+    (("synth", "--spec", "{huge_sd}", "--n", "11"), "achievable range"),
     (("report", "--input", "{no_bads}"), "no 'out-' column"),
     (("evaluate", "--model", "sbm-u", "--input", "{no_bads}"),
      "no 'out-' column"),
 ], ids=["directory", "latin1-input", "latin1-spec", "negative-seed",
         "non-finite-meta-md", "non-finite-meta-csv", "non-finite-meta-json",
         "synth-zero-input", "synth-duplicate-name", "synth-no-good",
+        "synth-infinite-max", "synth-sd-past-float-range",
         "report-no-bads", "evaluate-sbm-no-bads"])
 def test_input_fault_exit_1(capsys, tmp_path, spec_csv, argv, fragment):
     # each of these once ended in a traceback; or (non-finite meta cells,
     # in csv and md) in a report that printed nan and inf; or (synth) in a
     # panel that load_csv rejects, and exit 0; or (no 'out-' column) in an
-    # error naming an API keyword the CLI cannot pass
+    # error naming an API keyword the CLI cannot pass; or (synth, an
+    # infinite max) in the range [inf, nan]
     head = b"name,role,min,max,mean,sd\n"
     files = {
         "latin1": b"dmu,in:caf\xe9,out+:y\nA,1,2\n",
@@ -253,6 +273,9 @@ def test_input_fault_exit_1(capsys, tmp_path, spec_csv, argv, fragment):
         "zero_in": head + b"x,in,0,9,4,2.5\ny,out+,5,50,20,14\n",
         "dup_name": head + b"x,in,1,9,4,2.5\nx,out+,5,50,20,14\n",
         "no_good": head + b"x,in,1,9,4,2.5\nb,out-,2,30,10,8\n",
+        "inf_max": head + b"x,in,1,inf,4,2.5\ny,out+,5,50,20,14\n",
+        "huge_sd": head + b"x,in,1e-300,1e300,1e299,1e300\n"
+                          b"y,out+,5,50,20,14\n",
         "no_bads": b"dmu,in:x,out+:y\nA,1,2\nB,1,1\n"}
     paths = {"dir": tmp_path, "spec": spec_csv}
     for name, text in files.items():

@@ -1,12 +1,16 @@
 import csv
 import io
 import math
+import re
+import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deakit.dataset
 from deakit import (DataError, Dataset, Indicator, Role, StatsRow,
                     SynthesisError, descriptive_stats, load_csv,
                     load_stats_spec, render_csv, synthesize_matching)
@@ -150,6 +154,28 @@ def test_descriptive_stats_matches_numpy():
     assert r.role is Role.INPUT
 
 
+def test_descriptive_stats_near_the_float_range():
+    # the sum of squared deviations overflows unscaled
+    d = load_csv(b"dmu,in:x,out+:y\nA,1e308,2\nB,1e307,3\nC,5e307,4\n")
+    x = descriptive_stats(d)[0]
+    small = [v / 1e300 for v in (1e308, 1e307, 5e307)]
+    assert x.mean == pytest.approx(statistics.mean(small) * 1e300, rel=1e-14)
+    assert x.sd == pytest.approx(statistics.stdev(small) * 1e300, rel=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(1e-6, 1e12), min_size=2, max_size=40))
+def test_descriptive_stats_scaling_is_exact(values):
+    # scaling by a power of two leaves the moments of an ordinary column
+    # bit for bit as numpy takes them unscaled
+    col = np.array(values)
+    d = Dataset(tuple(f"d{i}" for i in range(len(values))),
+                (Indicator("x", Role.INPUT), Indicator("y", Role.DESIRABLE)),
+                np.column_stack([col, col]))
+    x = descriptive_stats(d)[0]
+    assert (x.mean, x.sd) == (float(col.mean()), float(col.std(ddof=1)))
+
+
 def test_descriptive_stats_needs_two_dmus():
     d = load_csv(b"dmu,in:x,out+:y\nA,1,2\n")
     with pytest.raises(DataError, match="sd undefined"):
@@ -164,16 +190,29 @@ def _spec_rows():
     ]
 
 
+def _found_spec_rows():
+    # at n = 40, x's sd 3.9 lies near the top of its achievable range,
+    # [0.935144, 3.92232]
+    return [
+        StatsRow("x", max=9.0, min=1.0, mean=4.0, sd=3.9, role=Role.INPUT),
+        StatsRow("y", max=50.0, min=5.0, mean=20.0, sd=14.0,
+                 role=Role.DESIRABLE),
+        StatsRow("b", max=30.0, min=2.0, mean=10.0, sd=8.0,
+                 role=Role.UNDESIRABLE),
+    ]
+
+
 def test_synthesize_matching_hits_spec():
-    d = synthesize_matching(_spec_rows(), n=11, seed=42)
-    assert d.n_dmus == 11
-    stats = {r.indicator: r for r in descriptive_stats(d)}
-    for want in _spec_rows():
-        got = stats[want.indicator]
-        assert got.max == pytest.approx(want.max, rel=1e-12)
-        assert got.min == pytest.approx(want.min, rel=1e-12)
-        assert got.mean == pytest.approx(want.mean, rel=0.005)
-        assert got.sd == pytest.approx(want.sd, rel=0.005)
+    for rows, n, seed in ((_spec_rows(), 11, 42), (_found_spec_rows(), 40, 0)):
+        d = synthesize_matching(rows, n=n, seed=seed)
+        assert d.n_dmus == n
+        stats = {r.indicator: r for r in descriptive_stats(d)}
+        for want in rows:
+            got = stats[want.indicator]
+            assert got.max == pytest.approx(want.max, rel=1e-12)
+            assert got.min == pytest.approx(want.min, rel=1e-12)
+            assert got.mean == pytest.approx(want.mean, rel=0.005)
+            assert got.sd == pytest.approx(want.sd, rel=0.005)
 
 
 def test_synthesize_matching_deterministic():
@@ -225,6 +264,65 @@ def test_synthesize_matching_rejects_negative_seed():
     row = StatsRow("w", max=2.0, min=2.0, mean=2.0, sd=0.0, role=Role.INPUT)
     with pytest.raises(SynthesisError, match="seed >= 0"):
         synthesize_matching([row], n=5, seed=-1)
+
+
+def _achievable_range(row, n):
+    """The [bottom, top] sd range that a too-large sd's error reports."""
+    with pytest.raises(SynthesisError, match="outside achievable range") \
+            as err:
+        synthesize_matching([replace(row, sd=2 * (row.max - row.min))],
+                            n=n, seed=0)
+    bottom, top = re.search(r"\[(.+), (.+)\]", str(err.value)).groups()
+    return float(bottom), float(top)
+
+
+def _widest_sd(row, n):
+    """The sd of the widest column with `row`'s min, max and mean: min and
+    max once each, then as many values at the max as the mean allows, one
+    value between and the rest at the min."""
+    k = n - 2
+    units = n * (row.mean - row.min) / (row.max - row.min) - 1
+    units = min(max(units, 0.0), k)  # rounding may leave it just outside
+    whole = math.floor(units)
+    interior = ([1.0] * whole + [units - whole] + [0.0] * k)[:k]
+    col = row.min + (row.max - row.min) * np.array([0.0, 1.0, *interior])
+    return float(col.std(ddof=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 200), lo=st.floats(1e-3, 1e3),
+       width=st.floats(1e-3, 1e3), share=st.floats(0, 1),
+       f=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_synthesis_meets_every_sd_in_its_range(n, lo, width, share, f,
+                                               seed):
+    # the mean leaves the other n - 2 values `share` of the way from min
+    # to max; every sd in the reported range is met, and the range's top
+    # is the sd of the widest column
+    hi = lo + width
+    mu = lo + (hi - lo) * (1 + share * (n - 2)) / n
+    row = StatsRow("x", max=hi, min=lo, mean=mu, sd=1.0, role=Role.INPUT)
+    bottom, top = _achievable_range(row, n)
+    assert top == pytest.approx(_widest_sd(row, n), rel=1e-5)
+    sd = bottom + f * (top - bottom)
+    rows = [replace(row, sd=sd),
+            replace(row, indicator="y", sd=sd, role=Role.DESIRABLE)]
+    rtol = deakit.dataset.SYNTH_RTOL
+    for got in descriptive_stats(synthesize_matching(rows, n=n, seed=seed)):
+        assert (got.min, got.max) == (lo, hi)
+        assert got.mean == pytest.approx(mu, rel=rtol)
+        assert got.sd == pytest.approx(sd, rel=rtol)
+
+
+def test_synthesis_range_top_is_the_widest_column():
+    # x in [1, 9] with mean 4 at n = 5: the widest column is
+    # {1, 1, 1, 8, 9}, whose sd is sqrt(17); sd 4.2 is above it
+    row = _found_spec_rows()[0]
+    # the message prints 6 significant digits: 4.12311
+    assert _achievable_range(row, 5)[1] == pytest.approx(math.sqrt(17),
+                                                         abs=5e-6)
+    assert _widest_sd(row, 5) == pytest.approx(math.sqrt(17), rel=1e-12)
+    with pytest.raises(SynthesisError, match="outside achievable range"):
+        synthesize_matching([replace(row, sd=4.2)], n=5, seed=0)
 
 
 def test_synthesize_degenerate_column():
