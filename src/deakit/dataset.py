@@ -287,8 +287,8 @@ def _moments(col: np.ndarray) -> tuple[float, float]:
     return math.ldexp(float(z.mean()), e), math.ldexp(float(z.std(ddof=1)), e)
 
 
-# relative tolerance within which a synthesized column's mean and sd match
-# its spec row
+# relative tolerance within which a synthesized column's sd, and its mean in
+# units of its span, match its spec row
 SYNTH_RTOL = 0.005
 
 
@@ -355,7 +355,7 @@ def _synthesize_column(row: StatsRow, n: int,
     col = np.concatenate(([lo, hi], np.clip(lo + span * (m + dev), lo, hi)))
 
     got_mean, got_sd = _moments(col)
-    if (abs(got_mean - mu) > SYNTH_RTOL * abs(mu)
+    if (abs(got_mean - mu) > SYNTH_RTOL * span
             or abs(got_sd - sd) > SYNTH_RTOL * sd):
         raise SynthesisError(f"{name}: could not match spec within "
                              f"{SYNTH_RTOL:.1%} (mean {got_mean:.6g} vs "
@@ -367,11 +367,11 @@ def synthesize_matching(spec: Sequence[StatsRow], n: int,
                         seed: int) -> Dataset:
     """Build an n-DMU dataset whose column stats match `spec`.
 
-    Min and max are hit exactly; mean and sd within `SYNTH_RTOL` (0.5%).
-    A row's sd is met anywhere in the exact range that SynthesisError
-    reports for one outside it.  Deterministic for a fixed seed.  Each
-    spec row must carry a role.  A spec whose panel is not a valid Dataset
-    raises DataError.
+    Min and max are hit exactly; the sd within `SYNTH_RTOL` (0.5%) and the
+    mean within that share of max - min.  A row's sd is met anywhere in the
+    exact range that SynthesisError reports for one outside it.
+    Deterministic for a fixed seed.  Each spec row must carry a role.  A
+    spec whose panel is not a valid Dataset raises DataError.
     """
     if not spec:
         raise SynthesisError("empty stats spec")

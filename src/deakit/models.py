@@ -7,9 +7,9 @@ SBM score is the slack ratio rho*, made linear with the Charnes-Cooper
 transform.
 
 Every evaluation solves a batch of DMUs at once (one DMU for the per-DMU
-functions) on one template per panel: each stage's LPs step in lockstep on
-a shared frame of intensity columns, and are then checked against the
-columns of the DMUs not shown inefficient (`_solve_stage`).  CCR stage 2
+functions) on one read-only template per panel; each stage's LPs step in
+lockstep on the evaluation's frame of intensity columns, then are checked
+against its mask of DMUs not shown inefficient (`_solve_stage`).  CCR stage 2
 runs only where stage 1's optimum is not unique (`_ccr`).  Both models end
 in arrays (`_Columns`), lambda as each DMU's basic entries, which the CLI
 reads; each API result holds its reference set (peers and weights) and
@@ -128,12 +128,9 @@ class _Template:
     same for every DMU; per DMU only the lead column, b, the SBM
     normalization row and the objective change (`stage`).
 
-    `frame` is the panel's candidate set of lambda-columns, shared by every
-    DMU and stage of the model.  It starts with the DMUs of best ratio of
-    one desirable output to one input (or undesirable output): each lies
-    on the CRS frontier (Dula & Lopez 2009).  `frontier` masks the DMUs
-    not yet shown inefficient, whose columns restricted entry prices
-    (`_solve_stage`).
+    `seed`, read-only like all of it, starts each evaluation's frame: the
+    DMUs of best ratio of one desirable output to one input (or undesirable
+    output), each on the CRS frontier (Dula & Lopez 2009).
     """
 
     def __init__(self, d: Dataset, spec: ModelSpec):
@@ -178,9 +175,9 @@ class _Template:
         m, s1 = self.m, self.s1
         ratios = self.Z[m:m + s1, None] / np.delete(
             self.Z, np.s_[m:m + s1], axis=0)[None]
-        self.frame = np.zeros(n, dtype=bool)
-        self.frame[ratios.argmax(axis=2)] = True
-        self.frontier = np.ones(n, dtype=bool)
+        self.seed = np.zeros(n, dtype=bool)
+        self.seed[ratios.argmax(axis=2)] = True
+        self.seed.flags.writeable = False
         # `_solve_stage`'s factor on the duals' sign violation, and margin
         lam_sum = 1.0 if self.vrs else (self.Z[:m].max(1)
                                         / self.Z[:m].min(1)).min()
@@ -287,9 +284,10 @@ def _cold(tpl: _Template, k: int, what: str, phi: Optional[float] = None):
 
 
 def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
+                 frame: np.ndarray, frontier: np.ndarray,
                  phi: Optional[np.ndarray] = None,
                  start=None) -> linprog.Lockstep:
-    """One stage's LPs of the DMUs `ks`, solved together on the frame.
+    """One stage's LPs of the DMUs `ks`, solved together on `frame`.
 
     Each LP starts at `start` (template-index bases and inverses), by
     default its DMU's own point (`_Template.own_inverses`).  In rounds the
@@ -306,7 +304,7 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
     OPTIMAL, is solved cold (`_cold`).
 
     Restricted basis entry (Ali 1993): LPs whose condition estimate is
-    within `linprog.COND_BOUND` price only the columns of `tpl.frontier`,
+    within `linprog.COND_BOUND` price only the columns of `frontier`,
     the DMUs not yet shown inefficient (above it the duals' signs are not
     trusted, and they price all); without phi, DMU o leaves it when such an
     LP's restricted score, an upper bound on its score, is below 1 -
@@ -321,7 +319,7 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
     units, r_j >= g_j - OPT_TOL `tpl.spread` once the mask prices out.
     The margin, FEAS_TOL + OPT_TOL spread, adds the score's own error;
     with u.y_o = 1 a gain of order phi_j - 1 above it covers the rest.
-    Stage 2 keeps stage 1's mask.
+    Stage 2 gets stage 1's `frame` and `frontier`.
     Returns the solved batch, one LP per DMU of `ks`.
     """
     O, c, b = tpl.stage(ks, phi)
@@ -336,7 +334,7 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
         active, rest = active[at], np.delete(active, at)
     wave = active
     while active.size:
-        run.step(active, tpl.frame.nonzero()[0])
+        run.step(active, frame.nonzero()[0])
         active = active[run.status[active] == Status.OPTIMAL]
         run.refine(active)
         active = active[run.status[active] == Status.OPTIMAL]
@@ -344,12 +342,12 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
         if phi is None:
             value, keep = run.objective[active], 1.0 - tpl.margin
             shown = value < keep if tpl.sbm else -value * keep > 1.0
-            tpl.frontier[ks[active[sound & shown]]] = False
-        wide = (~tpl.frame).nonzero()[0]
-        narrow = wide[tpl.frontier[wide]]
+            frontier[ks[active[sound & shown]]] = False
+        wide = (~frame).nonzero()[0]
+        narrow = wide[frontier[wide]]
         blocked, joins = zip(_price(run, tpl, active[sound], narrow),
                              _price(run, tpl, active[~sound], wide))
-        tpl.frame[np.concatenate(joins)] = True
+        frame[np.concatenate(joins)] = True
         active = np.sort(np.concatenate(blocked))
         if not active.size and rest.size:
             _seat(run, tpl, ks, wave, rest)
@@ -514,15 +512,15 @@ def _solved(tpl: _Template, ks: np.ndarray, score: np.ndarray,
                     slack[:, ms:], tpl, ks, basis, x)
 
 
-def _unique(run: linprog.Lockstep, tpl: _Template,
-            phi: np.ndarray) -> np.ndarray:
+def _unique(run: linprog.Lockstep, tpl: _Template, phi: np.ndarray,
+            mask: np.ndarray) -> np.ndarray:
     """Which LPs of CCR stage 1's batch `run` have a unique optimum.  Own
     columns are priced per LP, lambda-columns through `_reduced`."""
     y = run.duals(np.arange(phi.size))
     drift = linprog.NEWTON_GATE * np.abs(y).sum(axis=1) * tpl.Z.max()
     bound, goods = linprog.OPT_TOL + drift, tpl.Z[tpl.m:tpl.m + tpl.s1]
     reach = (goods.max(axis=0) * (bound + drift * tpl.spread)).max()
-    priced = tpl.frame | tpl.frontier | ((phi - 1) * goods.min(0) <= reach)
+    priced = mask | ((phi - 1) * goods.min(0) <= reach)
     priced[run.basis[(run.basis > 0) & (run.basis <= tpl.n)] - 1] = True
     own = run.c - np.einsum("lr,lrq->lq", y, run.O)
     low = (own <= bound[:, None]).sum(axis=1)
@@ -541,14 +539,15 @@ def _ccr(tpl: _Template, ks: np.ndarray) -> _Columns:
     stage 2 from `_phi_out`'s start.  Positive is above OPT_TOL, which the
     solver takes for zero, plus the drift NEWTON_GATE |y|_1 zmax of duals
     within COND_BOUND (no LP above it counts).  `_unique` prices the own
-    columns, the frame, `tpl.frontier` and the columns below.  By
+    columns, stage 1's frame and mask, and the columns below.  By
     `_solve_stage`'s bound, with drift for OPT_TOL, an unmasked DMU j has
     r_j >= (phi_j - 1) u.y_j - drift spread; u.y_o = 1 (phi is basic)
     gives u.y_j >= min_r y_jr / max_r y_or to first order in the drift.  So
     j is priced unless (phi_j - 1) min_r y_jr > max_r y_or (bound + drift
     spread) for every LP o.
     """
-    one = _solve_stage(tpl, ks, "CCR stage 1")
+    frame, frontier = tpl.seed.copy(), np.ones(tpl.n, dtype=bool)
+    one = _solve_stage(tpl, ks, "CCR stage 1", frame, frontier)
     phi = _snap(-one.objective)
     # lambda = e_k, phi = 1 is feasible, so phi >= 1; a warm start can end
     # just off it (or at NaN) where a cold solve of the same LP does not
@@ -560,10 +559,10 @@ def _ccr(tpl: _Template, ks: np.ndarray) -> _Columns:
                               f"phi = {float(phi[l])!r} is not a valid "
                               "expansion")
         one.adopt(l, basis, xb)
-    rest = (~_unique(one, tpl, phi)).nonzero()[0]
+    rest = (~_unique(one, tpl, phi, frame | frontier)).nonzero()[0]
     if rest.size:
-        two = _solve_stage(tpl, ks[rest], "CCR stage 2", phi=phi[rest],
-                           start=_phi_out(one, tpl, rest))
+        two = _solve_stage(tpl, ks[rest], "CCR stage 2", frame, frontier,
+                           phi[rest], _phi_out(one, tpl, rest))
         one.basis[rest], one.x[rest] = two.basis, two.x
     return _solved(tpl, ks, 1.0 / phi, phi, one.basis, _clip_tiny(one.x))
 
@@ -593,7 +592,8 @@ def linearize_sbm(tpl: _Template, k: int) -> StandardFormLP:
 
 
 def _sbm(tpl: _Template, ks: np.ndarray) -> _Columns:
-    run = _solve_stage(tpl, ks, "SBM solve")
+    run = _solve_stage(tpl, ks, "SBM solve", tpl.seed.copy(),
+                       np.ones(tpl.n, dtype=bool))
     t = np.where(run.basis == 0, run.x, 0.0).sum(axis=1)
     # The SBM LP's b is e_0 (normalization row), so the solver takes a
     # basic value within PIVOT_TOL * (1 + max|b|) of 0 for 0; any t above

@@ -255,8 +255,8 @@ def certify_stages(monkeypatch, count: dict) -> None:
     real_stage, real_unique = models._solve_stage, models._unique
     stage_one = []
 
-    def unique(run, tpl, phi):
-        got = real_unique(run, tpl, phi)
+    def unique(run, tpl, phi, mask):
+        got = real_unique(run, tpl, phi, mask)
         one, ks1 = stage_one
         assert run is one
         skipped = got.nonzero()[0]
@@ -266,8 +266,8 @@ def certify_stages(monkeypatch, count: dict) -> None:
         count.get("skipped", []).append(skipped.size)
         return got
 
-    def certified(tpl, ks, what, phi=None, start=None):
-        run = real_stage(tpl, ks, what, phi, start)
+    def certified(tpl, ks, what, frame, frontier, phi=None, start=None):
+        run = real_stage(tpl, ks, what, frame, frontier, phi, start)
         if what == "CCR stage 1":
             stage_one[:] = [run, ks]
         full = np.arange(tpl.width)

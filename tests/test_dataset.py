@@ -203,10 +203,19 @@ def _found_spec_rows():
 
 
 def test_synthesize_matching_hits_spec():
-    for rows, n, seed in ((_spec_rows(), 11, 42), (_found_spec_rows(), 40, 0)):
+    # a meta column's mean may be exactly 0
+    zero = [StatsRow("g", max=1, min=-1, mean=0, sd=0.5, role=Role.META)]
+    for rows, n, seed in ((_spec_rows(), 11, 42), (_found_spec_rows(), 40, 0),
+                          (_spec_rows() + zero, 11, 42)):
         d = synthesize_matching(rows, n=n, seed=seed)
         assert d.n_dmus == n
         stats = {r.indicator: r for r in descriptive_stats(d)}
+        for j, ind in enumerate(d.indicators):
+            if ind.role is Role.META:   # which descriptive_stats leaves out
+                col = d.values[:, j]
+                stats[ind.name] = StatsRow(
+                    ind.name, max=col.max(), min=col.min(), mean=col.mean(),
+                    sd=col.std(ddof=1), role=ind.role)
         for want in rows:
             got = stats[want.indicator]
             assert got.max == pytest.approx(want.max, rel=1e-12)

@@ -424,7 +424,7 @@ def test_newton_refine_matches_lapack_on_own_point_bases(monkeypatch, kind,
                    tpl.own_inverses(ks, O))
     drift(run, ks, 1e-10)
     assert refines_like_lapack(run, ks, monkeypatch) == []
-    run.step(ks, np.flatnonzero(tpl.frame))
+    run.step(ks, np.flatnonzero(tpl.seed))
     drift(run, ks, 1e-10, seed=1)
     assert refines_like_lapack(run, ks, monkeypatch) == []
 

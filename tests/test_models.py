@@ -270,6 +270,26 @@ def test_shared_frame_matches_single_dmu_solves(rts):
                 np.testing.assert_allclose(a, b, atol=1e-7)
 
 
+@pytest.mark.parametrize("n,seed", [(1000, 1), (30, 2)])
+def test_one_template_scored_twice_is_bit_identical(n, seed):
+    # each evaluation grows its own frame and clears its own frontier mask;
+    # the template, its seed frame included, is read-only once built
+    d = table1_panel(n, seed=seed)
+    for kind in ModelKind:
+        for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
+            tpl = build_instance(d, ModelSpec(kind, rts))
+            seed_frame = tpl.seed.copy()
+            first, second = models._evaluate(tpl), models._evaluate(tpl)
+            for field in ("score", "phi", "slack_in", "slack_good",
+                          "slack_bad", "basis", "x"):
+                assert (getattr(first, field).tobytes()
+                        == getattr(second, field).tobytes()), (kind, rts,
+                                                               field)
+            assert np.array_equal(tpl.seed, seed_frame)
+            with pytest.raises(ValueError):
+                tpl.seed[0] = not tpl.seed[0]
+
+
 def test_degenerate_scale_guard(monkeypatch):
     real_stage = models._solve_stage
 
@@ -784,7 +804,7 @@ def test_lockstep_matches_cold_and_single_dmu_solves(d, kind, rts):
 
 def batches_match_batches_of_one(kind) -> list:
     """One lockstep step of every DMU of 20 VRS `table1_panel(30, seed)`
-    panels on the template's starting frame, checked bit for bit against
+    panels on the template's `seed` frame, checked bit for bit against
     batches of one LP: status, pivots, basis and x.  Each LP starts at its
     own point, from the closed-form inverse that `_solve_stage` uses.
     Returns each panel's batch and its frame's size."""
@@ -795,7 +815,7 @@ def batches_match_batches_of_one(kind) -> list:
         ks = np.arange(tpl.n)
         O, c, b = tpl.stage(ks)
         basis, Binv = tpl.own_bases(ks), tpl.own_inverses(ks, O)
-        frame = np.flatnonzero(tpl.frame)
+        frame = np.flatnonzero(tpl.seed)
         # a batch keeps the start inverses it is given and updates them in
         # place, so each run gets its own copy
         run = linprog.Lockstep(tpl.lam_block, O, c, b, basis, Binv.copy())
@@ -860,7 +880,7 @@ def test_pivot_counts_carry_across_steps(monkeypatch, kind):
     ks = np.arange(tpl.n)
     O, c, b = tpl.stage(ks)
     basis, Binv = tpl.own_bases(ks), tpl.own_inverses(ks, O)
-    frame = np.flatnonzero(tpl.frame)
+    frame = np.flatnonzero(tpl.seed)
 
     def two_steps(ls, cap=None):
         run = linprog.Lockstep(tpl.lam_block, O[ls], c[ls], b[ls], basis[ls],
@@ -902,12 +922,20 @@ def test_an_own_column_that_prices_negative_joins_the_frame(monkeypatch):
     tpl = build_instance(d, ModelSpec(ModelKind.SBM_UNDESIRABLE,
                                       ReturnsToScale.vrs()))
     ks = np.arange(tpl.n)
-    assert not tpl.frame[26]
+    assert not tpl.seed[26]
     certified = {"n": 0}
     certify_stages(monkeypatch, certified)
+    real, joined = models._price, []
+
+    def price(*args):
+        blocked, joins = real(*args)
+        joined.extend(joins.tolist())
+        return blocked, joins
+
+    monkeypatch.setattr(models, "_price", price)
     got = models._sbm(tpl, ks)
     assert certified["n"] == tpl.n
-    assert tpl.frame[26]
+    assert 26 in joined
     for k in ks:
         cold = solve(tpl.lp(k))
         assert cold.status is linprog.Status.OPTIMAL
@@ -987,12 +1015,18 @@ def both_pricings(monkeypatch) -> dict:
     prices them on every lambda-column outside the frame; both must block
     the same LPs and join the same columns.  A call on LPs above it must
     price every such column.  The dict counts the LPs priced each way and
-    the (LP, column) products restricted entry left out."""
-    real = models._price
+    the (LP, column) products restricted entry left out.  `_solve_stage`
+    is spied on too, for the frame that each stage prices against."""
+    real, real_stage = models._price, models._solve_stage
     seen = {"restricted": 0, "full": 0, "left out": 0}
+    frames = []
+
+    def stage(tpl, ks, what, frame, *args):
+        frames[:] = [frame]
+        return real_stage(tpl, ks, what, frame, *args)
 
     def price(run, tpl, ls, cols):
-        wide = np.flatnonzero(~tpl.frame)
+        wide = np.flatnonzero(~frames[0])
         blocked, joins = real(run, tpl, ls, cols)
         sound = run.cond[ls] <= linprog.COND_BOUND
         if sound.all():
@@ -1009,6 +1043,7 @@ def both_pricings(monkeypatch) -> dict:
             seen["full"] += ls.size
         return blocked, joins
 
+    monkeypatch.setattr(models, "_solve_stage", stage)
     monkeypatch.setattr(models, "_price", price)
     return seen
 
