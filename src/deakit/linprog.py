@@ -206,9 +206,16 @@ def exchange(Binv: np.ndarray, row: np.ndarray, d: np.ndarray) -> None:
     gathered by one flat take, and the rank-1 term is one outer-product
     einsum, which takes half the time of a broadcast product on a large
     batch."""
-    rows, (m, w) = np.arange(len(row)), Binv.shape[1:]
-    flat = rows * m + row
-    prow = Binv.reshape(-1, w).take(flat, axis=0) / d.take(flat)[:, None]
+    rows = np.arange(len(row))
+    _exchange(Binv, rows, row, rows * Binv.shape[1] + row, d)
+
+
+def _exchange(Binv: np.ndarray, rows: np.ndarray, row: np.ndarray,
+              flat: np.ndarray, d: np.ndarray) -> None:
+    """`exchange`, given `rows` (0, 1, ...) and each pivot row's flat
+    offset `flat` (l times the row count, plus row[l])."""
+    prow = (Binv.reshape(-1, Binv.shape[2]).take(flat, axis=0)
+            / d.take(flat)[:, None])
     Binv -= np.einsum("lr,ls->lrs", d, prow)
     Binv[rows, row] = prow
 
@@ -349,8 +356,9 @@ class Lockstep:
         """
         basis, rows = self.basis[src], np.arange(ls.size)
         # B^-1 [b | a for each swapped column a]
-        W = self.Binv[src] @ np.concatenate(
-            (self.b[ls, :, None], self.O[ls][:, :, own]), axis=2)
+        swapped = self.O[ls[:, None], :, own].transpose(0, 2, 1)
+        W = self.Binv[src] @ np.concatenate((self.b[ls, :, None], swapped),
+                                            axis=2)
         ok, swaps = np.ones(ls.size, dtype=bool), []
         for j, col in enumerate(np.where(own == 0, 0, own + self.N)):
             at = basis == col
@@ -383,28 +391,35 @@ class Lockstep:
         LP l's candidates are its own columns and the shared columns `cand`
         (indices into `S`).
 
-        Each LP's own columns are gathered once per step; a pass prices them
-        with one batched product and the shared ones with one product, and
-        takes each entering column with its cost and index in one gather.
-        Every active LP pivots once a pass, so an LP's pivots are its count
-        at entry plus the pass count k, checked against ITER_CAP once k can
-        reach it, and its degenerate run is k less the pass after its last
-        pivot that moved (for Bland's rule, from k = BLAND_AFTER on).  An LP
-        that stops writes back B^-1, x, basis, c_B and its pivots; the rest
+        Once per call, each LP's own columns and costs are gathered into a
+        block per LP for pricing, and every candidate into one table, a row
+        per column with its entries, cost and index: each LP's own block,
+        then the shared columns once (a copy per LP would grow as LPs x
+        frame width).  A pass prices the own blocks with one batched
+        product and the shared columns with one product, and takes every
+        entering column from the table in one gather.  Every active LP
+        pivots once a pass, so an LP's pivots are its count at entry plus
+        the pass count k, checked against ITER_CAP once k can reach it, and
+        its degenerate run is k less the pass after its last pivot that
+        moved (for Bland's rule, from k = BLAND_AFTER on).  An LP that
+        stops writes back B^-1, x, basis, c_B and its pivots; the rest
         leave the batch by a take of the arrays that carry state.
         """
         N, m = self.N, self.S.shape[0]
         ls = np.asarray(ls, dtype=np.int64)
-        q, F = self.O.shape[2], cand.size
-        # one block per LP of its own columns; rows m and m + 1 hold each
-        # column's cost and index, so one gather fetches an entering column
-        # with both
-        G = np.empty((ls.size, m + 2, q))
+        n, q, F = ls.size, self.O.shape[2], cand.size
+        # one block per LP of its own columns, with their costs in row m
+        G = np.empty((n, m + 1, q))
         G[:, :m], G[:, m] = self.O[ls], self.c[ls]
-        G[:, m + 1, 0], G[:, m + 1, 1:] = 0, np.arange(1 + N, N + q)
-        frame = np.vstack((self.S[:, cand], np.zeros(F), 1 + cand))
+        # LP i's own columns are rows i q .. i q + q - 1, the shared ones
+        # follow from row n q
+        table = np.empty((n * q + F, m + 2))
+        own = table[:n * q].reshape(n, q, m + 2)
+        own[:, :, :m + 1] = G.transpose(0, 2, 1)
+        own[:, 0, m + 1], own[:, 1:, m + 1] = 0, np.arange(1 + N, N + q)
+        table[n * q:] = np.vstack((self.S[:, cand], np.zeros(F), 1 + cand)).T
         # C order keeps the product below on BLAS for a wide frame
-        minus_S = np.ascontiguousarray(-frame[:m])
+        minus_S = np.ascontiguousarray(-self.S[:, cand])
         big = N + q
         Binv, x, basis = self.Binv[ls], self.x[ls], self.basis[ls]
         c_B = self.c_B[ls]
@@ -414,9 +429,14 @@ class Lockstep:
         slot[0], slot[1 + N:] = 0, np.arange(1, q)
         slot[1 + cand] = np.arange(q, q + F)
         at = slot[basis]
-        k, moved = 0, np.zeros(ls.size, dtype=np.int64)
+        k, moved = 0, np.zeros(n, dtype=np.int64)
         capped_from = ITER_CAP - self.iterations[ls].max(initial=0)
-        rows, full = np.arange(ls.size), np.empty((ls.size, q + F + 1))
+        rows, full = np.arange(n), np.empty((n, q + F + 1))
+        # a column at position j of `red` is row start + j of `table`, or
+        # row shared + j if j >= q; LP i's rows in the flat (LPs x rows)
+        # arrays start at offset[i]
+        start, shared = rows * q, n * q - q
+        offset, ratio = rows * m, np.empty((n, m))
         while ls.size:
             y = np.einsum("lr,lrs->ls", c_B, Binv)
             red = full[:, :-1]
@@ -431,14 +451,12 @@ class Lockstep:
             if k >= BLAND_AFTER:
                 bland = moved <= k - BLAND_AFTER
                 if bland.any():
-                    ids = np.hstack((G[bland, m + 1], np.tile(
-                        frame[m + 1], (bland.sum(), 1))))
+                    ids = np.concatenate((table[:q, m + 1], 1 + cand))
                     enter[bland] = np.where(red[bland] < -OPT_TOL, ids,
                                             big).argmin(axis=1)
-            col = G[rows, :, np.minimum(enter, q - 1)]
-            shared = enter >= q
-            if shared.any():
-                col[shared] = frame[:, enter[shared] - q].T
+            pick = np.where(enter < q, start, shared)
+            pick += enter
+            col = table.take(pick, axis=0)
             d = np.einsum("lrs,ls->lr", Binv, col[:, :m])
             positive = d > PIVOT_TOL
             done = optimal | ~positive.any(axis=1)
@@ -458,22 +476,25 @@ class Lockstep:
                 go = (~done).nonzero()[0]
                 if not go.size:
                     return
-                ls, Binv, x, basis, c_B, G, at, moved, enter, col, d = (
+                ls, Binv, x, basis, c_B, G, at, moved, enter, col, d, start = (
                     a.take(go, axis=0) for a in (ls, Binv, x, basis, c_B, G,
-                                                 at, moved, enter, col, d))
+                                                 at, moved, enter, col, d,
+                                                 start))
                 rows, full = rows[:go.size], full[:go.size]
+                offset, ratio = offset[:go.size], ratio[:go.size]
                 positive = d > PIVOT_TOL
-            ratio = np.full(d.shape, np.inf)
+            ratio.fill(np.inf)
             np.divide(x, d, out=ratio, where=positive)
             np.maximum(ratio, 0.0, out=ratio)
             best = ratio.min(axis=1)
             row = np.where(ratio == best[:, None], basis, big).argmin(axis=1)
-            exchange(Binv, row, d)
+            flat = offset + row
+            _exchange(Binv, rows, row, flat, d)
             x -= best[:, None] * d
-            x[rows, row] = best
-            c_B[rows, row] = col[:, m]
-            basis[rows, row] = col[:, m + 1]
-            at[rows, row] = enter
+            x.put(flat, best)
+            c_B.put(flat, col[:, m])
+            basis.put(flat, col[:, m + 1])
+            at.put(flat, enter)
             k += 1
             moved[~(best <= PIVOT_TOL)] = k
 

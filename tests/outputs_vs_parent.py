@@ -15,11 +15,13 @@ imports itself relatively, so it loads side by side with this one as
 
 It prints how many runs are bit-identical in score, phi, the three slack
 arrays, the final basis and x, the largest score difference, each tree's
-`Lockstep.step` calls in those runs and whether the two reports' text is
-identical.  It exits 1 if a score moves by more than 1e-9, a slack (in
-units of its indicator's panel mean), a rate or a report number moves by
-more than 1e-9 relative to max(1, |value|), or a call raises in one tree
-only.
+pivot work in those runs and whether the two reports' text is identical.
+A tree's pivot work is its `Lockstep.step` calls, its pivoting passes (the
+sum over those calls of the most pivots any one LP made in the call) and
+its LP-pivots (the pivots of all LPs).  It exits 1 if a score moves by
+more than 1e-9, a slack (in units of its indicator's panel mean), a rate
+or a report number moves by more than 1e-9 relative to max(1, |value|),
+or a call raises in one tree only.
 """
 
 from __future__ import annotations
@@ -56,13 +58,19 @@ def load_tree(src: str, name: str):
 
 
 def count_steps(tree) -> dict:
-    """Count the calls of `tree`'s `Lockstep.step` in the returned dict."""
-    count = {"n": 0}
+    """Count the calls of `tree`'s `Lockstep.step`, their pivoting passes
+    and their LP-pivots in the returned dict."""
+    count = {"calls": 0, "passes": 0, "pivots": 0}
     real = tree.linprog.Lockstep.step
 
-    def step(self, *args):
-        count["n"] += 1
-        return real(self, *args)
+    def step(self, ls, *args):
+        before = self.iterations[ls]
+        out = real(self, ls, *args)
+        made = self.iterations[ls] - before
+        count["calls"] += 1
+        count["passes"] += int(made.max(initial=0))
+        count["pivots"] += int(made.sum())
+        return out
 
     tree.linprog.Lockstep.step = step
     return count
@@ -161,7 +169,7 @@ def main(parent_src: str) -> int:
                 if any(moved(u, v) for u, v in zip(rel_a, rel_b)):
                     faults.append(f"{where}: slacks or rates moved beyond "
                                   f"{TOL:g} relative")
-    calls = [count["n"] for count in steps]
+    work = [dict(count) for count in steps]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "panel.csv")
         with open(path, "w") as f:
@@ -185,8 +193,10 @@ def main(parent_src: str) -> int:
     print("bit-identical by field: " + ", ".join(f"{f} {n}"
                                                   for f, n in same.items()))
     print(f"largest score difference: {worst:.3e}")
-    print(f"Lockstep.step calls in those runs: this tree {calls[0]}, parent "
-          f"{calls[1]}")
+    for key, what in (("calls", "Lockstep.step calls"),
+                      ("passes", "pivoting passes"), ("pivots", "LP-pivots")):
+        print(f"{what} in those runs: this tree {work[0][key]}, parent "
+              f"{work[1][key]}")
     print(f"report --format json on table1_panel(1000, 1): text {text}")
     for fault in faults[:SHOWN]:
         print(fault)

@@ -92,10 +92,53 @@ def test_lps_that_stop_apart_end_as_alone():
     for l in ls:
         one = batch(np.array([l]))
         one.step(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        assert one.status[0] is run.status[l]
-        assert one.iterations[0] == run.iterations[l]
-        assert np.array_equal(one.basis[0], run.basis[l])
-        assert np.array_equal(one.x[0], run.x[l])
+        assert_ends_as(one, run, l)
+
+
+def assert_ends_as(one: Lockstep, run: Lockstep, l: int) -> None:
+    """The batch of one `one` ends as LP l of `run`: status and pivots, and
+    the written-back basis, x, B^-1 and c_B bit for bit."""
+    assert one.status[0] is run.status[l]
+    assert one.iterations[0] == run.iterations[l]
+    for name in ("basis", "x", "Binv", "c_B"):
+        assert (getattr(one, name)[0].tobytes()
+                == getattr(run, name)[l].tobytes()), name
+
+
+def test_lps_on_a_shared_block_end_as_alone():
+    # rows (1, 2); columns: 0 own a0 | 1, 2, 3 shared s1 = (1, 0),
+    # s2 = (0, 1), s3 = (1, -1) | 4, 5 own e1 = (1, 0), e2 = (0, 1).  Only
+    # s1 and s2 are candidates.  From (e1, e2), LP 0 (a0 = (-1, 0)) is
+    # unbounded on a0 at once; in pass 1 LP 1 enters s1 and LP 2 a0, and
+    # both end OPTIMAL.  LP 3 starts at (s3, e2) with y = (1, 1): e1
+    # enters for s3 in pass 1 and a0 for e2 in pass 2, and at its optimum
+    # s3 prices at -1 but is no candidate.  LP 4 enters a0 on a tie with
+    # s2 (both price at -2), then s2 and s1, alone in the batch after pass
+    # 2.  Each LP must end as alone
+    S = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
+    a0 = np.array([(-1.0, 0.0), (1.0, 1.0), (1.0, 1.0), (-1.0, 1.0),
+                   (2.0, 1.0)])
+    O = np.stack([np.column_stack((a, (1.0, 0.0), (0.0, 1.0))) for a in a0])
+    costs = np.array([(-1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (-1.0, 0.0, 0.0),
+                      (-1.0, -1.0, 1.0), (2.0, 1.0, 2.0)])
+    bases = np.array([(4, 5), (4, 5), (4, 5), (3, 5), (4, 5)])
+    cand = np.array([0, 1])
+
+    def batch(ls):
+        return Lockstep(S, O[ls], costs[ls],
+                        np.repeat([[1.0, 2.0]], ls.size, axis=0), bases[ls])
+
+    ls = np.arange(len(bases))
+    run = batch(ls)
+    run.step(ls, cand)
+    assert list(run.status) == [Status.UNBOUNDED] + [Status.OPTIMAL] * 4
+    assert run.iterations.tolist() == [0, 1, 1, 2, 3]
+    assert run.basis.tolist() == [[4, 5], [1, 5], [0, 5], [4, 0], [1, 2]]
+    assert -run.duals(np.array([3]))[0] @ S[:, 2] == -1.0
+    for l in ls:
+        one = batch(np.array([l]))
+        one.step(np.zeros(1, dtype=np.int64), cand)
+        assert_ends_as(one, run, l)
 
 
 def test_zero_row_lp():

@@ -804,10 +804,11 @@ def test_lockstep_matches_cold_and_single_dmu_solves(d, kind, rts):
 
 def batches_match_batches_of_one(kind) -> list:
     """One lockstep step of every DMU of 20 VRS `table1_panel(30, seed)`
-    panels on the template's `seed` frame, checked bit for bit against
-    batches of one LP: status, pivots, basis and x.  Each LP starts at its
-    own point, from the closed-form inverse that `_solve_stage` uses.
-    Returns each panel's batch and its frame's size."""
+    panels on the template's `seed` frame, checked against batches of one
+    LP: status and pivots, and bit for bit basis, x, B^-1 and c_B.  Each
+    LP starts at its own point, from the closed-form inverse that
+    `_solve_stage` uses.  Returns each panel's batch and its frame's
+    size."""
     steps = []
     for seed in range(20):
         tpl = build_instance(table1_panel(30, seed=seed),
@@ -828,8 +829,9 @@ def batches_match_batches_of_one(kind) -> list:
             one.step(np.zeros(1, dtype=np.int64), frame)
             assert one.status[0] is run.status[l]
             assert one.iterations[0] == run.iterations[l]
-            assert np.array_equal(one.basis[0], run.basis[l])
-            assert np.array_equal(one.x[0], run.x[l])
+            for name in ("basis", "x", "Binv", "c_B"):
+                assert (getattr(one, name)[0].tobytes()
+                        == getattr(run, name)[l].tobytes()), name
         steps.append((run, frame.size))
     return steps
 
