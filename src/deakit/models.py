@@ -272,15 +272,18 @@ def _clip_tiny(v: np.ndarray) -> np.ndarray:
     return out + 0.0  # normalizes -0.0 to +0.0
 
 
-def _cold(tpl: _Template, k: int, what: str, phi: Optional[float] = None):
-    """DMU k's LP solved by `linprog.solve` on all columns from no start
-    basis: its objective, basis in template indices and basic values."""
+def _cold(run: linprog.Lockstep, tpl: _Template, ks: np.ndarray, l: int,
+          what: str, phi: Optional[float] = None) -> float:
+    """Solve LP l of `run`, DMU ks[l]'s, by `linprog.solve` on all columns
+    from no start basis; `run` adopts the optimum.  Returns its objective."""
+    k = int(ks[l])
     sol = linprog.solve(tpl.lp(k, phi))
     if sol.status is not Status.OPTIMAL:
         raise SolverError(f"{what} for DMU {tpl.names[k]!r}: LP ended "
                           f"{sol.status.name}")
     basis = list(sol.basis)
-    return sol.objective, basis, sol.primal[basis]
+    run.adopt(l, basis, sol.primal[basis])
+    return sol.objective
 
 
 def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
@@ -353,8 +356,7 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
             _seat(run, tpl, ks, wave, rest)
             active, rest = rest, active
     for l in (run.status != Status.OPTIMAL).nonzero()[0]:
-        run.adopt(l, *_cold(tpl, int(ks[l]), what,
-                            None if phi is None else phi[l])[1:])
+        _cold(run, tpl, ks, l, what, None if phi is None else phi[l])
     return run
 
 
@@ -552,13 +554,11 @@ def _ccr(tpl: _Template, ks: np.ndarray) -> _Columns:
     # lambda = e_k, phi = 1 is feasible, so phi >= 1; a warm start can end
     # just off it (or at NaN) where a cold solve of the same LP does not
     for l in (~(phi >= 1.0)).nonzero()[0]:
-        objective, basis, xb = _cold(tpl, int(ks[l]), "CCR stage 1")
-        phi[l] = _snap(-objective)
+        phi[l] = _snap(-_cold(one, tpl, ks, l, "CCR stage 1"))
         if not phi[l] >= 1.0:
             raise SolverError(f"CCR stage 1 for DMU {tpl.names[ks[l]]!r}: "
                               f"phi = {float(phi[l])!r} is not a valid "
                               "expansion")
-        one.adopt(l, basis, xb)
     rest = (~_unique(one, tpl, phi, frame | frontier)).nonzero()[0]
     if rest.size:
         two = _solve_stage(tpl, ks[rest], "CCR stage 2", frame, frontier,

@@ -346,6 +346,30 @@ def table1_panel(n: int, seed: int, raw: bool = False) -> Dataset:
                    np.column_stack(cols))
 
 
+_WIDE_INDICATORS = (tuple(Indicator(f"x{i}", Role.INPUT) for i in range(4))
+                    + (Indicator("yg", Role.DESIRABLE),
+                       Indicator("yb", Role.UNDESIRABLE)))
+
+
+def wide_panel(values: np.ndarray) -> Dataset:
+    """DMUs d0, d1, ... with 4 inputs, one good and one bad output."""
+    return Dataset(tuple(f"d{i}" for i in range(len(values))),
+                   _WIDE_INDICATORS, values)
+
+
+def six_decade(seed: int) -> Dataset:
+    """20 DMUs whose columns span 6 decades, the last a copy of the
+    first."""
+    values = 10 ** np.random.default_rng(seed).uniform(-3, 3, (20, 6))
+    values[-1] = values[0]
+    return wide_panel(values)
+
+
+def nine_decade(seed: int, n: int = 5) -> Dataset:
+    """n DMUs whose columns span 9 decades."""
+    return wide_panel(10 ** np.random.default_rng(seed).uniform(-3, 6, (n, 6)))
+
+
 def _highs_min(c, **constraints) -> float:
     from scipy.optimize import linprog
     # HiGHS's default, presolve on, first: on data spanning many decades

@@ -19,7 +19,7 @@ from deakit import (Column, ModelKind, ModelSpec, ReturnsToScale,
                     compare_models, descriptive_stats, evaluate_all,
                     improvement_targets, load_csv, rank_scores)
 from deakit.cli import console_main, parse_args
-from oracles import table1_panel
+from oracles import nine_decade, table1_panel
 from test_acceptance import published_dataset
 
 PAIR = (b"dmu,in:x,out+:yg,out-:yb,meta:gdp\n"
@@ -419,12 +419,8 @@ def test_parse_args_defaults(pair_csv):
 
 def test_rank_wide_range_panel_scores_or_reports_error(tmp_path, capsys):
     # columns spanning 9 decades once crashed `rank` with a traceback
-    values = 10 ** np.random.default_rng(89).uniform(-3, 6, (30, 6))
-    lines = ["dmu,in:x0,in:x1,in:x2,in:x3,out+:yg,out-:yb"]
-    lines += [f"d{i}," + ",".join(repr(float(v)) for v in row)
-              for i, row in enumerate(values)]
     path = tmp_path / "wide.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(deakit.render_csv(nine_decade(89, 30)))
     code, out, err = run_cli(capsys, "rank", "--input", str(path),
                              "--model", "ccr", "--rts", "vrs")
     assert code in (0, 1)
@@ -436,9 +432,11 @@ def test_rank_wide_range_panel_scores_or_reports_error(tmp_path, capsys):
 
 def test_rank_solver_failure_prints_error(capsys, pair_csv, monkeypatch):
     # phi = 0 from the lockstep solve and from the cold retry
+    # the stand-in batch adopts the cold retry's solution as a no-op
     monkeypatch.setattr(models, "_solve_stage",
                         lambda tpl, ks, *args, **kwargs: SimpleNamespace(
-                            objective=np.zeros(ks.size)))
+                            objective=np.zeros(ks.size),
+                            adopt=lambda l, basis, x: None))
     monkeypatch.setattr(models.linprog, "solve", lambda lp: SimpleNamespace(
         status=models.Status.OPTIMAL, objective=-0.0, basis=(),
         primal=np.empty(0)))

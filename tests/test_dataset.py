@@ -40,6 +40,8 @@ def test_load_csv_accepts_path(tmp_path):
     assert load_csv(str(p)).n_dmus == 2
     with open(p, "rb") as fh:
         assert load_csv(fh).n_dmus == 2
+    with open(p, newline="") as fh:  # a text-mode stream
+        assert load_csv(fh).n_dmus == 2
 
 
 def test_values_read_only():
@@ -115,6 +117,10 @@ def test_validate_reports_violations():
     assert problems[0].startswith("duplicate dmu at row 2")
     assert problems[1].startswith("non-positive value at row 2 (A)")
     assert validate(load_csv(GOOD_CSV)) == []
+    with pytest.raises(DataError, match="empty indicator name at column 1"):
+        Dataset(("A",), (Indicator("", Role.INPUT),
+                         Indicator("y", Role.DESIRABLE)),
+                np.array([[1.0, 2.0]]))
 
 
 def test_role_slices_are_the_role_columns():
@@ -254,6 +260,9 @@ def test_synthesize_matching_n3():
      "achievable range"),
     (StatsRow("w", max=1.0, min=0.5, mean=0.75, sd=0.25, role=None),
      "no role"),
+    # with min and max pinned, the 4 other values would need a mean of 12
+    (StatsRow("w", max=11.0, min=1.0, mean=10.0, sd=0.5, role=Role.INPUT),
+     "unreachable"),
 ])
 def test_synthesize_matching_rejects(row, fragment):
     with pytest.raises(SynthesisError, match=fragment) as err:
@@ -267,6 +276,13 @@ def test_synthesize_matching_needs_a_dmu(n):
     row = StatsRow("w", max=2.0, min=2.0, mean=2.0, sd=0.0, role=Role.INPUT)
     with pytest.raises(SynthesisError, match="n >= 1"):
         synthesize_matching([row], n=n, seed=0)
+
+
+def test_synthesize_matching_rejects_an_empty_spec_and_too_few_dmus():
+    with pytest.raises(SynthesisError, match="empty stats spec"):
+        synthesize_matching([], n=5, seed=0)
+    with pytest.raises(SynthesisError, match="^x: need n >= 3"):
+        synthesize_matching(_spec_rows(), n=2, seed=0)
 
 
 def test_synthesize_matching_rejects_negative_seed():
@@ -351,12 +367,15 @@ def test_load_stats_spec():
     assert rows[0] == StatsRow("x", max=9.0, min=1.0, mean=4.0, sd=2.5,
                                role=Role.INPUT)
     assert rows[1].role is Role.DESIRABLE
+    assert load_stats_spec(io.StringIO(text.decode())) == rows
     with pytest.raises(DataError, match="unknown role"):
         load_stats_spec(b"name,role,min,max,mean,sd\nx,banana,1,2,1.5,0.1\n")
     with pytest.raises(DataError, match="columns"):
         load_stats_spec(b"name,min\nx,1\n")
     with pytest.raises(DataError, match="no rows"):
         load_stats_spec(b"name,role,min,max,mean,sd\n")
+    with pytest.raises(DataError, match="non-numeric value for 'x'"):
+        load_stats_spec(b"name,role,min,max,mean,sd\nx,in,1,9,four,2\n")
 
 
 @st.composite

@@ -9,9 +9,9 @@ a small multiple of that; 1e-6 leaves room.
 import numpy as np
 import pytest
 
-from deakit import (Dataset, DeaError, Indicator, ModelKind, ModelSpec,
-                    ReturnsToScale, Role, evaluate_all, evaluate_ccr_output)
-from oracles import highs_ccr, highs_sbm, table1_panel
+from deakit import (Dataset, DeaError, ModelKind, ModelSpec, ReturnsToScale,
+                    evaluate_all, evaluate_ccr_output)
+from oracles import highs_ccr, highs_sbm, nine_decade, table1_panel
 
 pytest.importorskip("scipy.optimize")
 
@@ -69,18 +69,9 @@ def test_raw_unit_panels_match_highs(n, seed, vrs):
     _check_panel(table1_panel(n, seed, raw=True), vrs, rows)
 
 
-def wide_range_panel(n: int, seed: int) -> Dataset:
-    """Columns spanning 9 decades: 4 inputs, one good and one bad output."""
-    indicators = tuple([Indicator(f"x{i}", Role.INPUT) for i in range(4)]
-                       + [Indicator("yg", Role.DESIRABLE),
-                          Indicator("yb", Role.UNDESIRABLE)])
-    values = 10 ** np.random.default_rng(seed).uniform(-3, 6, (n, 6))
-    return Dataset(tuple(f"d{i}" for i in range(n)), indicators, values)
-
-
 def test_wide_range_ccr_vrs_scores_or_raises():
     """Once ended in ZeroDivisionError from a stage-1 phi of 0."""
-    d = wide_range_panel(30, 89)
+    d = nine_decade(89, 30)
     spec = ModelSpec(ModelKind.CCR_OUTPUT, ReturnsToScale.vrs())
     try:
         r = evaluate_ccr_output(d, "d12", spec)
@@ -95,5 +86,5 @@ def test_wide_range_sbm_with_a_tiny_charnes_cooper_scale():
     """d0's SBM optimum under CRS has t = 1.75e-8: its goods slack is
     millions of times its own good output.  Once raised "degenerate
     Charnes-Cooper scale"."""
-    d = wide_range_panel(5, 50)
+    d = nine_decade(50)
     _check_panel(d, False, range(5))

@@ -317,6 +317,12 @@ def test_certificate_rejects_perturbed_primal():
     bad = np.array(sol.primal)
     bad[int(sol.basis[0])] += 1e-3
     assert not verify_optimality(lp, dataclasses.replace(sol, primal=bad))
+    negative = np.array(sol.primal)
+    negative[int(sol.basis[0])] = -1e-6
+    assert not verify_optimality(lp, dataclasses.replace(sol,
+                                                         primal=negative))
+    assert not verify_optimality(lp, dataclasses.replace(
+        sol, objective=sol.objective + 1e-3))
 
 
 def test_certificate_rejects_nonoptimal_vertex():
@@ -339,6 +345,15 @@ def test_certificate_singular_basis():
     dup = dataclasses.replace(sol, basis=(0, 0))
     with pytest.raises(SolverError, match="basis not invertible"):
         verify_optimality(lp, dup)
+    # two distinct columns, x and a copy of it: LAPACK finds B singular
+    twin = StandardFormLP(np.append(lp.c, -1.0),
+                          np.column_stack((lp.A, lp.A[:, 0])), lp.b)
+    with pytest.raises(SolverError, match="basis not invertible"):
+        verify_optimality(twin, dataclasses.replace(
+            sol, basis=(0, 4), primal=np.append(sol.primal, 0.0)))
+    with pytest.raises(SolverError, match="expects an Optimal solution"):
+        verify_optimality(lp, dataclasses.replace(sol,
+                                                  status=Status.UNBOUNDED))
 
 
 def test_solution_invariants_on_random_lps():
@@ -365,6 +380,8 @@ def test_determinism_same_input():
 
 
 def test_validation_rejects_bad_shapes():
+    with pytest.raises(SolverError, match="A must be a matrix"):
+        StandardFormLP(np.array([1.0]), np.array([1.0]), np.array([1.0]))
     with pytest.raises(SolverError):
         StandardFormLP(np.array([1.0]), np.array([[1.0, 2.0]]),
                        np.array([1.0]))
@@ -470,6 +487,47 @@ def test_newton_refine_matches_lapack_on_own_point_bases(monkeypatch, kind,
     run.step(ks, np.flatnonzero(tpl.seed))
     drift(run, ks, 1e-10, seed=1)
     assert refines_like_lapack(run, ks, monkeypatch) == []
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()],
+                         ids=["rts0", "rts1"])
+def test_seat_restarts_only_where_the_source_basis_is_better(kind, rts):
+    # one stage of a 100-DMU panel: every tenth LP is solved on all
+    # columns, and each other LP, at its own point, is offered one of their
+    # bases in turn.  A seated LP holds that basis with B^-1 and x = B^-1 b
+    # as LAPACK gives them, x feasible and its objective below its own
+    # point's; every other LP keeps its state bit for bit
+    tpl = build_instance(table1_panel(100, seed=2), ModelSpec(kind, rts))
+    ks = np.arange(tpl.n)
+    O, c, b = tpl.stage(ks)
+    run = Lockstep(tpl.lam_block, O, c, b, tpl.own_bases(ks),
+                   tpl.own_inverses(ks, O))
+    wave, rest = ks[::10], np.delete(ks, ks[::10])
+    run.step(wave, ks)
+    run.refine(wave)
+    assert (run.status[wave] == Status.OPTIMAL).all()
+    src = wave[np.arange(rest.size) % wave.size]
+    names = ("basis", "Binv", "x", "c_B")
+    before = {name: getattr(run, name)[rest].copy() for name in names}
+    own = run.objective[rest]
+    count = run.seat(rest, src, tpl.varying)
+    moved = (run.basis[rest] != before["basis"]).any(axis=1)
+    assert 0 < count == moved.sum() < rest.size
+    for name in names:
+        assert (getattr(run, name)[rest[~moved]].tobytes()
+                == before[name][~moved].tobytes()), name
+    seated = rest[moved]
+    np.testing.assert_array_equal(run.basis[seated], run.basis[src[moved]])
+    B = run._basis_matrix(seated)
+    want = np.linalg.inv(B)
+    err = np.abs(run.Binv[seated] - want).max(axis=(1, 2))
+    assert (err <= 1e-12 * np.abs(want).max(axis=(1, 2))).all()
+    x = np.einsum("lrs,ls->lr", want, run.b[seated])
+    assert (x >= -FEAS_TOL * run.b_scale[seated, None]).all()
+    np.testing.assert_allclose(run.x[seated], np.maximum(x, 0.0),
+                               rtol=1e-12, atol=1e-12)
+    assert (run.objective[seated] < own[moved]).all()
 
 
 def test_refine_past_the_newton_gate_falls_back_to_lapack(monkeypatch):

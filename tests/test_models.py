@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -17,7 +18,8 @@ from deakit import (DataError, Dataset, Indicator, ModelError, ModelKind,
                     evaluate_sbm_undesirable, improvement_targets, load_csv,
                     solve)
 from deakit.models import build_instance, linearize_sbm
-from oracles import random_dataset, sbm_rho, table1_panel
+from oracles import (nine_decade, random_dataset, sbm_rho, six_decade,
+                     table1_panel)
 from test_acceptance import certify_stages
 from test_linprog import count_inverses
 
@@ -240,9 +242,11 @@ def test_stage1_phi_below_one_is_a_solver_error(monkeypatch, phi, status,
     # lambda = e_o, phi = 1 is feasible under CRS and VRS, so a smaller
     # stage-1 optimum can only be numerical failure; it is an error when
     # the cold retry ends there too, or does not end OPTIMAL
+    # the stand-in batch adopts the cold retry's solution as a no-op
     monkeypatch.setattr(models, "_solve_stage",
                         lambda tpl, ks, *args, **kwargs: SimpleNamespace(
-                            objective=np.full(ks.size, -phi)))
+                            objective=np.full(ks.size, -phi),
+                            adopt=lambda l, basis, x: None))
     monkeypatch.setattr(linprog, "solve", lambda lp: SimpleNamespace(
         status=status, objective=-phi, basis=(), primal=np.empty(0)))
     for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
@@ -701,18 +705,41 @@ def test_concurrent_equals_serial():
 
 def test_stage1_cold_retry_scores_a_warm_phi_just_below_one():
     # columns spanning 6 decades, the last DMU a copy of the first: the
-    # warm start ends d14's stage 1 at phi = 1 - 9.7e-9, a cold two-phase
-    # solve at 1 - 4e-11 (HiGHS: EE 1.0)
-    values = 10 ** np.random.default_rng(36).uniform(-3, 3, (20, 6))
-    values[-1] = values[0]
-    d = Dataset(tuple(f"d{i}" for i in range(20)),
-                tuple(Indicator(f"x{i}", Role.INPUT) for i in range(4))
-                + (Indicator("x4", Role.DESIRABLE),
-                   Indicator("x5", Role.UNDESIRABLE)), values)
-    results = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT,
-                                        ReturnsToScale.vrs()))
+    # warm start once ended d14's stage 1 at phi = 1 - 9.7e-9, which was
+    # retried cold (HiGHS: EE 1.0); its lockstep solve now ends at phi >= 1
+    results = evaluate_all(six_decade(36), ModelSpec(ModelKind.CCR_OUTPUT,
+                                                     ReturnsToScale.vrs()))
     assert results[14].dmu == "d14"
     assert results[14].score == 1.0
+
+
+@pytest.mark.parametrize("seed,n,kind,k,caller", [
+    # stage 1 ends d0 at phi < 1 in the batch; the cold retry scores it
+    # 1.0, where a cold solve alone ends at 1 - 7.2e-10
+    (42, 5, ModelKind.CCR_OUTPUT, 0, "_ccr"),
+    # an LP that does not end OPTIMAL in its batch
+    (63, 5, ModelKind.CCR_OUTPUT, 3, "_solve_stage"),
+    (3, 30, ModelKind.SBM_UNDESIRABLE, 11, "_solve_stage")],
+    ids=["42-ccr-retry", "63-ccr-fallback", "3-30-sbm-fallback"])
+def test_cold_hand_off_matches_a_cold_solve(monkeypatch, seed, n, kind, k,
+                                            caller):
+    # 9-decade sweep panels under VRS where the batch hands one LP to
+    # `_cold`, which solves it with `linprog.solve` and has the batch adopt
+    # the solution (`Lockstep.adopt`)
+    real, taken = linprog.Lockstep.adopt, []
+
+    def adopt(run, l, basis, x):
+        # the caller of `_cold`, and the LP, which is DMU k's in stage 1
+        taken.append((sys._getframe(2).f_code.co_name, int(l)))
+        real(run, l, basis, x)
+
+    monkeypatch.setattr(linprog.Lockstep, "adopt", adopt)
+    d, spec = nine_decade(seed, n), ModelSpec(kind, ReturnsToScale.VRS)
+    score = evaluate_all(d, spec)[k].score
+    assert taken == [(caller, k)]
+    f = solve(build_instance(d, spec).lp(k)).objective
+    want = 1.0 / -f if kind is ModelKind.CCR_OUTPUT else f
+    assert abs(score - want) <= 1e-9
 
 
 def test_full_width_pricing_is_blocked():

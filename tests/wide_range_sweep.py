@@ -45,10 +45,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog as highs
 
-from deakit import (Dataset, DeaError, Indicator, ModelKind, ModelSpec,
-                    ReturnsToScale, Role, evaluate_all, linprog)
+from deakit import (Dataset, DeaError, ModelKind, ModelSpec, ReturnsToScale,
+                    evaluate_all, linprog)
 from deakit.models import build_instance
-from oracles import highs_ccr, highs_sbm
+from oracles import highs_ccr, highs_sbm, nine_decade, six_decade
 
 SCORE_TOL = 1e-6
 MOVE_TOL = 1e-9
@@ -63,24 +63,6 @@ CEILINGS = {"6-decade rows off": 1, "6-decade raising calls": 0,
 SPECS = [(kind, vrs) for kind in (ModelKind.CCR_OUTPUT,
                                   ModelKind.SBM_UNDESIRABLE)
          for vrs in (False, True)]
-INDICATORS = tuple([Indicator(f"x{i}", Role.INPUT) for i in range(4)]
-                   + [Indicator("yg", Role.DESIRABLE),
-                      Indicator("yb", Role.UNDESIRABLE)])
-
-
-def panel(values: np.ndarray) -> Dataset:
-    return Dataset(tuple(f"d{i}" for i in range(len(values))), INDICATORS,
-                   values)
-
-
-def six_decade(s: int) -> Dataset:
-    values = 10 ** np.random.default_rng(s).uniform(-3, 3, (20, 6))
-    values[-1] = values[0]
-    return panel(values)
-
-
-def nine_decade(s: int, n: int = 5) -> Dataset:
-    return panel(10 ** np.random.default_rng(s).uniform(-3, 6, (n, 6)))
 
 
 def spec(kind: ModelKind, vrs: bool) -> ModelSpec:
@@ -198,7 +180,7 @@ def cold_lps() -> dict[str, int]:
 
 def permuted(d: Dataset, perm: np.ndarray) -> Dataset:
     """`d` with its rows, names included, in the order `perm`."""
-    return Dataset(tuple(d.dmu_names[i] for i in perm), INDICATORS,
+    return Dataset(tuple(d.dmu_names[i] for i in perm), d.indicators,
                    d.values[perm])
 
 
