@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     in_p = argparse.ArgumentParser(add_help=False)
     in_p.add_argument("--input", required=True, help="dataset CSV path")
     in_p.add_argument("--epsilon-shift", action="store_true",
-                      help="replace zeros in non-meta columns by "
-                           "1e-6 x column max")
+                      help="replace zeros in non-meta columns with a "
+                           "positive max by 1e-6 x column max")
 
     model_p = argparse.ArgumentParser(add_help=False)
     model_p.add_argument("--model", choices=[k.value for k in ModelKind],

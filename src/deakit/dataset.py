@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -208,8 +208,8 @@ def load_csv(source: Union[str, Path, bytes, IO], *,
     non-numeric cells, and (from `Dataset`) on duplicate DMU names,
     non-finite values, or non-positive values in non-meta columns, each
     with row/column coordinates.  With `epsilon_shift`, zeros in non-meta
-    columns are replaced by 1e-6 x column max (and a warning is emitted)
-    instead of being rejected.
+    columns with a positive max are replaced by 1e-6 x column max (and a
+    warning is emitted) instead of being rejected.
     """
     reader = csv.reader(io.StringIO(_read_text(source)))
     table = [row for row in reader if row]
@@ -244,8 +244,8 @@ def load_csv(source: Union[str, Path, bytes, IO], *,
             if ind.role is Role.META:
                 continue
             zeros = values[:, j] == 0.0
-            if zeros.any():
-                shift = 1e-6 * values[:, j].max()
+            shift = 1e-6 * values[:, j].max()
+            if zeros.any() and shift > 0.0:
                 values[zeros, j] = shift
                 warnings.warn(
                     f"epsilon-shift: replaced {int(zeros.sum())} zero(s) in "

@@ -39,7 +39,8 @@ class ModelKind(enum.Enum):
 
 class ReturnsToScale(enum.Enum):
     """The intensity sum e lambda: free under CRS, 1 under VRS (Banker,
-    Charnes & Cooper 1984).  The values are the CLI's `--rts` tokens."""
+    Charnes & Cooper 1984).  The values are the CLI's `--rts` tokens.  The
+    aliases `crs()` and `vrs()` stay only for the benchmark harness."""
 
     CRS = "crs"
     VRS = "vrs"
@@ -184,28 +185,22 @@ class _Template:
         self.spread = lam_sum + rows * self.Z.max() * (1.0 + lam_sum)
         self.margin = linprog.FEAS_TOL + linprog.OPT_TOL * self.spread
 
-    def own_bases(self, ks: np.ndarray) -> np.ndarray:
-        """Each DMU k's own point, phi = 1 or t = 1 with lambda = e_k.
+    def own_start(self, ks: np.ndarray, O: np.ndarray):
+        """Each DMU k's own point, phi = 1 or t = 1 with lambda = e_k, in its
+        LP with own columns `O` (`stage`): the basis and, in closed form,
+        its B^-1.
 
         A basis is the lead, lambda_k and every tail column but the first
         input slack and, for CCR, the first desirable-output slack.  It is
-        nonsingular for positive data and feasible under CRS and VRS.
-        """
-        return np.column_stack((np.zeros_like(ks), 1 + ks,
-                                np.tile(self._own_tail, (ks.size, 1))))
-
-    def own_inverses(self, ks: np.ndarray, O: np.ndarray) -> np.ndarray:
-        """B^-1 of each DMU k's own-point basis (`own_bases`) in its LP
-        with own columns `O` (`stage`), in closed form.
-
-        Each basic slack is a signed unit column on its own row (and, in
-        the SBM, the goods and bads slacks have an entry on the
-        normalization row), so B^-1 follows from the 2 x 2 Schur
-        complement S on the two rows that no basic slack covers.  In mean
-        units det S is x_1k y_1k for CCR (first input times first good) and
-        x_1k for the SBM, so B is singular exactly when S is.  Where det S
-        is not above `linprog.NEWTON_GATE` of its terms, B^-1 is NaN and
-        `Lockstep` finds the start unusable."""
+        nonsingular for positive data and feasible under CRS and VRS.  Each
+        basic slack is a signed unit column on its own row (and, in the
+        SBM, the goods and bads slacks have an entry on the normalization
+        row), so B^-1 follows from the 2 x 2 Schur complement S on the two
+        rows that no basic slack covers.  In mean units det S is x_1k y_1k
+        for CCR (first input times first good) and x_1k for the SBM, so B
+        is singular exactly when S is.  Where det S is not above
+        `linprog.NEWTON_GATE` of its terms, B^-1 is NaN and `Lockstep`
+        finds the start unusable."""
         top = 1 if self.sbm else 0
         free = [0, 1] if self.sbm else [0, self.m]
         covered = np.delete(np.arange(O.shape[1]), free)
@@ -226,7 +221,9 @@ class _Template:
         Binv[:, :2, free], Binv[:, :2, covered] = Sinv, upper
         Binv[:, 2:, free] = -W @ Sinv
         Binv[:, 2:, covered] = np.diag(sign) - W @ upper
-        return Binv
+        basis = np.column_stack((np.zeros_like(ks), 1 + ks,
+                                 np.tile(self._own_tail, (ks.size, 1))))
+        return basis, Binv
 
     def stage(self, ks: np.ndarray, phi: Optional[np.ndarray] = None):
         """The per-DMU part of the LPs of DMUs `ks`: own columns (the lead,
@@ -293,7 +290,7 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
     """One stage's LPs of the DMUs `ks`, solved together on `frame`.
 
     Each LP starts at `start` (template-index bases and inverses), by
-    default its DMU's own point (`_Template.own_inverses`).  In rounds the
+    default its DMU's own point (`_Template.own_start`).  In rounds the
     active LPs step in lockstep on the frame (`linprog.Lockstep`) and are
     refined; an optimum is accepted once the lambda-columns price out
     (reduced cost >= -OPT_TOL), which makes it optimal on all columns (Ali
@@ -326,9 +323,8 @@ def _solve_stage(tpl: _Template, ks: np.ndarray, what: str,
     Returns the solved batch, one LP per DMU of `ks`.
     """
     O, c, b = tpl.stage(ks, phi)
-    basis, Binv = ((tpl.own_bases(ks), tpl.own_inverses(ks, O))
-                   if start is None else start)
-    run = linprog.Lockstep(tpl.lam_block, O, c, b, basis, Binv)
+    run = linprog.Lockstep(tpl.lam_block, O, c, b,
+                           *(tpl.own_start(ks, O) if start is None else start))
     active = run.usable.nonzero()[0]
     rest = active[:0]
     if start is None and active.size >= WAVE_FROM:

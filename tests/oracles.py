@@ -5,20 +5,35 @@ by exhaustive basic-solution enumeration, the SBM ratio by direct grid
 search over the intensity vector, and 1-input/1-output CCR by the output
 ratio formula.  The HiGHS references solve both models, written from
 their definitions, with `scipy.optimize.linprog`; scipy is imported only
-when they are called.
+when they are called.  The model specs, panels and memory probe that the
+tests share live here too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
 import reference_2011
-from deakit import Dataset, Indicator, Role, StandardFormLP
+from deakit import (Dataset, Indicator, ModelKind, ModelSpec, ReturnsToScale,
+                    Role, StandardFormLP)
 
 FEAS_EPS = 1e-9
+# the four models: CCR and the SBM, each under CRS and VRS
+SPECS = [ModelSpec(kind, rts) for kind in ModelKind for rts in ReturnsToScale]
+
+
+def traced(f, *args):
+    """`f(*args)` and its tracemalloc peak in MiB."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def lp_enum_min(lp: StandardFormLP):

@@ -23,28 +23,17 @@ It prints each fault and exits 1 if there is one.  It needs scipy.
 
 import csv
 import sys
-import tracemalloc
 
 import numpy as np
 
 from deakit import (ModelKind, ModelSpec, ReturnsToScale, evaluate_all,
                     load_csv)
-from oracles import highs_ccr, highs_sbm
+from oracles import highs_ccr, highs_sbm, traced
 
 PEAK_MIB = 128
 IDENTITY_RTOL = 1e-9
 SAMPLE = 50
 SCORE_TOL = 1e-6
-
-
-def traced(f, *args):
-    """`f(*args)` and its tracemalloc peak in MiB."""
-    tracemalloc.start()
-    try:
-        out = f(*args)
-        return out, tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 def projection_faults(results, X, Yg, Yb, vrs: bool):

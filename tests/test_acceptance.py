@@ -361,7 +361,7 @@ def test_c6_invariant_suites(monkeypatch):
     certify_stages(monkeypatch, padded)
     for d in (random_dataset(510, n=12, m=2), table1_panel(150, seed=3),
               table1_panel(30, seed=5, raw=True)):
-        for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
+        for rts in ReturnsToScale:
             evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT, rts))
             evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts))
     assert padded["n"] == 2 * 3 * (12 + 150 + 30)

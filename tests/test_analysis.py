@@ -257,7 +257,7 @@ def test_compare_models_needs_a_dmu():
 RATE_KINDS = ("input_reduction_pct", "bad_reduction_pct", "good_increase_pct")
 
 
-@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()],
+@pytest.mark.parametrize("rts", list(ReturnsToScale),
                          ids=["rts0", "rts1"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_compare_models_rates_and_mean_row_exact(seed, rts):

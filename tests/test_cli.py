@@ -139,6 +139,7 @@ def test_stats_near_the_float_range(capsys, tmp_path, fmt):
 @pytest.mark.parametrize("command,column,header", [
     ("report", "meta:dmu", "dmu"), ("report", "meta:EE", "EE"),
     ("report", "meta:EE rank", "EE rank"),
+    ("report", "meta:SBM reduce yb (%)", "SBM reduce yb (%)"),
     ("corr", "in:indicator", "indicator")])
 def test_repeated_header_exit_1(capsys, monkeypatch, tmp_path, command,
                                 column, header, fmt):
@@ -154,6 +155,20 @@ def test_repeated_header_exit_1(capsys, monkeypatch, tmp_path, command,
                              "--format", fmt)
     assert code == 1 and out == ""
     assert err == f"error: repeated column header {header!r}\n"
+
+
+def test_report_prints_a_meta_column_named_as_a_rate_ccr_lacks(capsys,
+                                                               tmp_path):
+    # CCR reports no undesirable-output rate, so a meta column under that
+    # header repeats none: the report prints it after the rates
+    p = tmp_path / "panel.csv"
+    p.write_text("dmu,in:x,out+:yg,out-:yb,meta:CCR reduce yb (%)\n"
+                 "A,1,2,1,10\nB,1,1,2,3\nC,2,3,1,4\n")
+    code, out, err = run_cli(capsys, "report", "--input", str(p),
+                             "--format", "csv")
+    assert code == 0, err
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()] == [
+        "CCR reduce yb (%)", "10", "3", "4", "5.666666666666667"]
 
 
 def test_corr_command(capsys, tmp_path):

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import statistics
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,13 @@ def test_epsilon_shift_replaces_zeros():
     ok = b"dmu,in:x,out+:y,meta:z\nA,1,2,0\n"
     d2 = load_csv(ok, epsilon_shift=True)
     assert d2.values[0, 2] == 0.0
+    # a column with no positive value has no shift to make: no warning
+    # claims one, and validation names each zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"row 1 \(A\), column 'x': value "
+                           r"0\.0 .*row 2 \(B\), column 'x': value 0\.0"):
+            load_csv(b"dmu,in:x,out+:y\nA,0,2\nB,0,1\n", epsilon_shift=True)
 
 
 def test_validate_reports_violations():

@@ -24,15 +24,12 @@ RAW1000_FAULT_ROWS = (153, 202, 290, 323, 480, 522, 569, 587, 632, 689, 703,
                       713, 874, 890)
 
 
-def _rts(vrs: bool) -> ReturnsToScale:
-    return ReturnsToScale.vrs() if vrs else ReturnsToScale.crs()
-
-
 def _check_panel(d: Dataset, vrs: bool, rows) -> None:
     """HiGHS scores and the slack identities in the panel's own units."""
     X, Yg, Yb = d.X.T, d.Yg.T, d.Yb.T
-    ee = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT, _rts(vrs)))
-    epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, _rts(vrs)))
+    rts = ReturnsToScale.VRS if vrs else ReturnsToScale.CRS
+    ee = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT, rts))
+    epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts))
     for k in rows:
         assert ee[k].score == pytest.approx(highs_ccr(X, Yg, k, vrs),
                                             abs=SCORE_TOL), f"EE row {k}"
@@ -72,7 +69,7 @@ def test_raw_unit_panels_match_highs(n, seed, vrs):
 def test_wide_range_ccr_vrs_scores_or_raises():
     """Once ended in ZeroDivisionError from a stage-1 phi of 0."""
     d = nine_decade(89, 30)
-    spec = ModelSpec(ModelKind.CCR_OUTPUT, ReturnsToScale.vrs())
+    spec = ModelSpec(ModelKind.CCR_OUTPUT, ReturnsToScale.VRS)
     try:
         r = evaluate_ccr_output(d, "d12", spec)
     except DeaError:

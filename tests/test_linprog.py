@@ -4,12 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from deakit import (Dataset, Indicator, LPSolution, ModelKind, ModelSpec,
-                    ReturnsToScale, Role, SolverError, StandardFormLP, Status,
-                    evaluate_all, linprog, solve, verify_optimality)
+from deakit import (LPSolution, ModelKind, ModelSpec, ReturnsToScale,
+                    SolverError, StandardFormLP, Status, evaluate_all, linprog,
+                    solve, verify_optimality)
 from deakit.linprog import FEAS_TOL, OPT_TOL, Lockstep
 from deakit.models import build_instance
-from oracles import lp_enum_min, random_bounded_lp, table1_panel
+from oracles import (SPECS, lp_enum_min, nine_decade, random_bounded_lp,
+                     table1_panel)
 
 
 def example_lp() -> StandardFormLP:
@@ -166,16 +167,14 @@ def test_bland_fallback(monkeypatch):
     # Bland's rule from the first pivot on: no tier-1 LP runs BLAND_AFTER
     # degenerate pivots in a row, so this is the only path to it
     d = table1_panel(30, seed=1)
-    specs = [ModelSpec(kind, rts) for kind in ModelKind
-             for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())]
-    dantzig = [evaluate_all(d, spec) for spec in specs]
+    dantzig = [evaluate_all(d, spec) for spec in SPECS]
     monkeypatch.setattr(linprog, "BLAND_AFTER", 0)
     for seed in range(60):
         lp = random_bounded_lp(seed)
         sol = solve(lp)
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(lp_enum_min(lp)[0], abs=1e-7)
-    for spec, want in zip(specs, dantzig):
+    for spec, want in zip(SPECS, dantzig):
         got = evaluate_all(d, spec)
         np.testing.assert_allclose([r.score for r in got],
                                    [r.score for r in want], rtol=0,
@@ -288,13 +287,8 @@ def test_a_basic_column_never_enters_twice(seed, k):
     # price at zero, phi enters a second time and the basis goes singular
     # (NUMERICAL_BREAKDOWN).  The DMU is efficient, phi* = 1, by exact
     # enumeration.
-    d = Dataset(tuple(f"d{i}" for i in range(5)),
-                tuple([Indicator(f"x{i}", Role.INPUT) for i in range(4)]
-                      + [Indicator("yg", Role.DESIRABLE),
-                         Indicator("yb", Role.UNDESIRABLE)]),
-                10 ** np.random.default_rng(seed).uniform(-3, 6, (5, 6)))
-    spec = ModelSpec(ModelKind.CCR_OUTPUT, ReturnsToScale.vrs())
-    tpl = build_instance(d, spec)
+    spec = ModelSpec(ModelKind.CCR_OUTPUT, ReturnsToScale.VRS)
+    tpl = build_instance(nine_decade(seed), spec)
     lp = tpl.lp(k)
     sol = solve(lp)
     assert sol.status is Status.OPTIMAL
@@ -472,7 +466,7 @@ def test_newton_refine_matches_lapack_on_random_bases(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
-@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()],
+@pytest.mark.parametrize("rts", list(ReturnsToScale),
                          ids=["rts0", "rts1"])
 def test_newton_refine_matches_lapack_on_own_point_bases(monkeypatch, kind,
                                                          rts):
@@ -480,8 +474,7 @@ def test_newton_refine_matches_lapack_on_own_point_bases(monkeypatch, kind,
     tpl = build_instance(table1_panel(30, seed=5), ModelSpec(kind, rts))
     ks = np.arange(tpl.n)
     O, c, b = tpl.stage(ks)
-    run = Lockstep(tpl.lam_block, O, c, b, tpl.own_bases(ks),
-                   tpl.own_inverses(ks, O))
+    run = Lockstep(tpl.lam_block, O, c, b, *tpl.own_start(ks, O))
     drift(run, ks, 1e-10)
     assert refines_like_lapack(run, ks, monkeypatch) == []
     run.step(ks, np.flatnonzero(tpl.seed))
@@ -490,7 +483,7 @@ def test_newton_refine_matches_lapack_on_own_point_bases(monkeypatch, kind,
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
-@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()],
+@pytest.mark.parametrize("rts", list(ReturnsToScale),
                          ids=["rts0", "rts1"])
 def test_seat_restarts_only_where_the_source_basis_is_better(kind, rts):
     # one stage of a 100-DMU panel: every tenth LP is solved on all
@@ -501,8 +494,7 @@ def test_seat_restarts_only_where_the_source_basis_is_better(kind, rts):
     tpl = build_instance(table1_panel(100, seed=2), ModelSpec(kind, rts))
     ks = np.arange(tpl.n)
     O, c, b = tpl.stage(ks)
-    run = Lockstep(tpl.lam_block, O, c, b, tpl.own_bases(ks),
-                   tpl.own_inverses(ks, O))
+    run = Lockstep(tpl.lam_block, O, c, b, *tpl.own_start(ks, O))
     wave, rest = ks[::10], np.delete(ks, ks[::10])
     run.step(wave, ks)
     run.refine(wave)

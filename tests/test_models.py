@@ -18,10 +18,10 @@ from deakit import (DataError, Dataset, Indicator, ModelError, ModelKind,
                     evaluate_sbm_undesirable, improvement_targets, load_csv,
                     solve)
 from deakit.models import build_instance, linearize_sbm
-from oracles import (nine_decade, random_dataset, sbm_rho, six_decade,
-                     table1_panel)
+from oracles import (SPECS, nine_decade, random_dataset, sbm_rho, six_decade,
+                     table1_panel, traced)
 from test_acceptance import certify_stages
-from test_linprog import count_inverses
+from test_linprog import assert_ends_as, count_inverses
 
 CANONICAL = load_csv(b"dmu,in:x,out+:yg,out-:yb\nA,1,2,1\nB,1,1,2\n")
 CCR = ModelSpec(ModelKind.CCR_OUTPUT)
@@ -46,7 +46,7 @@ def test_build_instance_slices_by_role():
 def test_build_instance_vrs_bounds():
     tpl = build_instance(paper_shaped(),
                          ModelSpec(ModelKind.CCR_OUTPUT,
-                                   ReturnsToScale.vrs()))
+                                   ReturnsToScale.VRS))
     assert tpl.vrs and not tpl.sbm
 
 
@@ -133,7 +133,7 @@ def test_linearize_sbm_dimensions_crs():
 
 def test_linearize_sbm_dimensions_vrs():
     tpl = build_instance(CANONICAL, ModelSpec(ModelKind.SBM_UNDESIRABLE,
-                                              ReturnsToScale.vrs()))
+                                              ReturnsToScale.VRS))
     lp = linearize_sbm(tpl, 1)
     assert lp.n_vars == 8
     assert lp.n_constraints == 6
@@ -249,13 +249,13 @@ def test_stage1_phi_below_one_is_a_solver_error(monkeypatch, phi, status,
                             adopt=lambda l, basis, x: None))
     monkeypatch.setattr(linprog, "solve", lambda lp: SimpleNamespace(
         status=status, objective=-phi, basis=(), primal=np.empty(0)))
-    for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
+    for rts in ReturnsToScale:
         with pytest.raises(SolverError, match=error):
             evaluate_ccr_output(CANONICAL, "B",
                                 ModelSpec(ModelKind.CCR_OUTPUT, rts))
 
 
-@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()],
+@pytest.mark.parametrize("rts", list(ReturnsToScale),
                          ids=["rts0", "rts1"])
 def test_shared_frame_matches_single_dmu_solves(rts):
     # evaluate_all grows one candidate set for the panel; each per-DMU
@@ -279,19 +279,17 @@ def test_one_template_scored_twice_is_bit_identical(n, seed):
     # each evaluation grows its own frame and clears its own frontier mask;
     # the template, its seed frame included, is read-only once built
     d = table1_panel(n, seed=seed)
-    for kind in ModelKind:
-        for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs()):
-            tpl = build_instance(d, ModelSpec(kind, rts))
-            seed_frame = tpl.seed.copy()
-            first, second = models._evaluate(tpl), models._evaluate(tpl)
-            for field in ("score", "phi", "slack_in", "slack_good",
-                          "slack_bad", "basis", "x"):
-                assert (getattr(first, field).tobytes()
-                        == getattr(second, field).tobytes()), (kind, rts,
-                                                               field)
-            assert np.array_equal(tpl.seed, seed_frame)
-            with pytest.raises(ValueError):
-                tpl.seed[0] = not tpl.seed[0]
+    for spec in SPECS:
+        tpl = build_instance(d, spec)
+        seed_frame = tpl.seed.copy()
+        first, second = models._evaluate(tpl), models._evaluate(tpl)
+        for field in ("score", "phi", "slack_in", "slack_good", "slack_bad",
+                      "basis", "x"):
+            assert (getattr(first, field).tobytes()
+                    == getattr(second, field).tobytes()), (spec, field)
+        assert np.array_equal(tpl.seed, seed_frame)
+        with pytest.raises(ValueError):
+            tpl.seed[0] = not tpl.seed[0]
 
 
 def test_degenerate_scale_guard(monkeypatch):
@@ -307,26 +305,19 @@ def test_degenerate_scale_guard(monkeypatch):
         evaluate_all(CANONICAL, SBM)
 
 
-@pytest.mark.parametrize("n,seed", [(30, 1), (30, 2), (30, 3), (31, 1)])
+@pytest.mark.parametrize("n,seed", [(30, 1), (30, 2), (30, 3), (31, 1),
+                                    (models.WAVE_FROM + 44, 1)])
 def test_results_do_not_depend_on_block_size(monkeypatch, n, seed):
     # 2-DMU blocks for full-width pricing, with a partial last block where
-    # n is odd
+    # n is odd; above WAVE_FROM, with the wave active
     d = table1_panel(n, seed=seed)
-    specs = [ModelSpec(kind, rts) for kind in ModelKind
-             for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())]
-    default = [evaluate_all(d, spec) for spec in specs]
+    default = [evaluate_all(d, spec) for spec in SPECS]
     monkeypatch.setattr(models, "PRICE_BLOCK", 3 * n - 1)
-    for spec, want in zip(specs, default):
-        for got, r in zip(evaluate_all(d, spec), want):
-            assert got.score == r.score
-            for a, b in ((got.lam, r.lam), (got.slack_in, r.slack_in),
-                         (got.slack_good, r.slack_good),
-                         (got.slack_bad, r.slack_bad)):
-                np.testing.assert_array_equal(a, b)
-
-
-SPECS = [ModelSpec(kind, rts) for kind in ModelKind
-         for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())]
+    for spec, want in zip(SPECS, default):
+        got = evaluate_all(d, spec)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert same_result(g, w), (spec, g.dmu)
 
 
 def first_steps(monkeypatch) -> list:
@@ -383,8 +374,20 @@ def test_first_wave_matches_one_wave(monkeypatch):
          n, n] if size]
 
 
+def seat_counts(monkeypatch) -> list:
+    """Spy on `_seat`: the list gets the number of LPs each call seats."""
+    seated, real = [], models._seat
+
+    def seat(*args):
+        seated.append(real(*args))
+        return seated[-1]
+
+    monkeypatch.setattr(models, "_seat", seat)
+    return seated
+
+
 @pytest.mark.parametrize("seed", [1, 3])
-@pytest.mark.parametrize("rts", [ReturnsToScale.crs(), ReturnsToScale.vrs()],
+@pytest.mark.parametrize("rts", list(ReturnsToScale),
                          ids=["crs", "vrs"])
 def test_seated_lps_match_unseated(monkeypatch, seed, rts):
     # after the wave, the stages from own points seat the other LPs at wave
@@ -394,13 +397,7 @@ def test_seated_lps_match_unseated(monkeypatch, seed, rts):
     # relative (slacks to their indicator's panel mean)
     d = table1_panel(1000, seed)
     specs = [ModelSpec(kind, rts) for kind in ModelKind]
-    seated, real_seat = [], models._seat
-
-    def seat(*args):
-        seated.append(real_seat(*args))
-        return seated[-1]
-
-    monkeypatch.setattr(models, "_seat", seat)
+    seated = seat_counts(monkeypatch)
     certified = {"n": 0}
     with monkeypatch.context() as patch:
         certify_stages(patch, certified)
@@ -438,21 +435,6 @@ def test_small_panels_skip_the_wave(monkeypatch):
     crs, vrs = (30 - skipped for skipped in certified["skipped"])
     assert [[size, step] for _, size, step in firsts] == [
         [size, size] for size in (30, crs, 30, vrs, 30, 30) if size]
-
-
-def test_waved_results_do_not_depend_on_block_size(monkeypatch):
-    # as test_results_do_not_depend_on_block_size, with the wave active
-    d = table1_panel(models.WAVE_FROM + 44, seed=1)
-    n = len(d.dmu_names)
-    default = [evaluate_all(d, spec) for spec in SPECS]
-    monkeypatch.setattr(models, "PRICE_BLOCK", 3 * n - 1)
-    for spec, want in zip(SPECS, default):
-        for got, r in zip(evaluate_all(d, spec), want):
-            assert got.score == r.score
-            for a, b in ((got.lam, r.lam), (got.slack_in, r.slack_in),
-                         (got.slack_good, r.slack_good),
-                         (got.slack_bad, r.slack_bad)):
-                np.testing.assert_array_equal(a, b)
 
 
 def scatter(tpl, basis, v):
@@ -510,8 +492,7 @@ def same_result(a, b) -> bool:
 def test_api_payloads_survive_pickle():
     # API payloads are pickled (the benchmark hashes them); every result
     # and record, slotted and frozen, must come back equal, field by field
-    for n, rts in itertools.product((12, 100), (ReturnsToScale.crs(),
-                                                ReturnsToScale.vrs())):
+    for n, rts in itertools.product((12, 100), ReturnsToScale):
         d = random_dataset(4, n=n, m=2, s1=1, s2=1, with_meta=True)
         ee = evaluate_all(d, ModelSpec(ModelKind.CCR_OUTPUT, rts))
         epi = evaluate_all(d, ModelSpec(ModelKind.SBM_UNDESIRABLE, rts))
@@ -524,30 +505,20 @@ def test_api_payloads_survive_pickle():
         assert all(r.peers.size for r in ee2 + epi2)
 
 
-def traced_peak(f, *args) -> int:
-    """The tracemalloc peak, in bytes, of the call `f(*args)`."""
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
 def test_evaluate_all_peaks_in_linear_memory(kind):
     # the results carry reference sets, so the API path peaks where the
     # CLI's arrays do, with no (DMUs x n) lambda array
     d, spec = table1_panel(2000, seed=1), ModelSpec(kind)
-    arrays = traced_peak(lambda: models._evaluate(build_instance(d, spec)))
-    assert traced_peak(evaluate_all, d, spec) <= 1.5 * arrays
+    _, arrays = traced(lambda: models._evaluate(build_instance(d, spec)))
+    assert traced(evaluate_all, d, spec)[1] <= 1.5 * arrays
 
 
 def test_vrs_score_at_least_crs():
     d = random_dataset(11, n=6, m=2, s1=1, s2=1)
     for kind, evalf in ((CCR, evaluate_ccr_output),
                         (SBM, evaluate_sbm_undesirable)):
-        vrs_spec = ModelSpec(kind.kind, ReturnsToScale.vrs())
+        vrs_spec = ModelSpec(kind.kind, ReturnsToScale.VRS)
         for dmu in d.dmu_names:
             crs_score = evalf(d, dmu, kind).score
             vrs_score = evalf(d, dmu, vrs_spec).score
@@ -708,7 +679,7 @@ def test_stage1_cold_retry_scores_a_warm_phi_just_below_one():
     # warm start once ended d14's stage 1 at phi = 1 - 9.7e-9, which was
     # retried cold (HiGHS: EE 1.0); its lockstep solve now ends at phi >= 1
     results = evaluate_all(six_decade(36), ModelSpec(ModelKind.CCR_OUTPUT,
-                                                     ReturnsToScale.vrs()))
+                                                     ReturnsToScale.VRS))
     assert results[14].dmu == "d14"
     assert results[14].score == 1.0
 
@@ -813,7 +784,7 @@ def panels(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(panels(), st.sampled_from(list(ModelKind)),
-       st.sampled_from((ReturnsToScale.crs(), ReturnsToScale.vrs())))
+       st.sampled_from(ReturnsToScale))
 def test_lockstep_matches_cold_and_single_dmu_solves(d, kind, rts):
     spec = ModelSpec(kind, rts)
     single = (evaluate_ccr_output if kind is ModelKind.CCR_OUTPUT
@@ -839,10 +810,10 @@ def batches_match_batches_of_one(kind) -> list:
     steps = []
     for seed in range(20):
         tpl = build_instance(table1_panel(30, seed=seed),
-                             ModelSpec(kind, ReturnsToScale.vrs()))
+                             ModelSpec(kind, ReturnsToScale.VRS))
         ks = np.arange(tpl.n)
         O, c, b = tpl.stage(ks)
-        basis, Binv = tpl.own_bases(ks), tpl.own_inverses(ks, O)
+        basis, Binv = tpl.own_start(ks, O)
         frame = np.flatnonzero(tpl.seed)
         # a batch keeps the start inverses it is given and updates them in
         # place, so each run gets its own copy
@@ -854,11 +825,7 @@ def batches_match_batches_of_one(kind) -> list:
                                    b[l:l + 1], basis[l:l + 1],
                                    Binv[l:l + 1].copy())
             one.step(np.zeros(1, dtype=np.int64), frame)
-            assert one.status[0] is run.status[l]
-            assert one.iterations[0] == run.iterations[l]
-            for name in ("basis", "x", "Binv", "c_B"):
-                assert (getattr(one, name)[0].tobytes()
-                        == getattr(run, name)[l].tobytes()), name
+            assert_ends_as(one, run, l)
         steps.append((run, frame.size))
     return steps
 
@@ -905,10 +872,10 @@ def test_pivot_counts_carry_across_steps(monkeypatch, kind):
     # others end OPTIMAL.  A capped LP must end at exactly ITER_CAP pivots,
     # and each LP as it ends alone
     tpl = build_instance(table1_panel(30, seed=1),
-                         ModelSpec(kind, ReturnsToScale.vrs()))
+                         ModelSpec(kind, ReturnsToScale.VRS))
     ks = np.arange(tpl.n)
     O, c, b = tpl.stage(ks)
-    basis, Binv = tpl.own_bases(ks), tpl.own_inverses(ks, O)
+    basis, Binv = tpl.own_start(ks, O)
     frame = np.flatnonzero(tpl.seed)
 
     def two_steps(ls, cap=None):
@@ -933,11 +900,7 @@ def test_pivot_counts_carry_across_steps(monkeypatch, kind):
     ended = run.iterations - entry
     assert set(ended[capped]) & set(ended[~capped])
     for l in ks:
-        one, _ = two_steps(np.array([l]), cap)
-        assert one.status[0] is run.status[l]
-        assert one.iterations[0] == run.iterations[l]
-        assert np.array_equal(one.basis[0], run.basis[l])
-        assert np.array_equal(one.x[0], run.x[l])
+        assert_ends_as(two_steps(np.array([l]), cap)[0], run, l)
 
 
 def test_an_own_column_that_prices_negative_joins_the_frame(monkeypatch):
@@ -949,7 +912,7 @@ def test_an_own_column_that_prices_negative_joins_the_frame(monkeypatch):
     # all columns, with a cold solve's score
     d = table1_panel(30, seed=65)
     tpl = build_instance(d, ModelSpec(ModelKind.SBM_UNDESIRABLE,
-                                      ReturnsToScale.vrs()))
+                                      ReturnsToScale.VRS))
     ks = np.arange(tpl.n)
     assert not tpl.seed[26]
     certified = {"n": 0}
@@ -976,8 +939,8 @@ def own_start(tpl):
     the closed-form inverses and the DMUs."""
     ks = np.arange(tpl.n)
     O, c, b = tpl.stage(ks)
-    run = linprog.Lockstep(tpl.lam_block, O, c, b, tpl.own_bases(ks))
-    return run, tpl.own_inverses(ks, O), ks
+    basis, Binv = tpl.own_start(ks, O)
+    return linprog.Lockstep(tpl.lam_block, O, c, b, basis), Binv, ks
 
 
 def without_bads(d: Dataset) -> Dataset:
@@ -988,11 +951,9 @@ def without_bads(d: Dataset) -> Dataset:
 
 
 @pytest.mark.parametrize("n", [1, 30, 1000])
-@pytest.mark.parametrize("spec,plain", [
-    (ModelSpec(kind, rts), False) for kind in ModelKind
-    for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())] + [
+@pytest.mark.parametrize("spec,plain", [(spec, False) for spec in SPECS] + [
     (ModelSpec(ModelKind.SBM_UNDESIRABLE, rts), True)
-    for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())])
+    for rts in ReturnsToScale])
 def test_own_inverses_match_lapack(n, spec, plain):
     # the closed-form start inverses are those LAPACK finds for the same
     # basis matrices
@@ -1024,8 +985,8 @@ def test_own_inverses_are_nan_where_the_schur_complement_is_singular():
 
 
 @pytest.mark.parametrize("d,rts", [
-    (table1_panel(1000, seed=3), ReturnsToScale.crs()),
-    (table1_panel(30, seed=4), ReturnsToScale.vrs())],
+    (table1_panel(1000, seed=3), ReturnsToScale.CRS),
+    (table1_panel(30, seed=4), ReturnsToScale.VRS)],
     ids=["d0-rts0", "d1-rts1"])
 def test_evaluate_all_calls_no_lapack_inverse(monkeypatch, d, rts):
     # start inverses come in closed form and refine takes a Newton step,
@@ -1119,13 +1080,35 @@ def test_ill_conditioned_lps_price_every_column(monkeypatch):
     assert got["d3"] == pytest.approx(3.36e-5, rel=1e-2)
 
 
+def test_a_shut_condition_gate_prices_every_column(monkeypatch):
+    # with COND_BOUND at 0 no LP's condition estimate is within it: every
+    # LP prices every column, `_unique` clears no DMU, and `_seat` finds
+    # no wave LP to seat from.  Every final basis must still be optimal on
+    # all columns, with the default run's scores
+    d = table1_panel(models.WAVE_FROM + 44, seed=1)
+    default = [evaluate_all(d, spec) for spec in SPECS]
+    seated = seat_counts(monkeypatch)
+    monkeypatch.setattr(linprog, "COND_BOUND", 0.0)
+    seen = both_pricings(monkeypatch)
+    certified = {"n": 0, "skipped": []}
+    certify_stages(monkeypatch, certified)
+    for spec, want in zip(SPECS, default):
+        got = evaluate_all(d, spec)
+        np.testing.assert_allclose([r.score for r in got],
+                                   [r.score for r in want], rtol=0, atol=1e-9)
+    assert seated == [0, 0, 0, 0]
+    assert seen["restricted"] == 0 and seen["full"] > 0
+    assert certified["skipped"] == [0, 0]
+    assert certified["n"] == 2 * 3 * d.n_dmus
+
+
 def test_skipped_stage_two_matches_forced_stage_two(monkeypatch):
     # CCR stage 2 runs only where stage 1's optimum is not certified
     # unique; forcing it on every DMU must give bit-identical scores and
     # slacks and rates within 1e-9 (relative to max(1, |value|))
     panels = [(table1_panel(1000, seed=s), rts) for s in (1, 3)
-              for rts in (ReturnsToScale.crs(), ReturnsToScale.vrs())]
-    panels += [(table1_panel(30, seed=s), ReturnsToScale.vrs())
+              for rts in ReturnsToScale]
+    panels += [(table1_panel(30, seed=s), ReturnsToScale.VRS)
                for s in range(100)]
     skipped = 0
     for d, rts in panels:

@@ -66,8 +66,7 @@ SPECS = [(kind, vrs) for kind in (ModelKind.CCR_OUTPUT,
 
 
 def spec(kind: ModelKind, vrs: bool) -> ModelSpec:
-    return ModelSpec(kind, ReturnsToScale.vrs() if vrs
-                     else ReturnsToScale.crs())
+    return ModelSpec(kind, ReturnsToScale.VRS if vrs else ReturnsToScale.CRS)
 
 
 def label(kind: ModelKind, vrs: bool) -> str:
